@@ -6,6 +6,14 @@ acknowledges windows of pulses with DETECTIONS messages. The sender (Alice)
 is purely reactive. Only the physics layer ever reads the returned frame's
 phase; the sifting layer sees pulse indices and click flags, nothing else.
 
+Over a bare in-process endpoint with the stock physics, Bob runs the same
+exchange a block of pulses at a time: one in-memory window frame out and
+back per block, one numpy pass over the block, and the same DETECTIONS per
+``ack_window`` as the per-pulse path. Every random stream is served from
+fixed pre-drawn blocks, so both paths consume the same numbers and produce
+the same result bit for bit. Socket sessions, wrapped endpoints and custom
+physics run the per-pulse state machines, which remain the reference.
+
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
 estimation runs over the bits Alice discloses: everything in oracle mode
@@ -15,17 +23,18 @@ that is then removed from both final keys.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .channel import open_in_process
-from .detector import GatedDetectorConfig
+from .channel import InProcessEndpoint, open_in_process
+from .detector import GatedDetectorConfig, click_probability
 from .errors import (
     ChannelError,
     ConfigError,
@@ -46,7 +55,7 @@ from .framing import (
     SessionStart,
     Terminate,
 )
-from .interferometer import SetupConfig, attenuator_setting, effective_visibility
+from .interferometer import SetupConfig, attenuator_setting, detection_mean
 from .randomness import BitSource, UniformSampler, derive_rng
 
 # Bright reference level of the outgoing pulses; the sender's attenuator
@@ -59,6 +68,14 @@ STREAM_BASES = 1
 STREAM_DISCLOSURE = 2
 STREAM_GATES = 0
 STREAM_ESTIMATION = 3
+
+# Phase shift of each symbol 2 * bit + basis. The two-state variant sends
+# basis 0 only, so its alphabet is every other entry.
+PHASES = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
+_SYMBOL_OF_PHASE = {phase: symbol for symbol, phase in enumerate(PHASES)}
+
+# Most pulses one batched block carries (see ``_blocks``).
+BLOCK_PULSES = 16384
 
 
 class ProtocolVariant(enum.Enum):
@@ -77,9 +94,7 @@ class ProtocolVariant(enum.Enum):
 
     @property
     def phase_alphabet(self) -> Tuple[float, ...]:
-        if self is ProtocolVariant.BB92:
-            return (0.0, math.pi)
-        return (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
+        return PHASES if self.uses_bases else PHASES[::2]
 
     @classmethod
     def from_code(cls, code: int) -> "ProtocolVariant":
@@ -90,29 +105,63 @@ class ProtocolVariant(enum.Enum):
         raise ProtocolViolationError(f"unknown variant code {code}")
 
 
-_BB92_PHASE = (0.0, math.pi)
-# (basis, bit) -> phase; basis 0 keeps the two-state mapping, basis 1 uses
-# the quarter-turn pair.
-_BB84_PHASE = {
-    (0, 0): 0.0,
-    (0, 1): math.pi,
-    (1, 0): math.pi / 2.0,
-    (1, 1): 1.5 * math.pi,
-}
-
-
 def encode_phase(bit: int, basis: Optional[int] = None,
                  variant: ProtocolVariant = ProtocolVariant.BB92) -> float:
     """Phase shift encoding ``bit`` (and ``basis`` in the four-state variant)."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if variant is ProtocolVariant.BB92:
+    if not variant.uses_bases:
         if basis is not None:
             raise ValueError("BB92 takes no basis")
-        return _BB92_PHASE[bit]
-    if basis not in (0, 1):
+        basis = 0
+    elif basis not in (0, 1):
         raise ValueError(f"BB84 requires basis 0 or 1, got {basis!r}")
-    return _BB84_PHASE[(basis, bit)]
+    return PHASES[2 * bit + basis]
+
+
+class QFrameWindowOut(NamedTuple):
+    """Outgoing frames ``start .. start + count - 1`` in one in-memory message.
+
+    Window frames exist only between in-process peers and are never encoded.
+    """
+
+    start: int
+    count: int
+    mean_photons: float
+    pol: Tuple[float, float, float, float]
+
+
+class QFrameWindowBack(NamedTuple):
+    """Returned frames of one window; ``symbols`` is a uint8 array of 2 * bit + basis."""
+
+    start: int
+    count: int
+    mean_photons: float
+    symbols: np.ndarray
+    pol: Tuple[float, float, float, float]
+
+
+def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource],
+                  bits: bytearray, bases: bytearray) -> np.ndarray:
+    """Next ``count`` symbols 2 * bit + basis, as uint8.
+
+    The drawn bits and bases are appended to ``bits`` and ``bases``. Without
+    a bases source every basis is 0, as in the two-state variant.
+    """
+    drawn = bits_src.take(count)
+    bits += drawn.tobytes()
+    symbols = drawn << 1
+    if bases_src is not None:
+        drawn_bases = bases_src.take(count)
+        bases += drawn_bases.tobytes()
+        symbols += drawn_bases
+    return symbols
+
+
+def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
+    # Retro-reflection flips the polarization to the orthogonal state:
+    # (c0, c1) -> (-c1, c0). Adding 0.0 normalizes -0.0 for the wire.
+    return (-p[2] + 0.0, -p[3] + 0.0, p[0] + 0.0, p[1] + 0.0)
 
 
 @dataclass(frozen=True)
@@ -222,39 +271,65 @@ class QuantumPhysics:
     """The receiver's measurement boundary; sole reader of returned phases.
 
     Consumes returned frames in strict index order and reduces each to one
-    click decision. The fringe and gate arithmetic matches
-    ``interferometer.detection_mean`` and ``detector.click_probability``.
+    click decision. The click probability of every (Alice, Bob) symbol pair
+    is computed once, with ``interferometer.detection_mean`` and
+    ``detector.click_probability``, into a 4 x 4 table that both the
+    per-pulse and the window path index.
     """
 
     def __init__(self, setup: SetupConfig, detector: GatedDetectorConfig,
                  rng: np.random.Generator):
         self._expected_index = 0
         self._half_mu = setup.mu_pair / 2.0
-        self._scale = setup.mu_pair * setup.transmission / 2.0
-        self._vis = effective_visibility(setup)
-        self._eta = detector.efficiency
-        self._dark = detector.dark_prob_per_gate
+        # Indexed by 4 * alice_symbol + bob_symbol; a list for the per-pulse
+        # path, an array for the window path.
+        self._probs = [
+            click_probability(detection_mean(pa - pb, setup), detector)
+            for pa in PHASES for pb in PHASES
+        ]
+        self._table = np.array(self._probs)
         self._gates = UniformSampler(rng)
 
-    def observe(self, frame: QFrameBack, phase_b: float) -> bool:
-        if frame.index != self._expected_index:
+    def _check(self, index: int, mean_photons: float, pol) -> None:
+        if index != self._expected_index:
             raise ProtocolViolationError(
-                f"returned frame index {frame.index}, expected {self._expected_index}"
+                f"returned frame index {index}, expected {self._expected_index}"
             )
-        if frame.mean_photons != self._half_mu:
+        if mean_photons != self._half_mu:
             raise ProtocolViolationError(
-                f"returned pulse carries {frame.mean_photons} photons, "
+                f"returned pulse carries {mean_photons} photons, "
                 f"expected {self._half_mu}"
             )
-        p0, p1, p2, p3 = frame.pol
+        p0, p1, p2, p3 = pol
         norm_sq = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
         if abs(norm_sq - 1.0) > 1e-6:
             raise ProtocolViolationError("returned polarization is not normalized")
+
+    def observe(self, frame: QFrameBack, phase_b: float) -> bool:
+        self._check(frame.index, frame.mean_photons, frame.pol)
+        try:
+            p = self._probs[4 * _SYMBOL_OF_PHASE[frame.phase_a] + _SYMBOL_OF_PHASE[phase_b]]
+        except KeyError:
+            raise ProtocolViolationError(
+                f"phase pair ({frame.phase_a}, {phase_b}) is outside the alphabet"
+            ) from None
         self._expected_index += 1
-        delta = frame.phase_a - phase_b
-        mu_eff = self._scale * (1.0 + self._vis * math.cos(delta))
-        p = self._dark + (1.0 - self._dark) * -math.expm1(-self._eta * mu_eff)
         return self._gates.next() < p
+
+    def observe_window(self, frame: QFrameWindowBack, bob_symbols: np.ndarray) -> np.ndarray:
+        """Click flags of one returned window, as a bool array."""
+        self._check(frame.start, frame.mean_photons, frame.pol)
+        symbols = frame.symbols
+        if frame.count != bob_symbols.size or symbols.shape != bob_symbols.shape:
+            raise ProtocolViolationError(
+                f"returned window carries {symbols.size} symbols for "
+                f"{bob_symbols.size} pulses"
+            )
+        if frame.count < 1 or symbols.dtype != np.uint8 or symbols.max() >= len(PHASES):
+            raise ProtocolViolationError("returned window symbol is outside the alphabet")
+        self._expected_index += frame.count
+        p = self._table[(symbols << 2) + bob_symbols]
+        return self._gates.take(frame.count) < p
 
 
 class AliceSession:
@@ -275,8 +350,9 @@ class AliceSession:
         self.attenuation_db = attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
         self._half_mu = cfg.setup.mu_pair / 2.0
         self._uses_bases = cfg.variant.uses_bases
-        self._bits: List[int] = []
-        self._bases: List[int] = []
+        # One byte per pulse sent so far, values 0 and 1.
+        self._bits = bytearray()
+        self._bases = bytearray()
         self._started = False
         self._qframes = 0
         self._detected: List[int] = []
@@ -298,6 +374,10 @@ class AliceSession:
             if not self._started:
                 raise ProtocolViolationError("first message must be SESSION_START")
             return self._on_qframe(msg)
+        if isinstance(msg, QFrameWindowOut):
+            if not self._started:
+                raise ProtocolViolationError("first message must be SESSION_START")
+            return self._on_qframe_window(msg)
         if isinstance(msg, SessionStart):
             return self._on_start(msg)
         if not self._started:
@@ -333,31 +413,43 @@ class AliceSession:
         self._started = True
         return []
 
-    def _on_qframe(self, msg: QFrameOut) -> List[Message]:
-        if msg.index != self._qframes:
+    def _check_outgoing(self, start: int, count: int, mean_photons: float) -> None:
+        if start != self._qframes:
             raise ProtocolViolationError(
-                f"outgoing frame index {msg.index}, expected {self._qframes}"
+                f"outgoing frame index {start}, expected {self._qframes}"
             )
-        if msg.mean_photons != OUTGOING_REFERENCE_PHOTONS:
+        if count < 1 or start + count > self.cfg.n_pulses:
             raise ProtocolViolationError(
-                f"outgoing pulse level {msg.mean_photons}, "
+                f"outgoing frames {start}..{start + count - 1} outside "
+                f"0..{self.cfg.n_pulses - 1}"
+            )
+        if mean_photons != OUTGOING_REFERENCE_PHOTONS:
+            raise ProtocolViolationError(
+                f"outgoing pulse level {mean_photons}, "
                 f"expected {OUTGOING_REFERENCE_PHOTONS}"
             )
-        i = self._qframes
+
+    def _on_qframe(self, msg: QFrameOut) -> List[Message]:
+        i = msg.index
+        self._check_outgoing(i, 1, msg.mean_photons)
         bit = self._bits_src.take_bit()
         self._bits.append(bit)
         if self._uses_bases:
             basis = self._bases_src.take_bit()
             self._bases.append(basis)
-            phase = _BB84_PHASE[(basis, bit)]
+            phase = PHASES[2 * bit + basis]
         else:
-            phase = _BB92_PHASE[bit]
-        # Retro-reflection flips the polarization to the orthogonal state:
-        # (c0, c1) -> (-c1, c0). Adding 0.0 normalizes -0.0 for the wire.
-        p = msg.pol
-        pol = (-p[2] + 0.0, -p[3] + 0.0, p[0] + 0.0, p[1] + 0.0)
+            phase = PHASES[2 * bit]
         self._qframes += 1
-        return [QFrameBack(i, self._half_mu, phase, pol)]
+        return [QFrameBack(i, self._half_mu, phase, _reflect(msg.pol))]
+
+    def _on_qframe_window(self, msg: QFrameWindowOut) -> List[Message]:
+        self._check_outgoing(msg.start, msg.count, msg.mean_photons)
+        symbols = _draw_symbols(msg.count, self._bits_src, self._bases_src,
+                                self._bits, self._bases)
+        self._qframes += msg.count
+        return [QFrameWindowBack(msg.start, msg.count, self._half_mu, symbols,
+                                 _reflect(msg.pol))]
 
     def _on_detections(self, msg: Detections) -> List[Message]:
         if self._finalized:
@@ -432,8 +524,13 @@ class BobSession:
         self._physics = physics or QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
+        # Bits and bases sent so far, one byte per pulse, and the clicked
+        # indices; the first ``_progress_clicks`` of them are acknowledged.
+        self._bits = bytearray()
+        self._bases = bytearray()
+        self._detected: List[int] = []
         self._progress_pulses = 0
-        self._progress_detected: List[int] = []
+        self._progress_clicks = 0
 
     def run(self, endpoint) -> SessionResult:
         try:
@@ -450,8 +547,8 @@ class BobSession:
             disclosure_fraction=cfg.disclosure_fraction,
             seeds=cfg.seeds.as_tuple(),
             pulses_processed=self._progress_pulses,
-            clicks=len(self._progress_detected),
-            detected_indices=tuple(self._progress_detected),
+            clicks=self._progress_clicks,
+            detected_indices=tuple(self._detected[:self._progress_clicks]),
             basis_matched=0,
             sifted_key_bob=b"",
             sifted_key_alice=None,
@@ -477,39 +574,79 @@ class BobSession:
 
     def _run(self, endpoint) -> SessionResult:
         cfg = self.cfg
-        n, window = cfg.n_pulses, cfg.ack_window
-        uses_bases = cfg.variant.uses_bases
         endpoint.send(
-            SessionStart(n, cfg.variant.code, cfg.setup.mu_pair, seeds_commitment(cfg))
+            SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                         seeds_commitment(cfg))
         )
-        bob_bits: List[int] = []
-        bob_bases: List[int] = []
-        detected: List[int] = []
+        if type(endpoint) is InProcessEndpoint and type(self._physics) is QuantumPhysics:
+            self._block_loop(endpoint)
+        else:
+            self._pulse_loop(endpoint)
+        return self._sift(endpoint)
+
+    def _acknowledge(self, endpoint, clicks: List[int], pulses: int) -> None:
+        """Send one window's DETECTIONS; ``pulses`` are now acknowledged."""
+        endpoint.send(Detections(tuple(clicks)))
+        self._detected.extend(clicks)
+        self._progress_pulses = pulses
+        self._progress_clicks = len(self._detected)
+
+    def _pulse_loop(self, endpoint) -> None:
+        """Reference path: one QFRAME out and back per pulse."""
+        n, window = self.cfg.n_pulses, self.cfg.ack_window
+        bits, bases = self._bits, self._bases
         window_clicks: List[int] = []
         observe = self._physics.observe
         take_bit = self._bits_src.take_bit
-        take_basis = self._bases_src.take_bit if uses_bases else None
+        take_basis = self._bases_src.take_bit if self._bases_src is not None else None
         send = endpoint.send
         expect = self._expect
         for i in range(n):
             bit = take_bit()
-            bob_bits.append(bit)
-            if uses_bases:
+            bits.append(bit)
+            if take_basis is not None:
                 basis = take_basis()
-                bob_bases.append(basis)
-                phase_b = _BB84_PHASE[(basis, bit)]
+                bases.append(basis)
+                phase_b = PHASES[2 * bit + basis]
             else:
-                phase_b = _BB92_PHASE[bit]
+                phase_b = PHASES[2 * bit]
             send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
             back = expect(endpoint, QFrameBack)
             if observe(back, phase_b):
                 window_clicks.append(i)
             if (i + 1) % window == 0 or i + 1 == n:
-                send(Detections(tuple(window_clicks)))
-                detected.extend(window_clicks)
+                self._acknowledge(endpoint, window_clicks, i + 1)
                 window_clicks.clear()
-                self._progress_pulses = i + 1
-                self._progress_detected = list(detected)
+
+    def _block_loop(self, endpoint) -> None:
+        """Batched path: one window frame out and back per block of pulses."""
+        n, window = self.cfg.n_pulses, self.cfg.ack_window
+        observe_window = self._physics.observe_window
+        pending: List[int] = []  # clicks not yet acknowledged, in order
+        for start, end in _blocks(n, window):
+            count = end - start
+            symbols = _draw_symbols(count, self._bits_src, self._bases_src,
+                                    self._bits, self._bases)
+            endpoint.send(
+                QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
+            )
+            back = self._expect(endpoint, QFrameWindowBack)
+            clicks = observe_window(back, symbols)
+            pending += (np.flatnonzero(clicks) + start).tolist()
+            acks = list(range(start - start % window + window, end, window))
+            if end % window == 0 or end == n:
+                acks.append(end)
+            for ack in acks:
+                k = bisect.bisect_left(pending, ack)
+                self._acknowledge(endpoint, pending[:k], ack)
+                del pending[:k]
+
+    def _sift(self, endpoint) -> SessionResult:
+        """Bases exchange, disclosure check and the result, after the last window."""
+        cfg = self.cfg
+        n = cfg.n_pulses
+        uses_bases = cfg.variant.uses_bases
+        bob_bits, bob_bases, detected = self._bits, self._bases, self._detected
         if uses_bases:
             bob_bases_at = tuple(bob_bases[i] for i in detected)
             endpoint.send(Bases(bob_bases_at))
@@ -570,6 +707,21 @@ class BobSession:
             measured_er=measured,
             final_key_bob=final_bob,
         )
+
+
+def _blocks(n: int, window: int) -> Iterator[Tuple[int, int]]:
+    """(start, end) of each block of the batched path.
+
+    A block is the largest multiple of ``window`` that fits in BLOCK_PULSES
+    pulses, or BLOCK_PULSES pulses of a longer window. The final window
+    starts a new block, so Alice has reflected every frame only when its
+    DETECTIONS arrives, as on the per-pulse path.
+    """
+    step = window * (BLOCK_PULSES // window) or BLOCK_PULSES
+    last = (n - 1) // window * window
+    for lo, hi in ((0, last), (last, n)):
+        for start in range(lo, hi, step):
+            yield start, min(start + step, hi)
 
 
 def run_session(cfg: SessionConfig, endpoint=None) -> SessionResult:
@@ -633,7 +785,8 @@ def sift_and_estimate(result: SessionResult, disclosure_fraction: float = 0.0,
         rng = derive_rng(result.seeds[2], STREAM_ESTIMATION)
     positions = sorted(int(p) for p in rng.choice(n, size=k, replace=False))
     mismatches = sum(1 for p in positions if a[p] != b[p])
-    keep = [p for p in range(n) if p not in set(positions)]
+    disclosed = set(positions)
+    keep = [p for p in range(n) if p not in disclosed]
     return ErrorReport(
         mode="disclosure",
         error_rate=mismatches / k,

@@ -41,9 +41,12 @@ class BitSource:
         self.block_size_bits = block_size_bits
         self._rng = rng
         self._fixed = None if bits is None else np.asarray(bits, dtype=np.uint8)
-        # Pre-drawn block, kept as a plain list for cheap scalar serving.
+        # The pre-drawn block, as an array for ``take`` and as a plain list
+        # for cheap scalar serving. Each view is made when first needed; a
+        # list view drops the array, so scalar-only use holds just the list.
+        self._block: Optional[np.ndarray] = None
         self._buffer: list = []
-        self._buffer_pos = 0
+        self._buffer_pos = block_size_bits  # no block drawn yet
         self._cursor = 0
 
     @classmethod
@@ -83,7 +86,8 @@ class BitSource:
 
     def _refill(self) -> None:
         drawn = self._rng.integers(0, 2, size=self.block_size_bits, dtype=np.int64)
-        self._buffer = drawn.tolist()
+        self._block = drawn.astype(np.uint8)
+        self._buffer = []
         self._buffer_pos = 0
 
     def take(self, n: int) -> np.ndarray:
@@ -101,14 +105,16 @@ class BitSource:
         parts: list = []
         need = n
         while need > 0:
-            if self._buffer_pos >= len(self._buffer):
+            if self._buffer_pos >= self.block_size_bits:
                 self._refill()
-            chunk = self._buffer[self._buffer_pos:self._buffer_pos + need]
-            parts.extend(chunk)
-            self._buffer_pos += len(chunk)
-            need -= len(chunk)
+            if self._block is None:
+                self._block = np.array(self._buffer, dtype=np.uint8)
+            chunk = self._block[self._buffer_pos:self._buffer_pos + need]
+            parts.append(chunk)
+            self._buffer_pos += chunk.size
+            need -= chunk.size
         self._cursor += n
-        return np.array(parts, dtype=np.uint8)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
 
     def take_bit(self) -> int:
         """Next single bit; same stream as :meth:`take`."""
@@ -119,7 +125,10 @@ class BitSource:
             self._cursor += 1
             return bit
         if self._buffer_pos >= len(self._buffer):
-            self._refill()
+            if self._buffer_pos >= self.block_size_bits:
+                self._refill()
+            self._buffer = self._block.tolist()
+            self._block = None
         bit = self._buffer[self._buffer_pos]
         self._buffer_pos += 1
         self._cursor += 1
@@ -127,23 +136,49 @@ class BitSource:
 
 
 class UniformSampler:
-    """Serves uniform doubles one at a time from fixed pre-drawn blocks.
+    """Serves uniform doubles from fixed pre-drawn blocks.
 
     The fixed internal block size makes the served sequence independent of
-    the caller's request pattern, mirroring :class:`BitSource`.
+    the caller's request pattern, mirroring :class:`BitSource`: :meth:`next`
+    and :meth:`take` serve the same stream in any interleaving.
     """
 
     _BLOCK = 65536
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
+        # The block as an array and as a list, made as in BitSource.
+        self._block: Optional[np.ndarray] = None
         self._buffer: list = []
+        self._pos = self._BLOCK  # no block drawn yet
+
+    def _refill(self) -> None:
+        self._block = self._rng.random(self._BLOCK)
+        self._buffer = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos >= len(self._buffer):
-            self._buffer = self._rng.random(self._BLOCK).tolist()
-            self._pos = 0
+            if self._pos >= self._BLOCK:
+                self._refill()
+            self._buffer = self._block.tolist()
+            self._block = None
         u = self._buffer[self._pos]
         self._pos += 1
         return u
+
+    def take(self, n: int) -> np.ndarray:
+        """Next ``n`` doubles as a float64 array."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        parts = []
+        while n > 0:
+            if self._pos >= self._BLOCK:
+                self._refill()
+            if self._block is None:
+                self._block = np.array(self._buffer)
+            chunk = self._block[self._pos:self._pos + n]
+            parts.append(chunk)
+            self._pos += chunk.size
+            n -= chunk.size
+        return np.concatenate(parts) if parts else np.empty(0)

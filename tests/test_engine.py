@@ -1,0 +1,301 @@
+"""The batched in-process engine against the per-pulse reference path.
+
+A bare in-process endpoint with the stock physics takes the batched path;
+the same session through a pass-through endpoint wrapper takes the
+per-pulse path. Both must agree on everything either party ends up with.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fmqkd import protocol
+from fmqkd.channel import open_in_process
+from fmqkd.detector import GatedDetectorConfig
+from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
+from fmqkd.framing import Detections, QFrameBack, QFrameOut, SessionStart
+from fmqkd.interferometer import SetupConfig
+from fmqkd.keyfile import write_key_file
+from fmqkd.presets import reference_session
+from fmqkd.protocol import (
+    OUTGOING_REFERENCE_PHOTONS,
+    POL_HORIZONTAL,
+    AliceSession,
+    BobSession,
+    ProtocolVariant,
+    QFrameWindowBack,
+    QFrameWindowOut,
+    QuantumPhysics,
+    Seeds,
+    SessionConfig,
+    SessionResult,
+    seeds_commitment,
+)
+from fmqkd.randomness import derive_rng
+
+SEEDS = [Seeds(1, 2, 3), Seeds(17, 4, 99), Seeds(2 ** 63, 5, 8), Seeds(40, 41, 42),
+         Seeds(123456789, 987654321, 555)]
+
+
+class PassThroughEndpoint:
+    """Forwards every call; hides the endpoint type, forcing the per-pulse path."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def send(self, msg):
+        self._inner.send(msg)
+
+    def recv(self):
+        return self._inner.recv()
+
+    def close(self):
+        self._inner.close()
+
+
+def noisy_config(n_pulses, seeds, variant, ack_window, disclosure=0.0):
+    """About 5% clicks with dark counts, so keys carry errors at every window size."""
+    return SessionConfig(
+        n_pulses=n_pulses, variant=variant, setup=SetupConfig(mu_pair=2.0),
+        detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
+        seeds=seeds, disclosure_fraction=disclosure, ack_window=ack_window,
+    )
+
+
+def with_key_files(cfg, tmp_path, entropy):
+    """``cfg`` with both parties' bits read from generated key files."""
+    rng = np.random.default_rng(entropy)
+    paths = {}
+    for party in ("alice", "bob"):
+        paths[party] = []
+        for k in range(2):
+            p = tmp_path / f"{party}_{entropy}_{k}.qkdr"
+            write_key_file(p, rng.integers(0, 2, size=cfg.n_pulses // 2 + 1).astype(np.uint8))
+            paths[party].append(str(p))
+    return dataclasses.replace(cfg, alice_key_files=tuple(paths["alice"]),
+                               bob_key_files=tuple(paths["bob"]))
+
+
+def run_both(cfg):
+    """(result, Alice's view) of the batched and the per-pulse path."""
+    views = []
+    for wrap in (lambda e: e, PassThroughEndpoint):
+        alice = AliceSession(cfg)
+        seen = []
+
+        def responder(msg, alice=alice, seen=seen):
+            seen.append(msg)
+            return alice.handle(msg)
+
+        result = BobSession(cfg).run(wrap(open_in_process(responder)))
+        views.append((result, alice, seen))
+    return views
+
+
+def assert_equivalent(cfg):
+    (batched, alice_b, seen_b), (reference, alice_r, seen_r) = run_both(cfg)
+    # The batched path really ran, in blocks; the reference ran per pulse.
+    assert any(isinstance(m, QFrameWindowOut) for m in seen_b)
+    assert not any(isinstance(m, QFrameOut) for m in seen_b)
+    assert not any(isinstance(m, QFrameWindowOut) for m in seen_r)
+    assert batched == reference
+    assert alice_b.sifted_key == alice_r.sifted_key
+    assert alice_b.final_key == alice_r.final_key
+    assert alice_b.measured_er == alice_r.measured_er
+    detections = [[m for m in seen if isinstance(m, Detections)] for seen in (seen_b, seen_r)]
+    assert detections[0] == detections[1]
+    assert len(detections[0]) == -(-cfg.n_pulses // cfg.ack_window)
+    return batched
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("ack_window", [1, 7, 1000, 1024])
+@pytest.mark.parametrize("key_files", [False, True])
+@pytest.mark.parametrize("disclosure", [0.0, 0.5])
+def test_batched_matches_per_pulse(tmp_path, variant, ack_window, key_files, disclosure):
+    # 1000 pulses: not a multiple of 7, equal to one window, smaller than 1024.
+    for k, seeds in enumerate(SEEDS):
+        cfg = noisy_config(1000, seeds, variant, ack_window, disclosure)
+        if key_files:
+            cfg = with_key_files(cfg, tmp_path, k)
+        result = assert_equivalent(cfg)
+        assert result.clicks > 20
+
+
+@pytest.mark.parametrize("ack_window", [1, 7, 64, 100, 250, 2000])
+def test_batched_matches_per_pulse_across_blocks(monkeypatch, ack_window):
+    # Small blocks exercise multi-block sessions, windows spanning several
+    # blocks (ack_window > BLOCK_PULSES) and a final short window.
+    monkeypatch.setattr(protocol, "BLOCK_PULSES", 64)
+    for variant in ProtocolVariant:
+        for seeds in SEEDS[:2]:
+            assert_equivalent(noisy_config(1000, seeds, variant, ack_window, 0.5))
+
+
+def test_batched_matches_per_pulse_full_blocks():
+    cfg = reference_session(0.2, 2 * protocol.BLOCK_PULSES + 1001, Seeds(5, 6, 7),
+                            ProtocolVariant.BB84)
+    assert assert_equivalent(dataclasses.replace(cfg, ack_window=7)).clicks > 0
+
+
+def test_block_boundaries():
+    assert list(protocol._blocks(10, 3)) == [(0, 9), (9, 10)]
+    assert list(protocol._blocks(9, 3)) == [(0, 6), (6, 9)]
+    assert list(protocol._blocks(5, 8)) == [(0, 5)]
+    block = protocol.BLOCK_PULSES
+    assert list(protocol._blocks(3 * block, 1024)) == [
+        (0, block), (block, 2 * block), (2 * block, 3 * block - 1024),
+        (3 * block - 1024, 3 * block)]
+    # A window longer than a block travels in block-sized pieces.
+    assert list(protocol._blocks(block + 10, block + 10)) == [
+        (0, block), (block, block + 10)]
+
+
+RESULT_TYPES = {
+    "variant": (str,),
+    "n_pulses": (int,),
+    "mu_pair": (float,),
+    "disclosure_fraction": (float,),
+    "seeds": "ints",
+    "pulses_processed": (int,),
+    "clicks": (int,),
+    "detected_indices": "ints",
+    "basis_matched": (int,),
+    "sifted_key_bob": (bytes,),
+    "sifted_key_alice": (bytes, type(None)),
+    "disclosed_indices": "ints",
+    "compared_bits": (int,),
+    "mismatches": (int,),
+    "measured_er": (float, type(None)),
+    "final_key_bob": (bytes,),
+    "aborted": (bool,),
+}
+
+
+def assert_python_types(result: SessionResult) -> None:
+    """Every field holds plain Python values; a numpy scalar would change its repr."""
+    assert {f.name for f in dataclasses.fields(result)} == set(RESULT_TYPES)
+    for name, allowed in RESULT_TYPES.items():
+        value = getattr(result, name)
+        if allowed == "ints":
+            assert type(value) is tuple, name
+            assert all(type(x) is int for x in value), name
+        else:
+            assert type(value) in allowed, (name, type(value))
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("disclosure", [0.0, 0.5])
+def test_batched_result_holds_python_types(variant, disclosure):
+    cfg = noisy_config(3000, SEEDS[0], variant, 1024, disclosure)
+    result = BobSession(cfg).run(open_in_process(AliceSession(cfg).handle))
+    assert result.clicks > 0 and result.compared_bits > 0
+    assert_python_types(result)
+
+
+def test_batched_abort_keeps_acknowledged_windows():
+    cfg = noisy_config(5000, SEEDS[1], ProtocolVariant.BB92, 100)
+    alice = AliceSession(cfg)
+    acks = []
+
+    def responder(msg):
+        if isinstance(msg, Detections):
+            if len(acks) == 12:
+                raise ChannelError("connection reset")
+            acks.append(msg)
+        return alice.handle(msg)
+
+    with pytest.raises(SessionAborted) as err:
+        BobSession(cfg).run(open_in_process(responder))
+    partial = err.value.partial
+    assert partial.aborted
+    assert partial.pulses_processed == 1200
+    assert partial.detected_indices == tuple(i for m in acks for i in m.indices)
+    assert partial.clicks == len(partial.detected_indices) > 0
+    assert_python_types(partial)
+
+
+def started_alice(cfg):
+    alice = AliceSession(cfg)
+    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                              seeds_commitment(cfg)))
+    return alice
+
+
+def window(start, count, level=OUTGOING_REFERENCE_PHOTONS):
+    return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
+
+
+def test_alice_rejects_bad_windows():
+    cfg = noisy_config(100, SEEDS[0], ProtocolVariant.BB84, 10)
+    alice = started_alice(cfg)
+    (back,) = alice.handle(window(0, 40))
+    assert isinstance(back, QFrameWindowBack) and back.count == 40
+    for bad in (window(0, 10),      # overlaps frames already reflected
+                window(39, 5),      # overlaps
+                window(41, 5),      # leaves a gap
+                window(40, 0),      # empty
+                window(40, -3),     # empty
+                window(40, 61),     # runs past n_pulses
+                window(40, 10, 1.0)):  # wrong pulse level
+        with pytest.raises(ProtocolViolationError):
+            alice.handle(bad)
+    assert isinstance(alice.handle(window(40, 60))[0], QFrameWindowBack)
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(QFrameOut(100, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+
+
+def test_alice_rejects_window_before_start():
+    alice = AliceSession(noisy_config(100, SEEDS[0], ProtocolVariant.BB92, 10))
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(window(0, 10))
+
+
+def test_physics_window_checks():
+    cfg = noisy_config(100, SEEDS[0], ProtocolVariant.BB84, 10)
+    half = cfg.setup.mu_pair / 2.0
+    pol = (0.0, 0.0, 1.0, 0.0)
+    bob = np.zeros(10, dtype=np.uint8)
+
+    def back(start, symbols, level=half, p=pol):
+        return QFrameWindowBack(start, len(symbols), level, np.asarray(symbols, np.uint8), p)
+
+    physics = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(3, 0))
+    assert physics.observe_window(back(0, [0, 1, 2, 3] * 2 + [0, 0]), bob).dtype == bool
+    for bad, bob_symbols in ((back(5, [0] * 10), bob),          # out of order
+                             (back(10, [0] * 10, half * 3), bob),  # wrong level
+                             (back(10, [0] * 10, p=(0.5, 0, 0, 0)), bob),
+                             (back(10, [0] * 9), bob),           # short window
+                             (back(10, [4] + [0] * 9), bob)):    # outside the alphabet
+        with pytest.raises(ProtocolViolationError):
+            physics.observe_window(bad, bob_symbols)
+    physics.observe_window(back(10, [0] * 10), bob)
+
+
+def test_observe_rejects_phase_outside_alphabet():
+    cfg = noisy_config(100, SEEDS[0], ProtocolVariant.BB92, 10)
+    physics = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(3, 0))
+    half = cfg.setup.mu_pair / 2.0
+    pol = (0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ProtocolViolationError):
+        physics.observe(QFrameBack(0, half, 0.25, pol), 0.0)
+    with pytest.raises(ProtocolViolationError):
+        physics.observe(QFrameBack(0, half, 0.0, pol), float("nan"))
+    physics.observe(QFrameBack(0, half, 1.5 * np.pi, pol), np.pi / 2.0)
+
+
+def test_window_and_pulse_paths_share_one_click_table():
+    cfg = noisy_config(5000, SEEDS[0], ProtocolVariant.BB84, 10)
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 4, 5000).astype(np.uint8)
+    b = rng.integers(0, 4, 5000).astype(np.uint8)
+    pol = (0.0, 0.0, 1.0, 0.0)
+    half = cfg.setup.mu_pair / 2.0
+    batched = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(9, 0)).observe_window(
+        QFrameWindowBack(0, 5000, half, a, pol), b)
+    scalar = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(9, 0))
+    per_pulse = [scalar.observe(QFrameBack(i, half, protocol.PHASES[a[i]], pol),
+                                protocol.PHASES[b[i]]) for i in range(5000)]
+    assert batched.tolist() == per_pulse
+    assert 100 < sum(per_pulse) < 4900

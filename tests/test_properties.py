@@ -1,0 +1,210 @@
+"""Property tests of the documented invariants.
+
+- Random streams are chunk-independent: any interleaving of scalar and
+  block requests serves the same sequence.
+- Alice's state machine answers any message sequence with replies or
+  ``ProtocolViolationError``, nothing else, and rejects every window frame
+  that overlaps, leaves a gap, is empty or runs past the session.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fmqkd.detector import GatedDetectorConfig
+from fmqkd.errors import BitSourceExhausted, ProtocolViolationError
+from fmqkd.framing import (
+    Bases,
+    Detections,
+    Disclose,
+    QFrameBack,
+    QFrameOut,
+    SessionStart,
+    Terminate,
+)
+from fmqkd.interferometer import SetupConfig
+from fmqkd.protocol import (
+    OUTGOING_REFERENCE_PHOTONS,
+    PHASES,
+    POL_HORIZONTAL,
+    STREAM_BASES,
+    STREAM_BITS,
+    AliceSession,
+    ProtocolVariant,
+    QFrameWindowBack,
+    QFrameWindowOut,
+    Seeds,
+    SessionConfig,
+    seeds_commitment,
+)
+from fmqkd.randomness import BitSource, UniformSampler, derive_rng
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None)
+SMALL_BLOCK = 64
+
+# (scalar?, count): ``count`` scalar calls in a row, or one block call.
+request_runs = st.lists(st.tuples(st.booleans(), st.integers(0, 3 * SMALL_BLOCK)),
+                        max_size=30)
+
+
+def serve(runs, scalar, block):
+    served = []
+    for as_scalar, count in runs:
+        if as_scalar:
+            served.extend(scalar() for _ in range(count))
+        else:
+            served.extend(block(count).tolist())
+    return served
+
+
+@SETTINGS
+@given(runs=request_runs, seed=st.integers(0, 2 ** 64 - 1))
+def test_prng_bits_any_interleaving_same_stream(runs, seed):
+    src = BitSource("prng", rng=derive_rng(seed, 0), block_size_bits=SMALL_BLOCK)
+    served = serve(runs, src.take_bit, src.take)
+    rng = derive_rng(seed, 0)
+    blocks = -(-len(served) // SMALL_BLOCK)
+    stream = [int(b) for _ in range(blocks)
+              for b in rng.integers(0, 2, size=SMALL_BLOCK, dtype=np.int64)]
+    assert served == stream[:len(served)]
+    assert all(type(b) is int for b in served)
+    assert src.cursor == len(served)
+
+
+@SETTINGS
+@given(runs=request_runs, bits=st.lists(st.integers(0, 1), max_size=4 * SMALL_BLOCK))
+def test_key_file_bits_any_interleaving_same_stream(runs, bits):
+    src = BitSource.from_bits(bits)
+    served = []
+    for as_scalar, count in runs:
+        left = min(count, src.remaining())
+        if as_scalar:
+            served.extend(src.take_bit() for _ in range(left))
+        elif left == count:
+            served.extend(src.take(count).tolist())
+        if left < count:
+            # A refused block serves nothing; scalars stop at the last bit.
+            with pytest.raises(BitSourceExhausted):
+                src.take_bit() if as_scalar else src.take(count)
+            break
+    assert served == bits[:len(served)]
+    assert src.cursor == len(served)
+
+
+class SmallSampler(UniformSampler):
+    _BLOCK = 16
+
+
+@SETTINGS
+@given(runs=st.lists(st.tuples(st.booleans(), st.integers(0, 50)), max_size=30),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_uniform_sampler_any_interleaving_same_stream(runs, seed):
+    sampler = SmallSampler(derive_rng(seed, 0))
+    served = serve(runs, sampler.next, sampler.take)
+    rng = derive_rng(seed, 0)
+    blocks = -(-len(served) // SmallSampler._BLOCK)
+    stream = [u for _ in range(blocks) for u in rng.random(SmallSampler._BLOCK).tolist()]
+    assert served == stream[:len(served)]
+    assert all(type(u) is float for u in served)
+
+
+N_PULSES = 24
+REPLY_TYPES = (QFrameBack, QFrameWindowBack, Terminate, Bases, Disclose)
+
+
+def session_config(variant, disclosure):
+    return SessionConfig(
+        n_pulses=N_PULSES, variant=variant, setup=SetupConfig(mu_pair=0.2),
+        detector=GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=1e-5),
+        seeds=Seeds(3, 4, 5), disclosure_fraction=disclosure, ack_window=4,
+    )
+
+
+KINDS = st.sampled_from(["qframe", "window", "window", "detections", "detections", "bases",
+                         "terminate", "start"])
+MOSTLY = st.sampled_from([True, True, True, False])
+ANY_INDEX = st.integers(-1, N_PULSES + 1)
+LEVELS = st.sampled_from([OUTGOING_REFERENCE_PHOTONS, OUTGOING_REFERENCE_PHOTONS, 1.0])
+SMALL = st.integers(0, 6)
+BIT = st.integers(0, 1)
+
+
+def draw_message(data, valid_start, alice, sent):
+    """One message, biased towards ones that advance the session."""
+    kind = data.draw(KINDS)
+    plausible = data.draw(MOSTLY)
+    if kind in ("qframe", "window"):
+        start = sent if plausible else data.draw(ANY_INDEX)
+        level = data.draw(LEVELS)
+        if kind == "qframe":
+            return QFrameOut(start, level, POL_HORIZONTAL)
+        left = N_PULSES - sent
+        count = data.draw(st.integers(1, left)) if plausible and left else data.draw(ANY_INDEX)
+        return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
+    if kind == "detections":
+        detected = alice.detected_indices
+        low = detected[-1] + 1 if detected else 0
+        count = data.draw(SMALL)
+        if plausible:
+            pool = range(low, sent)
+            return Detections(tuple(sorted(set(
+                pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)
+            ))) if pool else ())
+        return Detections(tuple(data.draw(ANY_INDEX) for _ in range(count)))
+    if kind == "bases":
+        count = len(alice.detected_indices) if plausible else data.draw(SMALL)
+        return Bases(tuple(data.draw(BIT) for _ in range(count)))
+    if kind == "terminate":
+        return Terminate(data.draw(st.integers(0, 3)))
+    return valid_start if plausible else valid_start._replace(n_pulses=N_PULSES + 1)
+
+
+@SETTINGS
+@given(data=st.data(), variant=st.sampled_from(list(ProtocolVariant)),
+       disclosure=st.sampled_from([0.0, 0.5]))
+def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, disclosure):
+    cfg = session_config(variant, disclosure)
+    alice = AliceSession(cfg)
+    valid_start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                               seeds_commitment(cfg))
+    started = False
+    sent = 0
+    symbols = []  # symbol Alice reflected for each frame, in index order
+    for k in range(data.draw(st.integers(1, 40))):
+        if k == 0 and data.draw(MOSTLY):
+            msg = valid_start
+        else:
+            msg = draw_message(data, valid_start, alice, sent)
+        live = started and not alice.done
+        if live and isinstance(msg, (QFrameOut, QFrameWindowOut)):
+            start, count = (msg.index, 1) if isinstance(msg, QFrameOut) else msg[:2]
+            valid = (start == sent and count >= 1 and start + count <= N_PULSES
+                     and msg.mean_photons == OUTGOING_REFERENCE_PHOTONS)
+            if not valid:
+                with pytest.raises(ProtocolViolationError):
+                    alice.handle(msg)
+                continue
+            (reply,) = alice.handle(msg)
+            if isinstance(msg, QFrameOut):
+                assert reply.index == start
+                symbols.append(PHASES.index(reply.phase_a))
+            else:
+                assert (reply.start, reply.count) == (start, count)
+                symbols.extend(reply.symbols.tolist())
+            sent += count
+            continue
+        try:
+            replies = alice.handle(msg)
+        except ProtocolViolationError:
+            continue
+        assert isinstance(replies, list)
+        assert all(isinstance(r, REPLY_TYPES) for r in replies)
+        if msg is valid_start:
+            started = started or not alice.done
+    # Scalar and window frames served one stream, in index order.
+    bits = BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BITS)).take(sent)
+    expected = 2 * bits.astype(int)
+    if variant.uses_bases:
+        expected += BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BASES)).take(sent)
+    assert symbols == expected.tolist()
