@@ -13,10 +13,14 @@ import time
 from collections import deque
 from typing import Callable, List, Optional
 
-from .errors import ChannelError, IncompleteFrameError
-from .framing import HEADER, Message, decode_frame, encode_frame
+from .errors import ChannelError
+from .framing import HEADER, Message, decode_header, decode_payload, encode_frame
 
 Responder = Callable[[Message], List[Message]]
+
+# Largest single read, so a payload's buffer grows only with the bytes that
+# actually arrive, whatever length its header claims.
+RECV_CHUNK = 65536
 
 
 class InProcessEndpoint:
@@ -42,7 +46,12 @@ class InProcessEndpoint:
 
 
 class SocketEndpoint:
-    """Frame-oriented endpoint over a connected TCP socket."""
+    """Frame-oriented endpoint over a connected TCP socket.
+
+    ``recv`` checks each header's length against its type's bounds before it
+    reads the payload, and reads the payload in chunks of at most RECV_CHUNK
+    bytes.
+    """
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -59,7 +68,7 @@ class SocketEndpoint:
         got = 0
         while got < n:
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(min(n - got, RECV_CHUNK))
             except OSError as exc:
                 raise ChannelError(f"recv failed: {exc}") from exc
             if not chunk:
@@ -69,13 +78,8 @@ class SocketEndpoint:
         return b"".join(chunks)
 
     def recv(self) -> Message:
-        header = self._recv_exact(HEADER.size)
-        _, _, length = HEADER.unpack(header)
-        payload = self._recv_exact(length) if length else b""
-        try:
-            return decode_frame(header + payload)
-        except IncompleteFrameError as exc:  # length field lied
-            raise ChannelError(str(exc)) from exc
+        msg_type, length = decode_header(self._recv_exact(HEADER.size))
+        return decode_payload(msg_type, self._recv_exact(length))
 
     def close(self) -> None:
         try:
@@ -86,22 +90,6 @@ class SocketEndpoint:
 
 def open_in_process(responder: Responder) -> InProcessEndpoint:
     return InProcessEndpoint(responder)
-
-
-def open_channel(mode: str, responder: Optional[Responder] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-    """Driver-side endpoint for the requested mode.
-
-    "in_process" wires the endpoint straight to ``responder``; "socket"
-    connects to a peer already serving on (host, port).
-    """
-    if mode == "in_process":
-        if responder is None:
-            raise ValueError("in_process mode needs the peer's responder")
-        return InProcessEndpoint(responder)
-    if mode == "socket":
-        return connect(host, port)
-    raise ValueError(f"mode must be 'in_process' or 'socket', got {mode!r}")
 
 
 def connect(host: str, port: int, attempts: int = 40, delay_s: float = 0.25) -> SocketEndpoint:

@@ -1,8 +1,9 @@
 """Command-line front end: run sessions, print analytics, write reports.
 
 Subcommands: simulate, table1, fm-check, analyze, keygen. Exit codes are 0
-on success, 2 for configuration errors, 3 for channel failures, and 4 for
-I/O problems.
+on success, 2 for configuration errors, 3 for channel failures, 4 for I/O
+problems, and 5 for protocol errors (a peer broke the wire protocol, or a
+bit source ran out mid-session).
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ import numpy as np
 from . import __version__
 from .channel import connect, serve_once
 from .detector import GatedDetectorConfig, er_det_analytic
-from .errors import ChannelError, ConfigError, KeyFileError, SessionAborted
+from .errors import (
+    BitSourceExhausted,
+    ChannelError,
+    ConfigError,
+    KeyFileError,
+    ProtocolViolationError,
+    SessionAborted,
+)
 from .interferometer import (
     SetupConfig,
     er_opt_from_visibility,
@@ -46,6 +54,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHANNEL = 3
 EXIT_IO = 4
+EXIT_PROTOCOL = 5
+
+# Failures that end a two-process session after it has started; each side
+# logs one session line before it exits with the matching code.
+_SESSION_FAILURES = (ChannelError, SessionAborted, ProtocolViolationError, BitSourceExhausted)
 
 REPORT_COLUMNS = (
     "mu",
@@ -183,7 +196,8 @@ def append_session_log(path: Path, payload: dict) -> None:
 
 
 def _log_payload(role: str, mode: str, cfg: SessionConfig,
-                 result: Optional[SessionResult], duration_s: float) -> dict:
+                 result: Optional[SessionResult], duration_s: float,
+                 error: Optional[Exception] = None) -> dict:
     payload = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "role": role,
@@ -203,6 +217,8 @@ def _log_payload(role: str, mode: str, cfg: SessionConfig,
             measured_er=result.measured_er,
             aborted=result.aborted,
         )
+    if error is not None:
+        payload["error"] = f"{type(error).__name__}: {error}"
     return payload
 
 
@@ -218,7 +234,12 @@ def cmd_simulate(args) -> int:
         if spec.channel_mode != "socket":
             raise ConfigError("--role alice requires channel=socket in the config")
         alice = AliceSession(cfg)
-        serve_once(spec.host, spec.port, alice.handle, is_done=lambda: alice.done)
+        try:
+            serve_once(spec.host, spec.port, alice.handle, is_done=lambda: alice.done)
+        except _SESSION_FAILURES as exc:
+            append_session_log(log_path, _log_payload("alice", "socket", cfg, None,
+                                                      time.time() - started, exc))
+            raise
         if alice.abort_reason is not None:
             append_session_log(log_path, _log_payload("alice", "socket", cfg, None,
                                                       time.time() - started))
@@ -236,9 +257,10 @@ def cmd_simulate(args) -> int:
         endpoint = connect(spec.host, spec.port)
         try:
             result = BobSession(cfg).run(endpoint)
-        except SessionAborted as exc:
-            append_session_log(log_path, _log_payload("bob", "socket", cfg, exc.partial,
-                                                      time.time() - started))
+        except _SESSION_FAILURES as exc:
+            append_session_log(log_path, _log_payload(
+                "bob", "socket", cfg, getattr(exc, "partial", None),
+                time.time() - started, exc))
             raise
         finally:
             endpoint.close()
@@ -444,6 +466,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ChannelError, SessionAborted) as exc:
         print(f"channel error: {exc}", file=sys.stderr)
         return EXIT_CHANNEL
+    except (ProtocolViolationError, BitSourceExhausted) as exc:
+        print(f"protocol error: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     except KeyFileError as exc:
         print(f"key file error: {exc}", file=sys.stderr)
         return EXIT_IO

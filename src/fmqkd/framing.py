@@ -15,9 +15,19 @@ with ``length`` counting payload bytes only. Payloads, all little-endian:
     0x06 DISCLOSE       count u32 | count x (index u64 | bit u8), indices increasing
     0x07 ER_REPORT      error_rate f64
     0x08 TERMINATE      reason u8
+    0x09 QFRAME_WINDOW_OUT   start u64 | count u32 | mean_photons f64 | pol 4 x f64
+    0x0A QFRAME_WINDOW_BACK  start u64 | count u32 | mean_photons f64 | pol 4 x f64 |
+                             count x symbol u8 (2 * bit + basis, below 4)
+
+QFRAME_OUT / QFRAME_BACK carry one pulse each; the per-pulse session engine
+(wrapped endpoints, custom physics) uses them. The window frames carry up to
+BLOCK_PULSES consecutive pulses each; the batched engine uses them over both
+in-process and socket endpoints.
 
 Encoding is canonical: each message has exactly one valid byte string, so
-encode is injective and decode(encode(m)) == m.
+encode is injective and decode(encode(m)) == m. Every type bounds its
+payload length, and ``decode_header`` checks the length field against that
+bound before a receiver reads any payload.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from __future__ import annotations
 import math
 import struct
 from typing import NamedTuple, Tuple, Union
+
+import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolViolationError
 
@@ -39,6 +51,13 @@ MSG_BASES = 0x05
 MSG_DISCLOSE = 0x06
 MSG_ER_REPORT = 0x07
 MSG_TERMINATE = 0x08
+MSG_QFRAME_WINDOW_OUT = 0x09
+MSG_QFRAME_WINDOW_BACK = 0x0A
+
+# Most pulses one window frame carries.
+BLOCK_PULSES = 16384
+# Window symbols are 2 * bit + basis.
+_SYMBOLS = 4
 
 TERMINATE_NORMAL = 0
 TERMINATE_CONFIG_MISMATCH = 1
@@ -66,6 +85,25 @@ class QFrameBack(NamedTuple):
     pol: Tuple[float, float, float, float]
 
 
+class QFrameWindowOut(NamedTuple):
+    """Outgoing frames ``start .. start + count - 1`` in one message."""
+
+    start: int
+    count: int
+    mean_photons: float
+    pol: Tuple[float, float, float, float]
+
+
+class QFrameWindowBack(NamedTuple):
+    """Returned frames of one window; ``symbols`` is a uint8 array of 2 * bit + basis."""
+
+    start: int
+    count: int
+    mean_photons: float
+    symbols: np.ndarray
+    pol: Tuple[float, float, float, float]
+
+
 class Detections(NamedTuple):
     indices: Tuple[int, ...]
 
@@ -87,7 +125,8 @@ class Terminate(NamedTuple):
 
 
 Message = Union[
-    SessionStart, QFrameOut, QFrameBack, Detections, Bases, Disclose, ErReport, Terminate
+    SessionStart, QFrameOut, QFrameBack, Detections, Bases, Disclose, ErReport, Terminate,
+    QFrameWindowOut, QFrameWindowBack,
 ]
 
 _SESSION_START = struct.Struct("<QBd")
@@ -97,11 +136,33 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _DISCLOSE_ITEM = struct.Struct("<QB")
+_WINDOW = struct.Struct("<QId4d")
+
+# Least and most payload bytes of each type. The variable-size types are
+# bounded only by the u32 length field, so receivers read them in chunks.
+_U32_MAX = 2 ** 32 - 1
+_PAYLOAD_BOUNDS = {
+    MSG_SESSION_START: (_SESSION_START.size + 32,) * 2,
+    MSG_QFRAME_OUT: (_QFRAME_OUT.size,) * 2,
+    MSG_QFRAME_BACK: (_QFRAME_BACK.size,) * 2,
+    MSG_DETECTIONS: (4, _U32_MAX),
+    MSG_BASES: (4, _U32_MAX),
+    MSG_DISCLOSE: (4, _U32_MAX),
+    MSG_ER_REPORT: (_F64.size,) * 2,
+    MSG_TERMINATE: (1, 1),
+    MSG_QFRAME_WINDOW_OUT: (_WINDOW.size,) * 2,
+    MSG_QFRAME_WINDOW_BACK: (_WINDOW.size, _WINDOW.size + BLOCK_PULSES),
+}
 
 
 def _require_finite(value: float, field: str) -> None:
     if not math.isfinite(value):
         raise ProtocolViolationError(f"{field} must be finite, got {value!r}")
+
+
+def _require_pol(pol) -> None:
+    for x in pol:
+        _require_finite(x, "pol")
 
 
 def _require_index(value: int, field: str) -> None:
@@ -132,6 +193,27 @@ def _unpack_bitmap(payload: bytes, count: int) -> Tuple[int, ...]:
     return bits
 
 
+def _pack_window(msg) -> bytes:
+    _require_index(msg.start, "start")
+    if not (0 <= msg.count <= _U32_MAX):
+        raise ProtocolViolationError(f"window count must fit in u32, got {msg.count!r}")
+    _require_finite(msg.mean_photons, "mean_photons")
+    _require_pol(msg.pol)
+    return _WINDOW.pack(msg.start, msg.count, msg.mean_photons, *msg.pol)
+
+
+def _unpack_window(payload: bytes):
+    start, count, mean_photons, *pol = _WINDOW.unpack_from(payload)
+    _require_finite(mean_photons, "mean_photons")
+    _require_pol(pol)
+    return start, count, mean_photons, tuple(pol)
+
+
+def _require_symbols(symbols: np.ndarray) -> None:
+    if symbols.size and symbols.max() >= _SYMBOLS:
+        raise ProtocolViolationError("window symbol is outside the alphabet")
+
+
 def _encode_payload(msg: Message) -> Tuple[int, bytes]:
     if isinstance(msg, SessionStart):
         _require_index(msg.n_pulses, "n_pulses")
@@ -146,18 +228,29 @@ def _encode_payload(msg: Message) -> Tuple[int, bytes]:
     if isinstance(msg, QFrameOut):
         _require_index(msg.index, "index")
         _require_finite(msg.mean_photons, "mean_photons")
-        for x in msg.pol:
-            _require_finite(x, "pol")
+        _require_pol(msg.pol)
         return MSG_QFRAME_OUT, _QFRAME_OUT.pack(msg.index, msg.mean_photons, *msg.pol)
     if isinstance(msg, QFrameBack):
         _require_index(msg.index, "index")
         _require_finite(msg.mean_photons, "mean_photons")
         _require_finite(msg.phase_a, "phase_a")
-        for x in msg.pol:
-            _require_finite(x, "pol")
+        _require_pol(msg.pol)
         return MSG_QFRAME_BACK, _QFRAME_BACK.pack(
             msg.index, msg.mean_photons, msg.phase_a, *msg.pol
         )
+    if isinstance(msg, QFrameWindowOut):
+        return MSG_QFRAME_WINDOW_OUT, _pack_window(msg)
+    if isinstance(msg, QFrameWindowBack):
+        symbols = msg.symbols
+        if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
+                and symbols.shape == (msg.count,)):
+            raise ProtocolViolationError("window symbols must be count uint8 values")
+        if msg.count > BLOCK_PULSES:
+            raise ProtocolViolationError(
+                f"window of {msg.count} frames exceeds {BLOCK_PULSES}"
+            )
+        _require_symbols(symbols)
+        return MSG_QFRAME_WINDOW_BACK, _pack_window(msg) + symbols.tobytes()
     if isinstance(msg, Detections):
         _require_increasing(msg.indices, "DETECTIONS")
         for i in msg.indices:
@@ -191,34 +284,55 @@ def encode_frame(msg: Message) -> bytes:
     return HEADER.pack(WIRE_VERSION, msg_type, len(payload)) + payload
 
 
-def _decode_payload(msg_type: int, payload: bytes) -> Message:
+def decode_header(header: bytes) -> Tuple[int, int]:
+    """(msg_type, payload length) of a frame header.
+
+    The length must lie within the type's bounds, so a receiver can check a
+    header before it reads, or allocates room for, any payload.
+    """
+    version, msg_type, length = HEADER.unpack(header)
+    if version != WIRE_VERSION:
+        raise ProtocolViolationError(f"unsupported wire version {version}")
+    bounds = _PAYLOAD_BOUNDS.get(msg_type)
+    if bounds is None:
+        raise ProtocolViolationError(f"unknown msg_type 0x{msg_type:02x}")
+    least, most = bounds
+    if not least <= length <= most:
+        raise ProtocolViolationError(
+            f"msg_type 0x{msg_type:02x} payload of {length} bytes, "
+            f"allowed {least}..{most}"
+        )
+    return msg_type, length
+
+
+def decode_payload(msg_type: int, payload: bytes) -> Message:
+    """The message of a payload whose header ``decode_header`` accepted."""
     if msg_type == MSG_SESSION_START:
-        if len(payload) != _SESSION_START.size + 32:
-            raise ProtocolViolationError("SESSION_START payload has wrong size")
-        n_pulses, variant_code, mu_pair = _SESSION_START.unpack(payload[:_SESSION_START.size])
+        n_pulses, variant_code, mu_pair = _SESSION_START.unpack_from(payload)
         _require_finite(mu_pair, "mu_pair")
         return SessionStart(n_pulses, variant_code, mu_pair, payload[_SESSION_START.size:])
     if msg_type == MSG_QFRAME_OUT:
-        if len(payload) != _QFRAME_OUT.size:
-            raise ProtocolViolationError("QFRAME_OUT payload has wrong size")
         index, mean_photons, *pol = _QFRAME_OUT.unpack(payload)
         _require_finite(mean_photons, "mean_photons")
-        for x in pol:
-            _require_finite(x, "pol")
+        _require_pol(pol)
         return QFrameOut(index, mean_photons, tuple(pol))
     if msg_type == MSG_QFRAME_BACK:
-        if len(payload) != _QFRAME_BACK.size:
-            raise ProtocolViolationError("QFRAME_BACK payload has wrong size")
         index, mean_photons, phase_a, *pol = _QFRAME_BACK.unpack(payload)
         _require_finite(mean_photons, "mean_photons")
         _require_finite(phase_a, "phase_a")
-        for x in pol:
-            _require_finite(x, "pol")
+        _require_pol(pol)
         return QFrameBack(index, mean_photons, phase_a, tuple(pol))
+    if msg_type == MSG_QFRAME_WINDOW_OUT:
+        return QFrameWindowOut(*_unpack_window(payload))
+    if msg_type == MSG_QFRAME_WINDOW_BACK:
+        start, count, mean_photons, pol = _unpack_window(payload)
+        if len(payload) != _WINDOW.size + count:
+            raise ProtocolViolationError("QFRAME_WINDOW_BACK payload has wrong size")
+        symbols = np.frombuffer(payload, np.uint8, offset=_WINDOW.size)
+        _require_symbols(symbols)
+        return QFrameWindowBack(start, count, mean_photons, symbols, pol)
     if msg_type == MSG_DETECTIONS:
-        if len(payload) < 4:
-            raise ProtocolViolationError("DETECTIONS payload too short")
-        (count,) = _U32.unpack(payload[:4])
+        (count,) = _U32.unpack_from(payload)
         if len(payload) != 4 + 8 * count:
             raise ProtocolViolationError("DETECTIONS payload has wrong size")
         indices = tuple(
@@ -227,16 +341,12 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
         _require_increasing(indices, "DETECTIONS")
         return Detections(indices)
     if msg_type == MSG_BASES:
-        if len(payload) < 4:
-            raise ProtocolViolationError("BASES payload too short")
-        (count,) = _U32.unpack(payload[:4])
+        (count,) = _U32.unpack_from(payload)
         if len(payload) != 4 + (count + 7) // 8:
             raise ProtocolViolationError("BASES payload has wrong size")
         return Bases(_unpack_bitmap(payload[4:], count))
     if msg_type == MSG_DISCLOSE:
-        if len(payload) < 4:
-            raise ProtocolViolationError("DISCLOSE payload too short")
-        (count,) = _U32.unpack(payload[:4])
+        (count,) = _U32.unpack_from(payload)
         if len(payload) != 4 + _DISCLOSE_ITEM.size * count:
             raise ProtocolViolationError("DISCLOSE payload has wrong size")
         items = []
@@ -248,14 +358,10 @@ def _decode_payload(msg_type: int, payload: bytes) -> Message:
         _require_increasing([i for i, _ in items], "DISCLOSE")
         return Disclose(tuple(items))
     if msg_type == MSG_ER_REPORT:
-        if len(payload) != _F64.size:
-            raise ProtocolViolationError("ER_REPORT payload has wrong size")
         (er,) = _F64.unpack(payload)
         _require_finite(er, "error_rate")
         return ErReport(er)
     if msg_type == MSG_TERMINATE:
-        if len(payload) != 1:
-            raise ProtocolViolationError("TERMINATE payload has wrong size")
         return Terminate(payload[0])
     raise ProtocolViolationError(f"unknown msg_type 0x{msg_type:02x}")
 
@@ -264,12 +370,10 @@ def decode_frame(data: bytes) -> Message:
     """Decode exactly one frame; trailing bytes are a protocol violation."""
     if len(data) < HEADER.size:
         raise IncompleteFrameError(f"need {HEADER.size} header bytes, have {len(data)}")
-    version, msg_type, length = HEADER.unpack(data[:HEADER.size])
-    if version != WIRE_VERSION:
-        raise ProtocolViolationError(f"unsupported wire version {version}")
+    msg_type, length = decode_header(data[:HEADER.size])
     end = HEADER.size + length
     if len(data) < end:
         raise IncompleteFrameError(f"need {end} bytes, have {len(data)}")
     if len(data) > end:
         raise ProtocolViolationError(f"{len(data) - end} trailing bytes after frame")
-    return _decode_payload(msg_type, data[HEADER.size:end])
+    return decode_payload(msg_type, data[HEADER.size:end])

@@ -6,13 +6,13 @@ acknowledges windows of pulses with DETECTIONS messages. The sender (Alice)
 is purely reactive. Only the physics layer ever reads the returned frame's
 phase; the sifting layer sees pulse indices and click flags, nothing else.
 
-Over a bare in-process endpoint with the stock physics, Bob runs the same
-exchange a block of pulses at a time: one in-memory window frame out and
-back per block, one numpy pass over the block, and the same DETECTIONS per
+Over a bare in-process or socket endpoint with the stock physics, Bob runs
+the same exchange a block of pulses at a time: one window frame out and back
+per block, one numpy pass over the block, and the same DETECTIONS per
 ``ack_window`` as the per-pulse path. Every random stream is served from
 fixed pre-drawn blocks, so both paths consume the same numbers and produce
-the same result bit for bit. Socket sessions, wrapped endpoints and custom
-physics run the per-pulse state machines, which remain the reference.
+the same result bit for bit. Wrapped endpoints and custom physics run the
+per-pulse state machines, which remain the reference.
 
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
@@ -29,11 +29,11 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .channel import InProcessEndpoint, open_in_process
+from .channel import InProcessEndpoint, SocketEndpoint, open_in_process
 from .detector import GatedDetectorConfig, click_probability
 from .errors import (
     ChannelError,
@@ -43,6 +43,7 @@ from .errors import (
     UndefinedRateError,
 )
 from .framing import (
+    BLOCK_PULSES,
     TERMINATE_CONFIG_MISMATCH,
     TERMINATE_NORMAL,
     Bases,
@@ -52,6 +53,8 @@ from .framing import (
     Message,
     QFrameBack,
     QFrameOut,
+    QFrameWindowBack,
+    QFrameWindowOut,
     SessionStart,
     Terminate,
 )
@@ -73,9 +76,6 @@ STREAM_ESTIMATION = 3
 # basis 0 only, so its alphabet is every other entry.
 PHASES = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
 _SYMBOL_OF_PHASE = {phase: symbol for symbol, phase in enumerate(PHASES)}
-
-# Most pulses one batched block carries (see ``_blocks``).
-BLOCK_PULSES = 16384
 
 
 class ProtocolVariant(enum.Enum):
@@ -117,28 +117,6 @@ def encode_phase(bit: int, basis: Optional[int] = None,
     elif basis not in (0, 1):
         raise ValueError(f"BB84 requires basis 0 or 1, got {basis!r}")
     return PHASES[2 * bit + basis]
-
-
-class QFrameWindowOut(NamedTuple):
-    """Outgoing frames ``start .. start + count - 1`` in one in-memory message.
-
-    Window frames exist only between in-process peers and are never encoded.
-    """
-
-    start: int
-    count: int
-    mean_photons: float
-    pol: Tuple[float, float, float, float]
-
-
-class QFrameWindowBack(NamedTuple):
-    """Returned frames of one window; ``symbols`` is a uint8 array of 2 * bit + basis."""
-
-    start: int
-    count: int
-    mean_photons: float
-    symbols: np.ndarray
-    pol: Tuple[float, float, float, float]
 
 
 def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource],
@@ -444,6 +422,10 @@ class AliceSession:
         return [QFrameBack(i, self._half_mu, phase, _reflect(msg.pol))]
 
     def _on_qframe_window(self, msg: QFrameWindowOut) -> List[Message]:
+        if msg.count > BLOCK_PULSES:
+            raise ProtocolViolationError(
+                f"window of {msg.count} frames exceeds {BLOCK_PULSES}"
+            )
         self._check_outgoing(msg.start, msg.count, msg.mean_photons)
         symbols = _draw_symbols(msg.count, self._bits_src, self._bases_src,
                                 self._bits, self._bases)
@@ -578,7 +560,8 @@ class BobSession:
             SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
                          seeds_commitment(cfg))
         )
-        if type(endpoint) is InProcessEndpoint and type(self._physics) is QuantumPhysics:
+        if (type(endpoint) in (InProcessEndpoint, SocketEndpoint)
+                and type(self._physics) is QuantumPhysics):
             self._block_loop(endpoint)
         else:
             self._pulse_loop(endpoint)

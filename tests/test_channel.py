@@ -1,11 +1,21 @@
 import socket
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from fmqkd.channel import connect, open_channel, open_in_process, serve_once
-from fmqkd.errors import ChannelError
-from fmqkd.framing import Detections, ErReport, Terminate, encode_frame
+from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
+from fmqkd.errors import ChannelError, IncompleteFrameError, ProtocolViolationError
+from fmqkd.framing import (
+    BLOCK_PULSES,
+    HEADER,
+    Detections,
+    ErReport,
+    QFrameWindowBack,
+    Terminate,
+    encode_frame,
+)
 from fmqkd.protocol import AliceSession, BobSession, Seeds, run_session
 from fmqkd.presets import reference_session
 
@@ -129,11 +139,99 @@ def test_socket_session_matches_in_process():
     assert alice.measured_er == in_process.measured_er
 
 
-def test_open_channel_dispatch():
-    ep = open_channel("in_process", responder=lambda m: [m])
-    ep.send(Terminate(0))
-    assert ep.recv() == Terminate(0)
-    with pytest.raises(ValueError):
-        open_channel("in_process")
-    with pytest.raises(ValueError):
-        open_channel("carrier_pigeon")
+
+class RawPeer:
+    """A listening socket that sends fixed bytes to its one client.
+
+    The peer keeps the connection open until ``close`` unless told to close
+    right after sending, so a receiver that waits for more bytes than were
+    sent times out instead of seeing a clean close.
+    """
+
+    def __init__(self, data: bytes, close_after_send: bool = False):
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(1)
+        self.port = self._listener.getsockname()[1]
+        self._release = threading.Event()
+        self._thread = threading.Thread(target=self._serve, args=(data, close_after_send),
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self, data, close_after_send):
+        conn, _ = self._listener.accept()
+        with conn:
+            conn.sendall(data)
+            if not close_after_send:
+                self._release.wait(10)
+
+    def endpoint(self) -> SocketEndpoint:
+        # A receive timeout turns a receiver that waits for a claimed
+        # payload into a ChannelError rather than a hang.
+        return SocketEndpoint(socket.create_connection(("127.0.0.1", self.port), timeout=5))
+
+    def close(self):
+        self._release.set()
+        self._thread.join(10)
+        self._listener.close()
+
+
+FIXED_SIZES = {"SESSION_START": (0x01, 49), "QFRAME_OUT": (0x02, 48),
+               "QFRAME_BACK": (0x03, 56), "ER_REPORT": (0x07, 8), "TERMINATE": (0x08, 1),
+               "QFRAME_WINDOW_OUT": (0x09, 52)}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SIZES))
+@pytest.mark.parametrize("claim", ["one_more", "four_gib"])
+def test_fixed_size_header_rejected_before_payload(name, claim):
+    msg_type, size = FIXED_SIZES[name]
+    length = size + 1 if claim == "one_more" else 2**32 - 1
+    peer = RawPeer(HEADER.pack(1, msg_type, length))
+    ep = peer.endpoint()
+    try:
+        with pytest.raises(ProtocolViolationError) as err:
+            ep.recv()
+        assert not isinstance(err.value, IncompleteFrameError)
+    finally:
+        ep.close()
+        peer.close()
+
+
+def test_window_back_capped_at_one_block():
+    peer = RawPeer(HEADER.pack(1, 0x0A, 52 + BLOCK_PULSES + 1))
+    ep = peer.endpoint()
+    try:
+        with pytest.raises(ProtocolViolationError):
+            ep.recv()
+    finally:
+        ep.close()
+        peer.close()
+    symbols = np.arange(BLOCK_PULSES, dtype=np.uint8) % 4
+    full = QFrameWindowBack(7, BLOCK_PULSES, 0.05, symbols, (0.0, 0.0, 1.0, 0.0))
+    peer = RawPeer(encode_frame(full))
+    ep = peer.endpoint()
+    try:
+        got = ep.recv()
+        assert got[:3] == full[:3] and got.pol == full.pol
+        assert np.array_equal(got.symbols, symbols)
+    finally:
+        ep.close()
+        peer.close()
+
+
+@pytest.mark.parametrize("msg_type", [0x04, 0x05, 0x06])  # DETECTIONS, BASES, DISCLOSE
+def test_variable_payload_memory_follows_arrived_bytes(msg_type):
+    claimed, sent = 64 << 20, 256 << 10
+    data = HEADER.pack(1, msg_type, claimed) + bytes(sent)
+    peer = RawPeer(data, close_after_send=True)
+    ep = peer.endpoint()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChannelError):
+            ep.recv()  # the peer closes long before the claimed payload is complete
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        ep.close()
+        peer.close()
+    assert peak < 4 * sent

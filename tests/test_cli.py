@@ -1,10 +1,24 @@
+import json
+import socket
+import threading
+
 import numpy as np
 import pytest
 
-from fmqkd.cli import EXIT_CHANNEL, EXIT_CONFIG, EXIT_OK, main, parse_run_config
+from fmqkd.channel import SocketEndpoint, connect
+from fmqkd.cli import (
+    EXIT_CHANNEL,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PROTOCOL,
+    main,
+    parse_run_config,
+)
 from fmqkd.errors import ConfigError
+from fmqkd.framing import QFrameWindowBack, QFrameWindowOut, SessionStart, encode_frame
 from fmqkd.keyfile import read_key_file
 from fmqkd.protocol import ProtocolVariant
+from fmqkd.randomness import BitSource
 
 
 BASE_CONFIG = """\
@@ -178,3 +192,75 @@ def test_fm_check_runs(capsys):
     assert main(["fm-check", "--samples", "100", "--seed", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "faraday" in out and "ordinary" in out
+
+
+def malformed_window_back():
+    """A returned window whose second symbol (4) lies outside the alphabet."""
+    frame = bytearray(encode_frame(QFrameWindowBack(
+        0, 3, 0.1, np.zeros(3, np.uint8), (0.0, 0.0, 1.0, 0.0))))
+    frame[-2] = 4
+    return bytes(frame)
+
+
+def test_simulate_bob_protocol_violation_exits_5_and_logs(tmp_path, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    received = []
+
+    def peer():
+        conn, _ = listener.accept()
+        endpoint = SocketEndpoint(conn)
+        with conn:
+            received.append(endpoint.recv())  # SESSION_START
+            received.append(endpoint.recv())  # the first window
+            conn.sendall(malformed_window_back())
+            while conn.recv(4096):  # until Bob hangs up
+                pass
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
+    out = tmp_path / "bob"
+    try:
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--role", "bob"])
+    finally:
+        thread.join(10)
+        listener.close()
+    assert code == EXIT_PROTOCOL
+    assert "protocol error" in capsys.readouterr().err
+    assert [type(m) for m in received] == [SessionStart, QFrameWindowOut]
+    (line,) = (out / "session.log").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["role"] == "bob" and entry["error"].startswith("ProtocolViolationError")
+
+
+def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
+    out = tmp_path / "alice"
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(
+        ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
+        daemon=True)
+    thread.start()
+    endpoint = connect("127.0.0.1", port, delay_s=0.05)
+    try:
+        # A window before SESSION_START.
+        endpoint.send(QFrameWindowOut(0, 3, 1e6, (1.0, 0.0, 0.0, 0.0)))
+        thread.join(10)
+    finally:
+        endpoint.close()
+    assert codes == [EXIT_PROTOCOL]
+    assert "protocol error" in capsys.readouterr().err
+    (line,) = (out / "session.log").read_text().splitlines()
+    assert json.loads(line)["error"].startswith("ProtocolViolationError")
+
+
+def test_bit_source_exhausted_exits_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(BitSource, "from_seed", classmethod(
+        lambda cls, seed: BitSource.from_bits([0, 1] * 50)))
+    code = main(["keygen", "--out", str(tmp_path / "k.qkdr"), "--bits", "1000"])
+    assert code == EXIT_PROTOCOL
+    assert "protocol error" in capsys.readouterr().err

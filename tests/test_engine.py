@@ -1,20 +1,30 @@
-"""The batched in-process engine against the per-pulse reference path.
+"""The batched engine against the per-pulse reference path.
 
-A bare in-process endpoint with the stock physics takes the batched path;
-the same session through a pass-through endpoint wrapper takes the
-per-pulse path. Both must agree on everything either party ends up with.
+A bare in-process or socket endpoint with the stock physics takes the
+batched path; the same session through a pass-through endpoint wrapper takes
+the per-pulse path. All must agree on everything either party ends up with.
 """
 
 import dataclasses
+import queue
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from fmqkd import protocol
-from fmqkd.channel import open_in_process
+from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
-from fmqkd.framing import Detections, QFrameBack, QFrameOut, SessionStart
+from fmqkd.framing import (
+    Detections,
+    QFrameBack,
+    QFrameOut,
+    SessionStart,
+    decode_frame,
+    encode_frame,
+)
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.presets import reference_session
@@ -299,3 +309,126 @@ def test_window_and_pulse_paths_share_one_click_table():
                                 protocol.PHASES[b[i]]) for i in range(5000)]
     assert batched.tolist() == per_pulse
     assert 100 < sum(per_pulse) < 4900
+
+
+def test_alice_rejects_window_larger_than_a_block():
+    block = protocol.BLOCK_PULSES
+    cfg = noisy_config(3 * block, SEEDS[0], ProtocolVariant.BB84, 1024)
+    alice = started_alice(cfg)
+    big = window(0, block + 1)
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(big)
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(decode_frame(encode_frame(big)))
+    # The rejected windows drew nothing: the next window starts the streams.
+    (back,) = alice.handle(window(0, block))
+    (fresh,) = started_alice(cfg).handle(window(0, block))
+    assert back.count == block
+    assert np.array_equal(back.symbols, fresh.symbols)
+
+
+def run_over_socket(cfg, serve=serve_once):
+    """(result, Alice, messages Alice received) of a session over loopback.
+
+    Alice runs in a thread behind ``serve``, which has ``serve_once``'s
+    signature.
+    """
+    alice = AliceSession(cfg)
+    seen, errors, ports = [], [], queue.Queue()
+
+    def responder(msg):
+        seen.append(msg)
+        return alice.handle(msg)
+
+    def run():
+        try:
+            serve("127.0.0.1", 0, responder, lambda: alice.done, on_listening=ports.put)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    server = threading.Thread(target=run, daemon=True)
+    server.start()
+    endpoint = connect("127.0.0.1", ports.get(timeout=10))
+    try:
+        result = BobSession(cfg).run(endpoint)
+    finally:
+        endpoint.close()
+        server.join(timeout=30)
+    assert not server.is_alive() and not errors, errors
+    return result, alice, seen
+
+
+def assert_socket_matches(cfg):
+    """The socket session runs in blocks and equals the per-pulse reference."""
+    _, (reference, alice_r, seen_r) = run_both(cfg)
+    result, alice, seen = run_over_socket(cfg)
+    assert any(isinstance(m, QFrameWindowOut) for m in seen)
+    assert not any(isinstance(m, QFrameOut) for m in seen)
+    assert result == reference
+    assert alice.sifted_key == alice_r.sifted_key
+    assert alice.final_key == alice_r.final_key
+    assert alice.measured_er == alice_r.measured_er
+    detections = [[m for m in s if isinstance(m, Detections)] for s in (seen, seen_r)]
+    assert detections[0] == detections[1]
+    assert_python_types(result)
+    return result
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("ack_window", [1, 7, 1024])
+@pytest.mark.parametrize("key_files", [False, True])
+@pytest.mark.parametrize("disclosure", [0.0, 0.5])
+def test_socket_matches_in_process(tmp_path, variant, ack_window, key_files, disclosure):
+    for k, seeds in enumerate(SEEDS[:2]):
+        cfg = noisy_config(1000, seeds, variant, ack_window, disclosure)
+        if key_files:
+            cfg = with_key_files(cfg, tmp_path, k)
+        assert assert_socket_matches(cfg).clicks > 20
+
+
+@pytest.mark.parametrize("ack_window", [7, 100])
+def test_socket_matches_in_process_across_blocks(monkeypatch, ack_window):
+    # 64-pulse blocks: many window frames per session, and 100-pulse windows
+    # that span two blocks.
+    monkeypatch.setattr(protocol, "BLOCK_PULSES", 64)
+    for variant in ProtocolVariant:
+        assert_socket_matches(noisy_config(1000, SEEDS[2], variant, ack_window, 0.5))
+
+
+def test_socket_matches_in_process_full_blocks():
+    cfg = reference_session(0.2, 2 * protocol.BLOCK_PULSES + 1001, Seeds(5, 6, 7),
+                            ProtocolVariant.BB84)
+    assert assert_socket_matches(dataclasses.replace(cfg, ack_window=7)).clicks > 0
+
+
+def serve_one_block(host, port, responder, is_done, on_listening):
+    """Serves like ``serve_once`` but hangs up when Bob asks for a second block."""
+    with socket.create_server((host, port)) as listener:
+        on_listening(listener.getsockname()[1])
+        conn, _ = listener.accept()
+        endpoint = SocketEndpoint(conn)
+        windows = 0
+        with conn:
+            while True:
+                msg = endpoint.recv()
+                windows += isinstance(msg, QFrameWindowOut)
+                if windows == 2:
+                    return
+                for reply in responder(msg):
+                    endpoint.send(reply)
+
+
+def test_socket_disconnect_after_first_block_aborts_on_window_boundary():
+    cfg = noisy_config(3 * protocol.BLOCK_PULSES, SEEDS[1], ProtocolVariant.BB92, 100)
+    first_block_end = 100 * (protocol.BLOCK_PULSES // 100)
+    with pytest.raises(SessionAborted) as err:
+        run_over_socket(cfg, serve=serve_one_block)
+    partial = err.value.partial
+    assert partial.aborted
+    assert partial.pulses_processed == first_block_end
+    assert partial.pulses_processed % cfg.ack_window == 0
+    _, (reference, _, _) = run_both(cfg)
+    assert partial.detected_indices == tuple(
+        i for i in reference.detected_indices if i < first_block_end)
+    assert partial.clicks == len(partial.detected_indices) > 0
+    assert_python_types(partial)

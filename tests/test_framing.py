@@ -5,12 +5,16 @@ import pytest
 
 from fmqkd.errors import IncompleteFrameError, ProtocolViolationError
 from fmqkd.framing import (
+    BLOCK_PULSES,
+    HEADER,
     Bases,
     Detections,
     Disclose,
     ErReport,
     QFrameBack,
     QFrameOut,
+    QFrameWindowBack,
+    QFrameWindowOut,
     SessionStart,
     Terminate,
     decode_frame,
@@ -38,6 +42,39 @@ def test_bases_bitmap_golden_vector():
     assert frame == bytes.fromhex("0105" + "06000000" + "09000000" + "ed01")
 
 
+def test_window_out_golden_vector():
+    msg = QFrameWindowOut(5, 3, 1e6, (1.0, 0.0, 0.0, 0.0))
+    expected = bytes.fromhex(
+        "0109" + "34000000"
+        + "0500000000000000" + "03000000" + "0000000080842e41"
+        + "000000000000f03f" + "0000000000000000" * 3
+    )
+    assert encode_frame(msg) == expected
+    assert decode_frame(expected) == msg
+
+
+def test_window_back_golden_vector():
+    msg = QFrameWindowBack(5, 3, 0.5, np.array([0, 2, 3], np.uint8), (0.0, 0.0, 1.0, 0.0))
+    expected = bytes.fromhex(
+        "010a" + "37000000"
+        + "0500000000000000" + "03000000" + "000000000000e03f"
+        + "0000000000000000" * 2 + "000000000000f03f" + "0000000000000000"
+        + "000203"
+    )
+    assert encode_frame(msg) == expected
+    assert same_message(decode_frame(expected), msg)
+
+
+def same_message(a, b):
+    """Field-wise equality; window symbols are arrays, whose ``==`` is elementwise."""
+    if type(a) is not type(b):
+        return False
+    return all(
+        np.array_equal(x, y) and x.dtype == y.dtype if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )
+
+
 def random_messages(rng):
     yield SessionStart(int(rng.integers(1, 2**40)), int(rng.integers(0, 2)),
                        float(rng.uniform(0.01, 2.0)), bytes(rng.integers(0, 256, 32,
@@ -53,13 +90,17 @@ def random_messages(rng):
     yield Disclose(tuple((idx, int(rng.integers(0, 2))) for idx in indices))
     yield ErReport(float(rng.uniform(0, 1)))
     yield Terminate(int(rng.integers(0, 4)))
+    count = int(rng.integers(0, 40))
+    yield QFrameWindowOut(int(rng.integers(0, 2**50)), count, float(rng.uniform(0, 1e7)), pol)
+    yield QFrameWindowBack(int(rng.integers(0, 2**50)), count, float(rng.uniform(0, 1.0)),
+                           rng.integers(0, 4, size=count).astype(np.uint8), pol)
 
 
 def test_round_trip_all_message_types():
     rng = np.random.default_rng(8)
     for _ in range(100):
         for msg in random_messages(rng):
-            assert decode_frame(encode_frame(msg)) == msg
+            assert same_message(decode_frame(encode_frame(msg)), msg)
 
 
 def test_truncated_input_is_incomplete():
@@ -122,3 +163,69 @@ def test_bad_commitment_size_rejected():
 def test_disclose_bit_values_validated():
     with pytest.raises(ProtocolViolationError):
         encode_frame(Disclose(((3, 2),)))
+
+
+def window_back(symbols, count=None):
+    symbols = np.asarray(symbols, np.uint8)
+    return QFrameWindowBack(0, len(symbols) if count is None else count, 0.5, symbols,
+                            (0.0, 0.0, 1.0, 0.0))
+
+
+def test_window_symbol_outside_alphabet_rejected_both_ways():
+    with pytest.raises(ProtocolViolationError):
+        encode_frame(window_back([0, 4, 1]))
+    frame = bytearray(encode_frame(window_back([0, 3, 1])))
+    frame[-2] = 4
+    with pytest.raises(ProtocolViolationError):
+        decode_frame(bytes(frame))
+
+
+def test_window_back_symbols_must_match_count():
+    for bad in (window_back([0, 1, 2], count=2),
+                window_back([0, 1], count=3),
+                window_back([0, 1, 2])._replace(symbols=[0, 1, 2]),
+                window_back([0, 1, 2])._replace(symbols=np.array([0, 1, 2], np.int64))):
+        with pytest.raises(ProtocolViolationError):
+            encode_frame(bad)
+    frame = bytearray(encode_frame(window_back([0, 1, 2])))
+    frame[14:18] = (2).to_bytes(4, "little")  # count 2, three symbols follow
+    with pytest.raises(ProtocolViolationError):
+        decode_frame(bytes(frame))
+
+
+def test_window_back_holds_at_most_one_block():
+    full = window_back(np.zeros(BLOCK_PULSES, np.uint8))
+    assert same_message(decode_frame(encode_frame(full)), full)
+    with pytest.raises(ProtocolViolationError):
+        encode_frame(window_back(np.zeros(BLOCK_PULSES + 1, np.uint8)))
+    # A header claiming one symbol more is rejected before the payload.
+    header = HEADER.pack(1, 0x0A, 52 + BLOCK_PULSES + 1)
+    with pytest.raises(ProtocolViolationError) as err:
+        decode_frame(header)
+    assert not isinstance(err.value, IncompleteFrameError)
+
+
+def test_window_out_fields_validated_on_encode():
+    pol = (1.0, 0.0, 0.0, 0.0)
+    for bad in (QFrameWindowOut(-1, 3, 1e6, pol), QFrameWindowOut(0, 2**32, 1e6, pol),
+                QFrameWindowOut(0, -1, 1e6, pol), QFrameWindowOut(0, 3, math.nan, pol),
+                QFrameWindowOut(0, 3, 1e6, (1.0, math.inf, 0.0, 0.0))):
+        with pytest.raises(ProtocolViolationError):
+            encode_frame(bad)
+    frame = bytearray(encode_frame(QFrameWindowOut(0, 3, 1e6, pol)))
+    frame[18:26] = bytes.fromhex("000000000000f87f")  # mean_photons NaN
+    with pytest.raises(ProtocolViolationError):
+        decode_frame(bytes(frame))
+
+
+FIXED_SIZES = {0x01: 49, 0x02: 48, 0x03: 56, 0x07: 8, 0x08: 1, 0x09: 52}
+
+
+@pytest.mark.parametrize("msg_type,size", sorted(FIXED_SIZES.items()))
+def test_fixed_size_header_with_wrong_length_rejected(msg_type, size):
+    for length in (0, size - 1, size + 1, 2**32 - 1):
+        with pytest.raises(ProtocolViolationError) as err:
+            decode_frame(HEADER.pack(1, msg_type, length))
+        assert not isinstance(err.value, IncompleteFrameError)
+    with pytest.raises(IncompleteFrameError):
+        decode_frame(HEADER.pack(1, msg_type, size))

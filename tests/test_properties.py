@@ -5,6 +5,9 @@
 - Alice's state machine answers any message sequence with replies or
   ``ProtocolViolationError``, nothing else, and rejects every window frame
   that overlaps, leaves a gap, is empty or runs past the session.
+- Framing is canonical: any byte string either fails to decode with
+  ``ProtocolViolationError`` or decodes to a message that encodes back to
+  exactly those bytes.
 """
 
 import numpy as np
@@ -15,13 +18,17 @@ from hypothesis import strategies as st
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import BitSourceExhausted, ProtocolViolationError
 from fmqkd.framing import (
+    HEADER,
     Bases,
     Detections,
     Disclose,
+    ErReport,
     QFrameBack,
     QFrameOut,
     SessionStart,
     Terminate,
+    decode_frame,
+    encode_frame,
 )
 from fmqkd.interferometer import SetupConfig
 from fmqkd.protocol import (
@@ -208,3 +215,58 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
     if variant.uses_bases:
         expected += BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BASES)).take(sent)
     assert symbols == expected.tolist()
+
+
+U64 = st.integers(0, 2 ** 64 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POL = st.tuples(FINITE, FINITE, FINITE, FINITE)
+INDICES = st.lists(st.integers(0, 2 ** 64 - 1), max_size=6, unique=True).map(sorted)
+
+
+def window_back(start, mean_photons, pol, symbols):
+    return QFrameWindowBack(start, len(symbols), mean_photons,
+                            np.array(symbols, dtype=np.uint8), pol)
+
+
+MESSAGES = st.one_of(
+    st.builds(SessionStart, U64, st.integers(0, 255), FINITE,
+              st.binary(min_size=32, max_size=32)),
+    st.builds(QFrameOut, U64, FINITE, POL),
+    st.builds(QFrameBack, U64, FINITE, FINITE, POL),
+    st.builds(Detections, INDICES.map(tuple)),
+    st.builds(Bases, st.lists(BIT, max_size=20).map(tuple)),
+    INDICES.flatmap(lambda idx: st.lists(BIT, min_size=len(idx), max_size=len(idx)).map(
+        lambda bits: Disclose(tuple(zip(idx, bits))))),
+    st.builds(ErReport, FINITE),
+    st.builds(Terminate, st.integers(0, 255)),
+    st.builds(QFrameWindowOut, U64, st.integers(0, 2 ** 32 - 1), FINITE, POL),
+    st.builds(window_back, U64, FINITE, POL, st.lists(st.integers(0, 3), max_size=20)),
+)
+
+
+@st.composite
+def frame_bytes(draw):
+    """Arbitrary bytes, mostly a valid frame with a few bytes overwritten or cut."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    data = bytearray(encode_frame(draw(MESSAGES)))
+    for _ in range(draw(st.integers(0, 2))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    edit = draw(st.sampled_from(["keep", "keep", "cut", "extend", "relength"]))
+    if edit == "cut":
+        del data[draw(st.integers(0, len(data))):]
+    elif edit == "extend":
+        data += draw(st.binary(min_size=1, max_size=9))
+    elif edit == "relength":
+        data[2:HEADER.size] = draw(st.integers(0, 2 ** 32 - 1)).to_bytes(4, "little")
+    return bytes(data)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(data=frame_bytes())
+def test_decode_either_rejects_or_round_trips(data):
+    try:
+        msg = decode_frame(data)
+    except ProtocolViolationError:  # IncompleteFrameError included
+        return
+    assert encode_frame(msg) == data
