@@ -3,7 +3,7 @@ quantum key distribution link: Jones-calculus optics, a gated photon-counter
 noise model, and two-party key-exchange state machines over a pluggable
 in-process or socket channel."""
 
-from .detector import GatedDetectorConfig, click_probability, er_det_analytic, gate
+from .detector import GatedDetectorConfig, click_probability, er_det_analytic
 from .interferometer import (
     SetupConfig,
     detection_mean,
@@ -15,9 +15,7 @@ from .protocol import (
     Seeds,
     SessionConfig,
     SessionResult,
-    encode_phase,
     run_session,
-    sift_and_estimate,
 )
 
 __version__ = "0.1.0"
@@ -31,11 +29,8 @@ __all__ = [
     "SetupConfig",
     "click_probability",
     "detection_mean",
-    "encode_phase",
     "er_det_analytic",
     "er_opt_from_visibility",
-    "gate",
     "run_session",
-    "sift_and_estimate",
     "visibility_from_extinction_db",
 ]

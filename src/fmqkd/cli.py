@@ -165,7 +165,10 @@ def parse_run_config(path: Path) -> RunSpec:
         disclosure_fraction=num("disclosure_fraction", float),
         ack_window=num("ack_window", int),
     )
-    return RunSpec(session, channel_mode, values["host"], num("port", int))
+    port = num("port", int)
+    if not 1 <= port <= 65535:
+        raise ConfigError(f"{path}: port must be in 1..65535, got {values['port']!r}")
+    return RunSpec(session, channel_mode, values["host"], port)
 
 
 def _predictions(cfg: SessionConfig) -> Tuple[float, float]:

@@ -14,14 +14,12 @@ from .errors import UndefinedRateError
 class GatedDetectorConfig:
     """Single gated avalanche detector.
 
-    ``jitter_s`` is carried as metadata only; gate and pulse are assumed to
-    coincide, so no coincidence-efficiency factor is applied.
+    Gate and pulse are assumed to coincide, so no timing jitter or
+    coincidence-efficiency factor is modelled.
     """
 
     efficiency: float
     dark_prob_per_gate: float
-    gate_window_s: float = 300e-12
-    jitter_s: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
@@ -30,10 +28,6 @@ class GatedDetectorConfig:
             raise ValueError(
                 f"dark_prob_per_gate must be in [0, 1], got {self.dark_prob_per_gate}"
             )
-        if not self.gate_window_s > 0.0:
-            raise ValueError(f"gate_window_s must be > 0, got {self.gate_window_s}")
-        if self.jitter_s < 0.0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
 
 
 def click_probability(mu_eff: float, cfg: GatedDetectorConfig) -> float:
@@ -56,11 +50,6 @@ def click_probabilities(mu_effs: np.ndarray, cfg: GatedDetectorConfig) -> np.nda
         raise ValueError("mu_effs must be finite and >= 0")
     d = cfg.dark_prob_per_gate
     return d + (1.0 - d) * -np.expm1(-cfg.efficiency * mu_effs)
-
-
-def gate(mu_eff: float, cfg: GatedDetectorConfig, rng: np.random.Generator) -> bool:
-    """One Bernoulli gate draw; deterministic for a seeded ``rng``."""
-    return bool(rng.random() < click_probability(mu_eff, cfg))
 
 
 def gate_many(

@@ -13,40 +13,14 @@ sender, before the return-path losses.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from . import jones
 from .errors import ConfigError
-from .jones import JonesMatrix, JonesVector
-
-
-class PulsePath(enum.Enum):
-    """Which of the two interfering pulses a sample belongs to."""
-
-    P1 = "P1"
-    P2 = "P2"
-
-
-@dataclass(frozen=True)
-class OpticalPulse:
-    """Weak coherent pulse travelling through the link."""
-
-    emit_time_s: float
-    mean_photons: float
-    phase_rad: float
-    polarization: JonesVector
-    path: PulsePath
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean_photons) and self.mean_photons >= 0.0):
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
-        if not isinstance(self.path, PulsePath):
-            raise ValueError(f"path must be a PulsePath, got {self.path!r}")
+from .jones import JonesMatrix
 
 
 @dataclass(frozen=True)
@@ -60,7 +34,6 @@ class SetupConfig:
     absorbed by the sender's attenuator setting and do not appear here.
     """
 
-    c2_ratio: float = 0.5
     c1_tap_db: float = 1.4
     line_loss_db: float = 8.6
     round_trip_delay_s: float = 230e-6
@@ -79,8 +52,6 @@ class SetupConfig:
             v = getattr(self, name)
             if math.isnan(v) or v < 0.0:
                 raise ConfigError(f"{name} must be >= 0, got {v}")
-        if not (0.0 < self.c2_ratio < 1.0):
-            raise ConfigError(f"c2_ratio must be in (0, 1), got {self.c2_ratio}")
         if not self.pulse_separation_s < self.round_trip_delay_s:
             raise ConfigError("pulse_separation_s must be smaller than round_trip_delay_s")
         if self.pulse_separation_s <= 0.0 or self.round_trip_delay_s <= 0.0:
@@ -197,49 +168,6 @@ def schedule(pulse_index: int, setup: SetupConfig) -> PulseSchedule:
         p1_arrive_d0_s=p1_arrive_d0,
         p2_arrive_d0_s=p2_arrive_d0,
     )
-
-
-def pulse_pair(pulse_index: int, setup: SetupConfig,
-               leading_phase_rad: float = 0.0,
-               trailing_phase_rad: float = 0.0) -> Tuple[OpticalPulse, OpticalPulse]:
-    """The two pulses of one pair as they head back to the receiver.
-
-    The receiver's phase rides on the leading pulse, the sender's on the
-    trailing one. Both leave the sender at mu_pair / 2 with the compensated
-    (flipped) polarization.
-    """
-    sch = schedule(pulse_index, setup)
-    half = setup.mu_pair / 2.0
-    returned_pol = JonesVector(0.0, 1.0)
-    return (
-        OpticalPulse(sch.emit_s, half, leading_phase_rad, returned_pol, PulsePath.P1),
-        OpticalPulse(sch.emit_s, half, trailing_phase_rad, returned_pol, PulsePath.P2),
-    )
-
-
-def interfere(leading: OpticalPulse, trailing: OpticalPulse,
-              setup: SetupConfig) -> float:
-    """Mean photon number at the detector when the two pulses recombine.
-
-    General two-beam fringe: the interference term carries the modulator
-    visibility times the polarization overlap of the two pulses. For equal
-    intensities and aligned polarizations this reduces to
-    :func:`detection_mean` at the pair's phase difference.
-    """
-    if {leading.path, trailing.path} != {PulsePath.P1, PulsePath.P2}:
-        raise ValueError("interference needs one pulse from each path")
-    m1, m2 = leading.mean_photons, trailing.mean_photons
-    if m1 == 0.0 and m2 == 0.0:
-        return 0.0
-    pol_overlap = abs(
-        jones.hermitian_overlap(
-            leading.polarization.normalized(), trailing.polarization.normalized()
-        )
-    )
-    v = effective_visibility(setup) * pol_overlap
-    delta = trailing.phase_rad - leading.phase_rad
-    cross = 2.0 * math.sqrt(m1 * m2) * v * math.cos(delta)
-    return setup.transmission * (m1 + m2 + cross) / 2.0
 
 
 def attenuator_setting(setup: SetupConfig, incoming_mean_photons: float) -> float:

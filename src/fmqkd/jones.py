@@ -71,7 +71,6 @@ class JonesVector:
 
 
 HORIZONTAL = JonesVector(1.0, 0.0)
-VERTICAL = JonesVector(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,6 @@ class JonesMatrix:
     def __matmul__(self, other: "JonesMatrix") -> "JonesMatrix":
         return JonesMatrix.from_array(self.as_array() @ other.as_array())
 
-    def dagger(self) -> "JonesMatrix":
-        return JonesMatrix.from_array(self.as_array().conj().T)
-
     def transpose(self) -> "JonesMatrix":
         return JonesMatrix.from_array(self.as_array().T)
 
@@ -115,27 +111,6 @@ class JonesMatrix:
     def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
         a = self.as_array()
         return bool(np.abs(a @ a.conj().T - np.eye(2)).max() <= tol)
-
-
-@dataclass(frozen=True)
-class FiberSegment:
-    """One fiber span: polarization rotation, attenuation, and delay."""
-
-    unitary: JonesMatrix
-    loss_db: float = 0.0
-    delay_s: float = 0.0
-
-    def __post_init__(self):
-        if not self.unitary.is_unitary(PRODUCT_UNITARITY_TOL):
-            raise ValueError("FiberSegment.unitary fails the unitarity check")
-        if not (math.isfinite(self.loss_db) and self.loss_db >= 0.0):
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
-        if not (math.isfinite(self.delay_s) and self.delay_s >= 0.0):
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
-
-    @property
-    def transmission(self) -> float:
-        return 10.0 ** (-self.loss_db / 10.0)
 
 
 def identity() -> JonesMatrix:
@@ -227,11 +202,6 @@ def haar_random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
 def haar_random_unitary(rng: np.random.Generator) -> JonesMatrix:
     """One Haar-uniform 2x2 unitary; deterministic for a seeded ``rng``."""
     return JonesMatrix.from_array(haar_random_unitaries(rng, 1)[0])
-
-
-def hermitian_overlap(v: JonesVector, w: JonesVector) -> complex:
-    """Overlap of two states propagating in the same direction."""
-    return v.c0.conjugate() * w.c0 + v.c1.conjugate() * w.c1
 
 
 def interference_overlap(incoming: JonesVector, returned: JonesVector) -> complex:

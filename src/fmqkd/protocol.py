@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     ProtocolViolationError,
     SessionAborted,
-    UndefinedRateError,
 )
 from .framing import (
     BLOCK_PULSES,
@@ -70,7 +69,6 @@ STREAM_BITS = 0
 STREAM_BASES = 1
 STREAM_DISCLOSURE = 2
 STREAM_GATES = 0
-STREAM_ESTIMATION = 3
 
 # Phase shift of each symbol 2 * bit + basis. The two-state variant sends
 # basis 0 only, so its alphabet is every other entry.
@@ -91,32 +89,6 @@ class ProtocolVariant(enum.Enum):
     @property
     def uses_bases(self) -> bool:
         return self is ProtocolVariant.BB84
-
-    @property
-    def phase_alphabet(self) -> Tuple[float, ...]:
-        return PHASES if self.uses_bases else PHASES[::2]
-
-    @classmethod
-    def from_code(cls, code: int) -> "ProtocolVariant":
-        if code == 0:
-            return cls.BB92
-        if code == 1:
-            return cls.BB84
-        raise ProtocolViolationError(f"unknown variant code {code}")
-
-
-def encode_phase(bit: int, basis: Optional[int] = None,
-                 variant: ProtocolVariant = ProtocolVariant.BB92) -> float:
-    """Phase shift encoding ``bit`` (and ``basis`` in the four-state variant)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if not variant.uses_bases:
-        if basis is not None:
-            raise ValueError("BB92 takes no basis")
-        basis = 0
-    elif basis not in (0, 1):
-        raise ValueError(f"BB84 requires basis 0 or 1, got {basis!r}")
-    return PHASES[2 * bit + basis]
 
 
 def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource],
@@ -175,8 +147,9 @@ class SessionConfig:
     bob_key_files: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.n_pulses, int) and self.n_pulses > 0):
-            raise ConfigError(f"n_pulses must be > 0, got {self.n_pulses!r}")
+        # SESSION_START carries n_pulses as a u64.
+        if not (isinstance(self.n_pulses, int) and 0 < self.n_pulses < 2 ** 64):
+            raise ConfigError(f"n_pulses must be > 0 and fit a u64, got {self.n_pulses!r}")
         if not (0.0 <= self.disclosure_fraction <= 1.0):
             raise ConfigError(
                 f"disclosure_fraction must be in [0, 1], got {self.disclosure_fraction}"
@@ -714,68 +687,3 @@ def run_session(cfg: SessionConfig, endpoint=None) -> SessionResult:
         endpoint = open_in_process(alice.handle)
     return BobSession(cfg).run(endpoint)
 
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Error estimate over an oracle-mode session result."""
-
-    mode: str
-    error_rate: float
-    bits_compared: int
-    mismatches: int
-    disclosed_positions: Tuple[int, ...]
-    final_key_alice: bytes
-    final_key_bob: bytes
-
-
-def sift_and_estimate(result: SessionResult, disclosure_fraction: float = 0.0,
-                      rng: Optional[np.random.Generator] = None) -> ErrorReport:
-    """Exact error rate (full comparison) or a disclosed-subset estimate.
-
-    Full mode compares the entire keys and keeps them; disclosure mode
-    samples ``disclosure_fraction`` of the positions, estimates the error
-    rate there, and strips those positions from both final keys.
-    """
-    if result.sifted_key_alice is None:
-        raise ConfigError("estimation needs an oracle-mode result with both keys")
-    if not (0.0 <= disclosure_fraction <= 1.0):
-        raise ConfigError(
-            f"disclosure_fraction must be in [0, 1], got {disclosure_fraction}"
-        )
-    a, b = result.sifted_key_alice, result.sifted_key_bob
-    n = len(b)
-    if len(a) != n:
-        raise ConfigError("sifted keys differ in length")
-    if n == 0:
-        raise UndefinedRateError("empty sifted key; error rate undefined")
-    if disclosure_fraction == 0.0:
-        mismatches = sum(1 for x, y in zip(a, b) if x != y)
-        return ErrorReport(
-            mode="full",
-            error_rate=mismatches / n,
-            bits_compared=n,
-            mismatches=mismatches,
-            disclosed_positions=(),
-            final_key_alice=a,
-            final_key_bob=b,
-        )
-    k = int(disclosure_fraction * n)
-    if k == 0:
-        raise UndefinedRateError(
-            f"disclosure_fraction {disclosure_fraction} selects zero of {n} bits"
-        )
-    if rng is None:
-        rng = derive_rng(result.seeds[2], STREAM_ESTIMATION)
-    positions = sorted(int(p) for p in rng.choice(n, size=k, replace=False))
-    mismatches = sum(1 for p in positions if a[p] != b[p])
-    disclosed = set(positions)
-    keep = [p for p in range(n) if p not in disclosed]
-    return ErrorReport(
-        mode="disclosure",
-        error_rate=mismatches / k,
-        bits_compared=k,
-        mismatches=mismatches,
-        disclosed_positions=tuple(positions),
-        final_key_alice=bytes(a[p] for p in keep),
-        final_key_bob=bytes(b[p] for p in keep),
-    )

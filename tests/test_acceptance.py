@@ -5,14 +5,17 @@ the runs are deterministic, so the verdicts are stable.
 """
 
 import math
+import os
 import socket
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmqkd
 from fmqkd.channel import connect, open_in_process, serve_once
 from fmqkd.detector import GatedDetectorConfig, er_det_analytic
 from fmqkd.framing import Detections, encode_frame
@@ -44,6 +47,14 @@ from fmqkd.protocol import (
 )
 
 INF = float("inf")
+
+
+def _cli_env() -> dict:
+    """Environment for ``python -m fmqkd.cli`` children: the package under test first."""
+    env = dict(os.environ)
+    src = str(Path(fmqkd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -230,16 +241,16 @@ def test_criterion_7_mode_equivalence(tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     alice_proc = subprocess.Popen(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(sock_cfg),
-         "--out", str(out_a), "--role", "alice"]
+         "--out", str(out_a), "--role", "alice"], env=_cli_env()
     )
     bob_rc = subprocess.run(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(sock_cfg),
-         "--out", str(out_b), "--role", "bob"]
+         "--out", str(out_b), "--role", "bob"], env=_cli_env()
     ).returncode
     alice_rc = alice_proc.wait(timeout=60)
     both_rc = subprocess.run(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(inproc_cfg),
-         "--out", str(out_c)]
+         "--out", str(out_c)], env=_cli_env()
     ).returncode
     ok_cli = (
         bob_rc == 0 and alice_rc == 0 and both_rc == 0
@@ -282,7 +293,8 @@ def test_criterion_8_bb84_variant():
 def test_criterion_9_key_file_round_trip(tmp_path):
     out = tmp_path / "block.qkdr"
     rc = subprocess.run(
-        [sys.executable, "-m", "fmqkd.cli", "keygen", "--out", str(out), "--seed", "9"]
+        [sys.executable, "-m", "fmqkd.cli", "keygen", "--out", str(out), "--seed", "9"],
+        env=_cli_env(),
     ).returncode
     bits = read_key_file(out)
     from fmqkd.randomness import BitSource

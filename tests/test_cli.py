@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ def test_parse_run_config_rejects_unknown_key(tmp_path):
 
 
 def test_parse_run_config_rejects_bad_values(tmp_path):
-    for line in ("variant = BB85", "seeds = 1,2", "channel = pigeon", "n_pulses = few"):
+    for line in ("variant = BB85", "seeds = 1,2", "channel = pigeon", "n_pulses = few",
+                 "port = 0", "port = 65536"):
         path = write_config(tmp_path, BASE_CONFIG + line + "\n")
         with pytest.raises(ConfigError):
             parse_run_config(path)
@@ -90,6 +92,26 @@ def test_simulate_rejects_zero_pulses(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_simulate_rejects_n_pulses_beyond_u64(tmp_path, capsys):
+    text = BASE_CONFIG.replace("n_pulses = 20000", f"n_pulses = {2 ** 64}")
+    code = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "n_pulses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_simulate_rejects_out_of_range_port(tmp_path, capsys, role):
+    cfg = write_config(tmp_path, BASE_CONFIG + "channel = socket\nport = 70000\n")
+    started = time.monotonic()
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--role", role])
+    assert code == EXIT_CONFIG
+    assert time.monotonic() - started < 2.0  # rejected before any connect retry
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "port" in err
 
 
 def test_simulate_role_needs_socket_config(tmp_path, capsys):

@@ -8,7 +8,6 @@ from fmqkd.detector import (
     click_probabilities,
     click_probability,
     er_det_analytic,
-    gate,
     gate_many,
 )
 from fmqkd.errors import UndefinedRateError
@@ -68,17 +67,6 @@ def test_linear_regime_approximation():
                 assert abs(approx - exact) / exact < 1e-3
 
 
-def test_gate_is_deterministic_and_edge_cases():
-    cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=0.0)
-    assert not any(
-        gate(0.0, cfg, np.random.default_rng(0)) for _ in range(100)
-    )
-    seq_a = [gate(0.3, cfg, rng) for rng in [np.random.default_rng(5)] for _ in range(50)]
-    rng = np.random.default_rng(5)
-    seq_b = [gate(0.3, cfg, rng) for _ in range(50)]
-    assert seq_a == seq_b
-
-
 def test_gate_frequency_matches_probability():
     cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
     mu = 0.05
@@ -135,5 +123,3 @@ def test_config_validation():
         GatedDetectorConfig(efficiency=1.5, dark_prob_per_gate=0.0)
     with pytest.raises(ValueError):
         GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=-1e-9)
-    with pytest.raises(ValueError):
-        GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=0.0, gate_window_s=0.0)

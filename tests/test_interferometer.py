@@ -5,8 +5,6 @@ import pytest
 
 from fmqkd.errors import ConfigError
 from fmqkd.interferometer import (
-    OpticalPulse,
-    PulsePath,
     SetupConfig,
     attenuator_setting,
     detection_mean,
@@ -14,14 +12,12 @@ from fmqkd.interferometer import (
     effective_visibility,
     er_opt_from_visibility,
     er_opt_prediction,
-    interfere,
-    pulse_pair,
     pulse_pair_overlap,
     schedule,
     visibility_from_extinction_db,
     visibility_samples,
 )
-from fmqkd.jones import JonesMatrix, JonesVector, haar_random_unitaries
+from fmqkd.jones import JonesMatrix, haar_random_unitaries
 
 INF = float("inf")
 
@@ -179,49 +175,7 @@ def test_effective_visibility_geometric_pairing():
     assert abs(leak - er_opt_prediction(setup)) < 1e-6
 
 
-def test_pulse_pair_interference_matches_fringe():
-    setup = SetupConfig()
-    for phase_b, phase_a in ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0),
-                             (0.0, math.pi / 2.0), (math.pi, math.pi)):
-        leading, trailing = pulse_pair(3, setup, phase_b, phase_a)
-        assert leading.mean_photons == trailing.mean_photons == setup.mu_pair / 2.0
-        got = interfere(leading, trailing, setup)
-        assert got == pytest.approx(detection_mean(phase_a - phase_b, setup), rel=1e-12)
-
-
-def test_interfere_polarization_mismatch_kills_fringe():
-    setup = SetupConfig(alice_extinction_db=INF, bob_extinction_db=INF,
-                        line_loss_db=0.0, c1_tap_db=0.0)
-    leading, trailing = pulse_pair(0, setup, 0.0, math.pi)
-    # Orthogonal polarizations: no interference term, half the pair remains
-    # even at the destructive phase.
-    crossed = OpticalPulse(trailing.emit_time_s, trailing.mean_photons,
-                           trailing.phase_rad, JonesVector(1.0, 0.0), PulsePath.P2)
-    assert interfere(leading, crossed, setup) == pytest.approx(setup.mu_pair / 2.0)
-    assert interfere(leading, trailing, setup) == pytest.approx(0.0, abs=1e-18)
-
-
-def test_interfere_requires_both_paths():
-    setup = SetupConfig()
-    leading, trailing = pulse_pair(0, setup)
-    with pytest.raises(ValueError):
-        interfere(leading, leading, setup)
-    assert interfere(trailing, leading, setup) >= 0.0
-
-
-def test_optical_pulse_validation():
-    pol = JonesVector(1.0, 0.0)
-    p = OpticalPulse(0.0, 0.05, math.pi, pol, PulsePath.P2)
-    assert p.mean_photons == 0.05
-    with pytest.raises(ValueError):
-        OpticalPulse(0.0, -0.1, 0.0, pol, PulsePath.P1)
-    with pytest.raises(ValueError):
-        OpticalPulse(0.0, 0.1, 0.0, pol, "P1")
-
-
 def test_setup_validation():
-    with pytest.raises(ConfigError):
-        SetupConfig(c2_ratio=1.0)
     with pytest.raises(ConfigError):
         SetupConfig(line_loss_db=-1.0)
     with pytest.raises(ConfigError):

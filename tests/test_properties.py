@@ -8,15 +8,26 @@
 - Framing is canonical: any byte string either fails to decode with
   ``ProtocolViolationError`` or decodes to a message that encodes back to
   exactly those bytes.
+- Bob's session, on either engine, ends against any peer whose replies the
+  wire can carry in a ``SessionResult``, ``ProtocolViolationError``,
+  ``ConfigError`` or ``SessionAborted``, nothing else.
 """
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
-from fmqkd.errors import BitSourceExhausted, ProtocolViolationError
+from fmqkd.errors import (
+    BitSourceExhausted,
+    ConfigError,
+    ProtocolViolationError,
+    SessionAborted,
+)
 from fmqkd.framing import (
     HEADER,
     Bases,
@@ -38,11 +49,14 @@ from fmqkd.protocol import (
     STREAM_BASES,
     STREAM_BITS,
     AliceSession,
+    BobSession,
     ProtocolVariant,
     QFrameWindowBack,
     QFrameWindowOut,
     Seeds,
     SessionConfig,
+    SessionResult,
+    run_session,
     seeds_commitment,
 )
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
@@ -270,3 +284,112 @@ def test_decode_either_rejects_or_round_trips(data):
     except ProtocolViolationError:  # IncompleteFrameError included
         return
     assert encode_frame(msg) == data
+
+
+def decoded(frame):
+    """The message ``frame`` decodes to, or None if framing rejects it."""
+    try:
+        return decode_frame(frame)
+    except ProtocolViolationError:
+        return None
+
+
+# Messages as they arrive after a trip over the wire.
+PEER_MESSAGES = MESSAGES.map(lambda m: decoded(encode_frame(m))).filter(lambda m: m is not None)
+PEER_ACTIONS = st.sampled_from(["pass", "drop", "replace", "extra", "flip", "edit", "edit"])
+
+
+def edited(data, msg):
+    """``msg`` with one field redrawn near its value, as the wire delivers it, or None."""
+    k = data.draw(st.integers(0, len(msg) - 1))
+    value = msg[k]
+    if isinstance(value, np.ndarray):  # window symbols; the count follows them
+        symbols = np.array(data.draw(st.lists(st.integers(0, 3), max_size=30)), np.uint8)
+        return decoded(encode_frame(msg._replace(count=symbols.size, symbols=symbols)))
+    if isinstance(value, int):
+        new = max(0, value + data.draw(st.integers(-2, 2)))
+    elif isinstance(value, float):
+        new = data.draw(st.one_of(st.sampled_from([0.0, value / 2, 2 * value, value + 1.5]),
+                                  FINITE))
+    elif len(value) == 4 and all(isinstance(x, float) for x in value):
+        new = data.draw(POL)
+    else:  # BASES bits or DISCLOSE items: one short, one long, or one bit flipped
+        edit = data.draw(st.sampled_from(["short", "long", "flip"]))
+        if edit == "short" or not value:
+            new = value[:-1]
+        elif edit == "long":
+            new = value + (value[-1] if isinstance(value[-1], int) else (value[-1][0] + 1, 0),)
+        else:
+            j = data.draw(st.integers(0, len(value) - 1))
+            item = value[j] ^ 1 if isinstance(value[j], int) else (value[j][0], value[j][1] ^ 1)
+            new = value[:j] + (item,) + value[j + 1:]
+    try:
+        frame = encode_frame(msg._replace(**{msg._fields[k]: new}))
+    except (ProtocolViolationError, struct.error):
+        return None
+    return decoded(frame)
+
+
+class PassThrough:
+    """Endpoint wrapper; Bob runs the per-pulse engine behind any wrapper."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def send(self, msg):
+        self._inner.send(msg)
+
+    def recv(self):
+        return self._inner.recv()
+
+    def close(self):
+        self._inner.close()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), variant=st.sampled_from(list(ProtocolVariant)),
+       disclosure=st.sampled_from([0.0, 0.5]), per_pulse=st.booleans())
+def test_bob_ends_in_result_or_documented_error(data, variant, disclosure, per_pulse):
+    cfg = session_config(variant, disclosure)
+    alice = AliceSession(cfg)
+    sent_types = []
+    honest = True
+    # Alice answers the first messages truthfully, so every stage gets probed.
+    # Bob sends about 32 messages on the per-pulse engine and 10 on the batched.
+    truthful = data.draw(st.integers(0, 32 if per_pulse else 10))
+
+    def peer(msg):
+        """Alice's replies, now and then dropped, replaced, padded, bit-flipped or edited."""
+        nonlocal honest
+        sent_types.append(type(msg))
+        replies = alice.handle(msg)
+        if len(sent_types) <= truthful:
+            return replies
+        action = data.draw(PEER_ACTIONS)
+        honest = honest and action == "pass"
+        if action == "drop":
+            return replies[1:]
+        if action == "replace":
+            return [data.draw(PEER_MESSAGES)] + replies[1:]
+        if action == "extra":
+            return replies + [data.draw(PEER_MESSAGES)]
+        if action == "edit" and replies:
+            return [m for m in [edited(data, replies[0])] if m is not None] + replies[1:]
+        if action == "flip" and replies:
+            frame = bytearray(encode_frame(replies[0]))
+            frame[data.draw(st.integers(0, len(frame) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+            flipped = decoded(bytes(frame))
+            return ([flipped] if flipped is not None else []) + replies[1:]
+        return replies
+
+    endpoint = open_in_process(peer)
+    try:
+        result = BobSession(cfg).run(PassThrough(endpoint) if per_pulse else endpoint)
+    except (ProtocolViolationError, ConfigError, SessionAborted):
+        result = None
+    # The first frame shows which engine ran.
+    assert sent_types[1] is (QFrameOut if per_pulse else QFrameWindowOut)
+    if result is not None:
+        assert isinstance(result, SessionResult)
+    if honest:
+        assert result == run_session(cfg)

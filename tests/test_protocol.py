@@ -11,11 +11,12 @@ from fmqkd.errors import (
     ConfigError,
     ProtocolViolationError,
     SessionAborted,
-    UndefinedRateError,
 )
+from fmqkd.framing import Disclose
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
+    PHASES,
     STREAM_BITS,
     AliceSession,
     BobSession,
@@ -23,11 +24,8 @@ from fmqkd.protocol import (
     QuantumPhysics,
     Seeds,
     SessionConfig,
-    SessionResult,
-    encode_phase,
     run_session,
     seeds_commitment,
-    sift_and_estimate,
 )
 from fmqkd.presets import reference_session
 from fmqkd.randomness import BitSource, derive_rng
@@ -46,38 +44,54 @@ def noiseless_config(n_pulses, seeds=Seeds(1, 2, 3), variant=ProtocolVariant.BB9
                          detector=detector, seeds=seeds)
 
 
+def alice_phases(cfg):
+    """Phases Alice returns on the per-pulse path, and the same session's
+    window symbols, for every pulse of ``cfg``."""
+    from fmqkd.framing import QFrameOut, QFrameWindowOut, SessionStart
+    from fmqkd.protocol import OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL
+
+    start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                         seeds_commitment(cfg))
+    alice = AliceSession(cfg)
+    alice.handle(start)
+    phases = [
+        alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))[0].phase_a
+        for i in range(cfg.n_pulses)
+    ]
+    windowed = AliceSession(cfg)
+    windowed.handle(start)
+    (back,) = windowed.handle(
+        QFrameWindowOut(0, cfg.n_pulses, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
+    )
+    return alice, phases, back.symbols
+
+
 def test_encode_phase_two_state():
-    assert encode_phase(0) == 0.0
-    assert encode_phase(1) == math.pi
-    with pytest.raises(ValueError):
-        encode_phase(2)
-    with pytest.raises(ValueError):
-        encode_phase(0, basis=0)
+    # Bit 0 -> phase 0, bit 1 -> phase pi; no basis is drawn.
+    alice, phases, symbols = alice_phases(noiseless_config(200))
+    assert len(alice._bits) == 200 and len(alice._bases) == 0
+    assert set(alice._bits) == {0, 1}
+    assert phases == [math.pi * bit for bit in alice._bits]
+    assert phases == [PHASES[s] for s in symbols]
 
 
 def test_encode_phase_four_state():
-    bb84 = ProtocolVariant.BB84
-    assert encode_phase(0, 0, bb84) == 0.0
-    assert encode_phase(1, 0, bb84) == math.pi
-    assert encode_phase(0, 1, bb84) == math.pi / 2.0
-    assert encode_phase(1, 1, bb84) == 1.5 * math.pi
-    with pytest.raises(ValueError):
-        encode_phase(0, None, bb84)
-    with pytest.raises(ValueError):
-        encode_phase(0, 2, bb84)
+    # Basis 0 carries {0, pi}, basis 1 carries {pi/2, 3pi/2}.
+    cfg = noiseless_config(200, variant=ProtocolVariant.BB84)
+    alice, phases, symbols = alice_phases(cfg)
+    assert len(alice._bits) == len(alice._bases) == 200
+    expected = [math.pi * bit + math.pi / 2.0 * basis
+                for bit, basis in zip(alice._bits, alice._bases)]
+    assert phases == expected
+    assert set(phases) == {0.0, math.pi / 2.0, math.pi, 1.5 * math.pi}
+    assert phases == [PHASES[s] for s in symbols]
 
 
 def test_phase_alphabets():
-    assert ProtocolVariant.BB92.phase_alphabet == (0.0, math.pi)
-    assert ProtocolVariant.BB84.phase_alphabet == (
-        0.0, math.pi / 2.0, math.pi, 1.5 * math.pi
-    )
+    # Symbol 2 * bit + basis; the two-state variant sends basis 0 only.
+    assert PHASES == (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
     assert not ProtocolVariant.BB92.uses_bases
     assert ProtocolVariant.BB84.uses_bases
-    for variant in ProtocolVariant:
-        assert ProtocolVariant.from_code(variant.code) is variant
-    with pytest.raises(ProtocolViolationError):
-        ProtocolVariant.from_code(9)
 
 
 def test_noiseless_session_keys_identical():
@@ -150,68 +164,91 @@ def test_measured_er_tracks_prediction():
     assert abs(result.measured_er - predicted) < 3.0 * sigma
 
 
-def make_oracle_result(alice_key: bytes, bob_key: bytes) -> SessionResult:
-    n = len(bob_key)
-    return SessionResult(
-        variant="BB92", n_pulses=10 * n, mu_pair=0.1, disclosure_fraction=0.0,
-        seeds=(1, 2, 3), pulses_processed=10 * n, clicks=n,
-        detected_indices=tuple(range(n)), basis_matched=n,
-        sifted_key_bob=bob_key, sifted_key_alice=alice_key,
-        disclosed_indices=(), compared_bits=n,
-        mismatches=sum(1 for a, b in zip(alice_key, bob_key) if a != b),
-        measured_er=0.0, final_key_bob=bob_key,
-    )
+class DiscloseTamperingEndpoint:
+    """Flips Alice's disclosed bits at the given positions of her DISCLOSE."""
+
+    def __init__(self, inner, flip=(), drop_last=False):
+        self._inner = inner
+        self._flip = set(flip)
+        self._drop_last = drop_last
+
+    def send(self, msg):
+        self._inner.send(msg)
+
+    def recv(self):
+        msg = self._inner.recv()
+        if isinstance(msg, Disclose):
+            items = [(idx, bit ^ (k in self._flip)) for k, (idx, bit) in enumerate(msg.items)]
+            return Disclose(tuple(items[:-1] if self._drop_last else items))
+        return msg
+
+    def close(self):
+        self._inner.close()
 
 
 def test_estimate_identical_keys():
-    key = bytes([0, 1, 1, 0, 1] * 20)
-    report = sift_and_estimate(make_oracle_result(key, key))
-    assert report.error_rate == 0.0
-    assert report.mode == "full"
-    assert report.final_key_alice == key
+    result = run_session(noiseless_config(2000))
+    assert result.measured_er == 0.0
+    assert result.compared_bits == len(result.sifted_key_bob) > 0
+    # Oracle mode compares the whole key and keeps it.
+    assert result.disclosed_indices == ()
+    assert result.final_key_bob == result.sifted_key_bob == result.sifted_key_alice
 
 
 def test_estimate_planted_mismatches_exact():
-    rng = np.random.default_rng(0)
-    alice = bytes(int(b) for b in rng.integers(0, 2, 1000))
-    bob = bytearray(alice)
-    for pos in (3, 141, 468, 700, 999):
-        bob[pos] ^= 1
-    report = sift_and_estimate(make_oracle_result(alice, bytes(bob)))
-    assert report.error_rate == 0.005
-    assert report.mismatches == 5
-    assert report.bits_compared == 1000
+    cfg = noiseless_config(4000)
+    planted = (3, 141, 468, 700, 999)
+    alice = AliceSession(cfg)
+    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), flip=planted)
+    result = BobSession(cfg).run(endpoint)
+    assert result.compared_bits == len(result.sifted_key_bob) > 1000
+    assert result.mismatches == 5
+    assert result.measured_er == 5 / result.compared_bits
+    diff = [k for k, (a, b) in enumerate(zip(result.sifted_key_alice, result.sifted_key_bob))
+            if a != b]
+    assert diff == list(planted)
 
 
 def test_estimate_disclosure_within_binomial_band():
-    rng = np.random.default_rng(1)
-    n = 10_000
-    alice = bytes(int(b) for b in rng.integers(0, 2, n))
-    bob = bytearray(alice)
-    flips = rng.choice(n, size=100, replace=False)
-    for pos in flips:
-        bob[pos] ^= 1
-    result = make_oracle_result(alice, bytes(bob))
-    report = sift_and_estimate(result, 0.5, rng=np.random.default_rng(2))
-    assert report.mode == "disclosure"
-    assert report.bits_compared == 5000
-    sigma = math.sqrt(0.01 * 0.99 / 5000)
-    assert abs(report.error_rate - 0.01) < 3.0 * sigma
-    # Disclosed positions are gone from both final keys.
-    assert len(report.final_key_alice) == n - 5000
-    assert len(report.final_key_bob) == n - 5000
+    # Noisy detector, so the sifted key carries real errors.
+    seeds = Seeds(1, 2, 3)
+    cfg = SessionConfig(
+        n_pulses=1_000_000, variant=ProtocolVariant.BB92,
+        setup=SetupConfig(mu_pair=0.2),
+        detector=GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=5e-4),
+        seeds=seeds, disclosure_fraction=0.5,
+    )
+    result = run_session(cfg)
+    n = result.n_pulses
+    alice_bits = BitSource.from_rng(derive_rng(seeds.alice, STREAM_BITS)).take(n)
+    bob_bits = BitSource.from_rng(derive_rng(seeds.bob, STREAM_BITS)).take(n)
+    idx = np.array(result.detected_indices)
+    true_er = float(np.mean(alice_bits[idx] != bob_bits[idx]))
+    k = result.compared_bits
+    assert k == int(0.5 * result.clicks)
+    sigma = math.sqrt(true_er * (1.0 - true_er) / k)
+    assert abs(result.measured_er - true_er) < 3.0 * sigma
+    # Disclosed positions are gone from the final key.
+    assert len(result.final_key_bob) == result.clicks - k
+    assert set(result.disclosed_indices) <= set(result.detected_indices)
 
 
 def test_estimate_empty_key_undefined():
-    with pytest.raises(UndefinedRateError):
-        sift_and_estimate(make_oracle_result(b"", b""))
+    cfg = dataclasses.replace(
+        noiseless_config(1000),
+        detector=GatedDetectorConfig(efficiency=0.0, dark_prob_per_gate=0.0),
+    )
+    result = run_session(cfg)
+    assert result.clicks == 0 and result.compared_bits == 0
+    assert result.measured_er is None
 
 
-def test_estimate_requires_oracle_result():
-    r = make_oracle_result(b"\x00\x01", b"\x00\x01")
-    hidden = dataclasses.replace(r, sifted_key_alice=None)
-    with pytest.raises(ConfigError):
-        sift_and_estimate(hidden)
+def test_oracle_mode_requires_full_disclosure():
+    cfg = noiseless_config(2000)
+    alice = AliceSession(cfg)
+    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), drop_last=True)
+    with pytest.raises(ProtocolViolationError):
+        BobSession(cfg).run(endpoint)
 
 
 def test_disclosure_mode_session():
