@@ -22,6 +22,10 @@ Responder = Callable[[Message], List[Message]]
 # actually arrive, whatever length its header claims.
 RECV_CHUNK = 65536
 
+# Seconds a socket waits on its peer to connect or for any one send or recv;
+# a stalled peer then ends the session with ChannelError instead of a hang.
+IDLE_TIMEOUT_S = 30.0
+
 
 class InProcessEndpoint:
     """Driver-side endpoint wired directly to the peer's handler."""
@@ -50,11 +54,12 @@ class SocketEndpoint:
 
     ``recv`` checks each header's length against its type's bounds before it
     reads the payload, and reads the payload in chunks of at most RECV_CHUNK
-    bytes.
+    bytes. Every send and recv gives up after IDLE_TIMEOUT_S seconds.
     """
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(IDLE_TIMEOUT_S)
         self._sock = sock
 
     def send(self, msg: Message) -> None:
@@ -97,9 +102,7 @@ def connect(host: str, port: int, attempts: int = 40, delay_s: float = 0.25) -> 
     last: Optional[Exception] = None
     for _ in range(attempts):
         try:
-            sock = socket.create_connection((host, port), timeout=30.0)
-            sock.settimeout(None)
-            return SocketEndpoint(sock)
+            return SocketEndpoint(socket.create_connection((host, port), timeout=IDLE_TIMEOUT_S))
         except OSError as exc:
             last = exc
             time.sleep(delay_s)

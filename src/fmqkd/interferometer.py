@@ -20,7 +20,6 @@ import numpy as np
 
 from . import jones
 from .errors import ConfigError
-from .jones import JonesMatrix
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def attenuator_setting(setup: SetupConfig, incoming_mean_photons: float) -> floa
     return 10.0 * math.log10(incoming_mean_photons / target)
 
 
-def pulse_pair_overlap(link_unitary: JonesMatrix, alice_mirror: str = "faraday") -> float:
+def pulse_pair_overlap(link_unitary: np.ndarray, alice_mirror: str = "faraday") -> float:
     """Polarization overlap of the two interfering pulses at the coupler.
 
     The leading pulse makes the link round trip first and the internal delay
@@ -206,8 +205,8 @@ def pulse_pair_overlap(link_unitary: JonesMatrix, alice_mirror: str = "faraday")
     else:
         raise ValueError(f"alice_mirror must be 'faraday' or 'ordinary', got {alice_mirror!r}")
     delay_trip = jones.faraday_mirror()
-    leading = (delay_trip @ trip).as_array() @ jones.HORIZONTAL.as_array()
-    trailing = (trip @ delay_trip).as_array() @ jones.HORIZONTAL.as_array()
+    leading = delay_trip @ trip @ jones.HORIZONTAL
+    trailing = trip @ delay_trip @ jones.HORIZONTAL
     leading = leading / np.linalg.norm(leading)
     trailing = trailing / np.linalg.norm(trailing)
     return float(abs(np.vdot(leading, trailing)))
@@ -226,5 +225,5 @@ def visibility_samples(n_samples: int, extinction_db: float,
     stack = jones.haar_random_unitaries(rng, n_samples)
     out = np.empty(n_samples)
     for k in range(n_samples):
-        out[k] = v_max * pulse_pair_overlap(JonesMatrix.from_array(stack[k]), mirror)
+        out[k] = v_max * pulse_pair_overlap(stack[k], mirror)
     return out

@@ -1,12 +1,19 @@
 import socket
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fmqkd import channel
 from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
-from fmqkd.errors import ChannelError, IncompleteFrameError, ProtocolViolationError
+from fmqkd.errors import (
+    ChannelError,
+    IncompleteFrameError,
+    ProtocolViolationError,
+    SessionAborted,
+)
 from fmqkd.framing import (
     BLOCK_PULSES,
     HEADER,
@@ -166,9 +173,9 @@ class RawPeer:
                 self._release.wait(10)
 
     def endpoint(self) -> SocketEndpoint:
-        # A receive timeout turns a receiver that waits for a claimed
-        # payload into a ChannelError rather than a hang.
-        return SocketEndpoint(socket.create_connection(("127.0.0.1", self.port), timeout=5))
+        # The endpoint's idle timeout turns a receiver that waits for a
+        # claimed payload into a ChannelError rather than a hang.
+        return connect("127.0.0.1", self.port)
 
     def close(self):
         self._release.set()
@@ -235,3 +242,17 @@ def test_variable_payload_memory_follows_arrived_bytes(msg_type):
         ep.close()
         peer.close()
     assert peak < 4 * sent
+
+
+def test_stalled_peer_aborts_session(monkeypatch):
+    monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", 0.2)
+    peer = RawPeer(b"")  # accepts, then stays silent with the connection open
+    ep = peer.endpoint()
+    started = time.monotonic()
+    try:
+        with pytest.raises(SessionAborted, match="timed out"):
+            BobSession(reference_session(0.2, 5000, Seeds(1, 2, 3))).run(ep)
+    finally:
+        ep.close()
+        peer.close()
+    assert time.monotonic() - started < 5.0

@@ -2,10 +2,12 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fmqkd import channel
 from fmqkd.channel import SocketEndpoint, connect
 from fmqkd.cli import (
     EXIT_CHANNEL,
@@ -45,6 +47,13 @@ def test_parse_run_config_defaults_and_overrides(tmp_path):
     assert spec.session.setup.post_alice_loss_db == pytest.approx(10.0)
     assert spec.session.seeds.as_tuple() == (5, 6, 7)
     assert spec.channel_mode == "in_process"
+
+
+def test_readme_run_config_example_parses_to_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Run config format", 1)[1].split("```\n", 2)[1]
+    example = parse_run_config(write_config(tmp_path, block))
+    assert example == parse_run_config(write_config(tmp_path, "", name="empty.cfg"))
 
 
 def test_parse_run_config_rejects_unknown_key(tmp_path):
@@ -254,6 +263,35 @@ def test_simulate_bob_protocol_violation_exits_5_and_logs(tmp_path, capsys):
     (line,) = (out / "session.log").read_text().splitlines()
     entry = json.loads(line)
     assert entry["role"] == "bob" and entry["error"].startswith("ProtocolViolationError")
+
+
+def test_simulate_bob_stalled_peer_exits_3_and_logs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", 0.2)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    release = threading.Event()
+
+    def peer():  # accepts, then stays silent with the connection open
+        conn, _ = listener.accept()
+        with conn:
+            release.wait(10)
+
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
+    out = tmp_path / "bob"
+    started = time.monotonic()
+    try:
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--role", "bob"])
+    finally:
+        release.set()
+        thread.join(10)
+        listener.close()
+    assert time.monotonic() - started < 5.0
+    assert code == EXIT_CHANNEL
+    (line,) = (out / "session.log").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["role"] == "bob" and "timed out" in entry["error"]
 
 
 def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
