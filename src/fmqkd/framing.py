@@ -18,11 +18,18 @@ with ``length`` counting payload bytes only. Payloads, all little-endian:
     0x09 QFRAME_WINDOW_OUT   start u64 | count u32 | mean_photons f64 | pol 4 x f64
     0x0A QFRAME_WINDOW_BACK  start u64 | count u32 | mean_photons f64 | pol 4 x f64 |
                              count x symbol u8 (2 * bit + basis, below 4)
+    0x0B DETECTIONS_BLOCK    windows u32 | clicks u32 | windows x end u64 |
+                             clicks x index u64; 1 .. BLOCK_PULSES ends, both
+                             strictly increasing, every index below the last end
 
-QFRAME_OUT / QFRAME_BACK carry one pulse each; the per-pulse session engine
-(wrapped endpoints, custom physics) uses them. The window frames carry up to
-BLOCK_PULSES consecutive pulses each; the batched engine uses them over both
-in-process and socket endpoints.
+QFRAME_OUT / QFRAME_BACK carry one pulse each, and DETECTIONS acknowledges
+one ack window; the per-pulse session engine (wrapped endpoints, custom
+physics) uses them. The window frames carry up to BLOCK_PULSES consecutive
+pulses each, and one DETECTIONS_BLOCK acknowledges every ack window a block
+closes: window k holds the indices from end k - 1 (or the previous frame's
+last end) up to end k. The batched engine uses them over both in-process and
+socket endpoints; their arrays decode with ``np.frombuffer``, so a decoded
+frame costs little memory beyond its bytes.
 
 Encoding is canonical: each message has exactly one valid byte string, so
 encode is injective and decode(encode(m)) == m. Every type bounds its
@@ -53,8 +60,10 @@ MSG_ER_REPORT = 0x07
 MSG_TERMINATE = 0x08
 MSG_QFRAME_WINDOW_OUT = 0x09
 MSG_QFRAME_WINDOW_BACK = 0x0A
+MSG_DETECTIONS_BLOCK = 0x0B
 
-# Most pulses one window frame carries.
+# Most pulses one window frame carries, and most ends one DETECTIONS_BLOCK
+# carries.
 BLOCK_PULSES = 16384
 # Window symbols are 2 * bit + basis.
 _SYMBOLS = 4
@@ -108,6 +117,17 @@ class Detections(NamedTuple):
     indices: Tuple[int, ...]
 
 
+class DetectionsBlock(NamedTuple):
+    """Acknowledged ack windows and their clicks, as uint64 arrays.
+
+    ``ends`` are the windows' end pulses (exclusive); ``indices`` are every
+    click of those windows.
+    """
+
+    ends: np.ndarray
+    indices: np.ndarray
+
+
 class Bases(NamedTuple):
     bits: Tuple[int, ...]
 
@@ -126,7 +146,7 @@ class Terminate(NamedTuple):
 
 Message = Union[
     SessionStart, QFrameOut, QFrameBack, Detections, Bases, Disclose, ErReport, Terminate,
-    QFrameWindowOut, QFrameWindowBack,
+    QFrameWindowOut, QFrameWindowBack, DetectionsBlock,
 ]
 
 _SESSION_START = struct.Struct("<QBd")
@@ -137,6 +157,8 @@ _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _DISCLOSE_ITEM = struct.Struct("<QB")
 _WINDOW = struct.Struct("<QId4d")
+_BLOCK_COUNTS = struct.Struct("<II")
+_INDICES = np.dtype("<u8")
 
 # Least and most payload bytes of each type. The variable-size types are
 # bounded only by the u32 length field, so receivers read them in chunks.
@@ -152,6 +174,7 @@ _PAYLOAD_BOUNDS = {
     MSG_TERMINATE: (1, 1),
     MSG_QFRAME_WINDOW_OUT: (_WINDOW.size,) * 2,
     MSG_QFRAME_WINDOW_BACK: (_WINDOW.size, _WINDOW.size + BLOCK_PULSES),
+    MSG_DETECTIONS_BLOCK: (_BLOCK_COUNTS.size + _INDICES.itemsize, _U32_MAX),
 }
 
 
@@ -214,6 +237,25 @@ def _require_symbols(symbols: np.ndarray) -> None:
         raise ProtocolViolationError("window symbol is outside the alphabet")
 
 
+def check_detections_block(ends: np.ndarray, indices: np.ndarray) -> None:
+    """Raise ProtocolViolationError unless the arrays form a valid DETECTIONS_BLOCK.
+
+    Decoding checks this; in-process receivers, whose messages skip the
+    wire, call it themselves.
+    """
+    if not 1 <= ends.size <= BLOCK_PULSES:
+        raise ProtocolViolationError(
+            f"DETECTIONS_BLOCK carries {ends.size} windows, allowed 1..{BLOCK_PULSES}"
+        )
+    for values in (ends, indices):
+        if np.any(values[1:] <= values[:-1]):
+            raise ProtocolViolationError(
+                "DETECTIONS_BLOCK ends and indices must be strictly increasing"
+            )
+    if indices.size and indices[-1] >= ends[-1]:
+        raise ProtocolViolationError("DETECTIONS_BLOCK index at or past its last end")
+
+
 def _encode_payload(msg: Message) -> Tuple[int, bytes]:
     if isinstance(msg, SessionStart):
         _require_index(msg.n_pulses, "n_pulses")
@@ -258,6 +300,14 @@ def _encode_payload(msg: Message) -> Tuple[int, bytes]:
         return MSG_DETECTIONS, _U32.pack(len(msg.indices)) + b"".join(
             _U64.pack(i) for i in msg.indices
         )
+    if isinstance(msg, DetectionsBlock):
+        for values in msg:
+            if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
+                    and values.ndim == 1):
+                raise ProtocolViolationError("DETECTIONS_BLOCK fields must be uint64 arrays")
+        check_detections_block(msg.ends, msg.indices)
+        return MSG_DETECTIONS_BLOCK, (_BLOCK_COUNTS.pack(msg.ends.size, msg.indices.size)
+                                      + msg.ends.tobytes() + msg.indices.tobytes())
     if isinstance(msg, Bases):
         return MSG_BASES, _U32.pack(len(msg.bits)) + _pack_bitmap(msg.bits)
     if isinstance(msg, Disclose):
@@ -340,6 +390,14 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
         )
         _require_increasing(indices, "DETECTIONS")
         return Detections(indices)
+    if msg_type == MSG_DETECTIONS_BLOCK:
+        windows, clicks = _BLOCK_COUNTS.unpack_from(payload)
+        if len(payload) != _BLOCK_COUNTS.size + _INDICES.itemsize * (windows + clicks):
+            raise ProtocolViolationError("DETECTIONS_BLOCK payload has wrong size")
+        values = np.frombuffer(payload, _INDICES, offset=_BLOCK_COUNTS.size)
+        ends, indices = values[:windows], values[windows:]
+        check_detections_block(ends, indices)
+        return DetectionsBlock(ends, indices)
     if msg_type == MSG_BASES:
         (count,) = _U32.unpack_from(payload)
         if len(payload) != 4 + (count + 7) // 8:

@@ -8,10 +8,12 @@ phase; the sifting layer sees pulse indices and click flags, nothing else.
 
 Over a bare in-process or socket endpoint with the stock physics, Bob runs
 the same exchange a block of pulses at a time: one window frame out and back
-per block, one numpy pass over the block, and the same DETECTIONS per
-``ack_window`` as the per-pulse path. Every random stream is served from
-fixed pre-drawn blocks, so both paths consume the same numbers and produce
-the same result bit for bit. Wrapped endpoints and custom physics run the
+per block, one numpy pass over the block, and one DETECTIONS_BLOCK that
+acknowledges every ``ack_window`` the block closes, with the same clicks per
+window as the per-pulse path's DETECTIONS. A block that closes no window
+sends no acknowledgement. Every random stream is served from fixed
+pre-drawn blocks, so both paths consume the same numbers and produce the
+same result bit for bit. Wrapped endpoints and custom physics run the
 per-pulse state machines, which remain the reference.
 
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
@@ -23,7 +25,6 @@ that is then removed from both final keys.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import hashlib
 import math
@@ -47,6 +48,7 @@ from .framing import (
     TERMINATE_NORMAL,
     Bases,
     Detections,
+    DetectionsBlock,
     Disclose,
     ErReport,
     Message,
@@ -56,6 +58,7 @@ from .framing import (
     QFrameWindowOut,
     SessionStart,
     Terminate,
+    check_detections_block,
 )
 from .interferometer import SetupConfig, attenuator_setting, detection_mean
 from .randomness import BitSource, UniformSampler, derive_rng
@@ -306,6 +309,8 @@ class AliceSession:
         self._bases = bytearray()
         self._started = False
         self._qframes = 0
+        # End of the last acknowledged window; every detection lies below it.
+        self._acked = 0
         self._detected: List[int] = []
         self._last_detection = -1
         self._finalized = False
@@ -335,6 +340,8 @@ class AliceSession:
             raise ProtocolViolationError("first message must be SESSION_START")
         if isinstance(msg, Detections):
             return self._on_detections(msg)
+        if isinstance(msg, DetectionsBlock):
+            return self._on_detections_block(msg)
         if isinstance(msg, Bases):
             return self._on_bases(msg)
         if isinstance(msg, ErReport):
@@ -414,7 +421,34 @@ class AliceSession:
                 raise ProtocolViolationError(f"detection index {idx} out of order")
             self._last_detection = idx
         self._detected.extend(msg.indices)
-        if self._qframes == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
+        # A DETECTIONS acknowledges every frame reflected so far.
+        return self._acknowledged(self._qframes)
+
+    def _on_detections_block(self, msg: DetectionsBlock) -> List[Message]:
+        if self._finalized:
+            raise ProtocolViolationError("DETECTIONS_BLOCK after sifting finished")
+        ends, indices = msg
+        check_detections_block(ends, indices)
+        first, last = int(ends[0]), int(ends[-1])
+        if first <= self._acked or last > self._qframes:
+            raise ProtocolViolationError(
+                f"DETECTIONS_BLOCK ends {first}..{last} out of order, acknowledged "
+                f"{self._acked}, reflected {self._qframes}"
+            )
+        if indices.size:
+            if indices[0] < self._acked:
+                raise ProtocolViolationError(
+                    f"detection index {indices[0]} in a window acknowledged before"
+                )
+            self._last_detection = int(indices[-1])
+            self._detected += indices.tolist()
+        return self._acknowledged(last)
+
+    def _acknowledged(self, end: int) -> List[Message]:
+        """Pulses below ``end`` are acknowledged; after the last, the two-state
+        variant sifts and discloses."""
+        self._acked = end
+        if end == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
             self._sifted = list(self._detected)
             self._finalized = True
             return [self._make_disclose()]
@@ -423,8 +457,8 @@ class AliceSession:
     def _on_bases(self, msg: Bases) -> List[Message]:
         if not self.cfg.variant.uses_bases:
             raise ProtocolViolationError("BASES message in a two-state session")
-        if self._finalized or self._qframes != self.cfg.n_pulses:
-            raise ProtocolViolationError("BASES must follow the final DETECTIONS")
+        if self._finalized or self._acked != self.cfg.n_pulses:
+            raise ProtocolViolationError("BASES must follow the final acknowledgement")
         if len(msg.bits) != len(self._detected):
             raise ProtocolViolationError(
                 f"BASES carries {len(msg.bits)} bits for {len(self._detected)} detections"
@@ -480,12 +514,11 @@ class BobSession:
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
         # Bits and bases sent so far, one byte per pulse, and the clicked
-        # indices; the first ``_progress_clicks`` of them are acknowledged.
+        # indices of the acknowledged windows, which end at ``_progress_pulses``.
         self._bits = bytearray()
         self._bases = bytearray()
         self._detected: List[int] = []
         self._progress_pulses = 0
-        self._progress_clicks = 0
 
     def run(self, endpoint) -> SessionResult:
         try:
@@ -502,8 +535,8 @@ class BobSession:
             disclosure_fraction=cfg.disclosure_fraction,
             seeds=cfg.seeds.as_tuple(),
             pulses_processed=self._progress_pulses,
-            clicks=self._progress_clicks,
-            detected_indices=tuple(self._detected[:self._progress_clicks]),
+            clicks=len(self._detected),
+            detected_indices=tuple(self._detected),
             basis_matched=0,
             sifted_key_bob=b"",
             sifted_key_alice=None,
@@ -540,13 +573,6 @@ class BobSession:
             self._pulse_loop(endpoint)
         return self._sift(endpoint)
 
-    def _acknowledge(self, endpoint, clicks: List[int], pulses: int) -> None:
-        """Send one window's DETECTIONS; ``pulses`` are now acknowledged."""
-        endpoint.send(Detections(tuple(clicks)))
-        self._detected.extend(clicks)
-        self._progress_pulses = pulses
-        self._progress_clicks = len(self._detected)
-
     def _pulse_loop(self, endpoint) -> None:
         """Reference path: one QFRAME out and back per pulse."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
@@ -571,14 +597,17 @@ class BobSession:
             if observe(back, phase_b):
                 window_clicks.append(i)
             if (i + 1) % window == 0 or i + 1 == n:
-                self._acknowledge(endpoint, window_clicks, i + 1)
+                send(Detections(tuple(window_clicks)))
+                self._detected += window_clicks
+                self._progress_pulses = i + 1
                 window_clicks.clear()
 
     def _block_loop(self, endpoint) -> None:
         """Batched path: one window frame out and back per block of pulses."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
         observe_window = self._physics.observe_window
-        pending: List[int] = []  # clicks not yet acknowledged, in order
+        # Clicks of the window still open, when a window spans several blocks.
+        pending = np.empty(0, np.uint64)
         for start, end in _blocks(n, window):
             count = end - start
             symbols = _draw_symbols(count, self._bits_src, self._bases_src,
@@ -587,15 +616,18 @@ class BobSession:
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
             )
             back = self._expect(endpoint, QFrameWindowBack)
-            clicks = observe_window(back, symbols)
-            pending += (np.flatnonzero(clicks) + start).tolist()
-            acks = list(range(start - start % window + window, end, window))
+            clicks = np.flatnonzero(observe_window(back, symbols)).astype(np.uint64) + start
+            pending = np.concatenate((pending, clicks))
+            # Ends of the windows this block closes.
+            ends = np.arange(start - start % window + window, end, window, dtype=np.uint64)
             if end % window == 0 or end == n:
-                acks.append(end)
-            for ack in acks:
-                k = bisect.bisect_left(pending, ack)
-                self._acknowledge(endpoint, pending[:k], ack)
-                del pending[:k]
+                ends = np.append(ends, np.uint64(end))
+            if ends.size:
+                k = int(np.searchsorted(pending, ends[-1]))
+                endpoint.send(DetectionsBlock(ends, pending[:k]))
+                self._detected += pending[:k].tolist()
+                self._progress_pulses = int(ends[-1])
+                pending = pending[k:]
 
     def _sift(self, endpoint) -> SessionResult:
         """Bases exchange, disclosure check and the result, after the last window."""
@@ -671,7 +703,7 @@ def _blocks(n: int, window: int) -> Iterator[Tuple[int, int]]:
     A block is the largest multiple of ``window`` that fits in BLOCK_PULSES
     pulses, or BLOCK_PULSES pulses of a longer window. The final window
     starts a new block, so Alice has reflected every frame only when its
-    DETECTIONS arrives, as on the per-pulse path.
+    acknowledgement arrives, as on the per-pulse path.
     """
     step = window * (BLOCK_PULSES // window) or BLOCK_PULSES
     last = (n - 1) // window * window

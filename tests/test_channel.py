@@ -18,6 +18,7 @@ from fmqkd.framing import (
     BLOCK_PULSES,
     HEADER,
     Detections,
+    DetectionsBlock,
     ErReport,
     QFrameWindowBack,
     Terminate,
@@ -114,14 +115,15 @@ def test_connect_refused_after_retries():
         connect("127.0.0.1", free_port(), attempts=2, delay_s=0.01)
 
 
-def run_over_socket(cfg):
+def run_over_socket(cfg, wrap=lambda handle: handle):
+    """(result, Alice) of a loopback session; Alice serves ``wrap(alice.handle)``."""
     port = free_port()
     alice = AliceSession(cfg)
     errors = []
 
     def serve():
         try:
-            serve_once("127.0.0.1", port, alice.handle, lambda: alice.done)
+            serve_once("127.0.0.1", port, wrap(alice.handle), lambda: alice.done)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -145,6 +147,25 @@ def test_socket_session_matches_in_process():
     assert alice.sifted_key == in_process.sifted_key_alice
     assert alice.measured_er == in_process.measured_er
 
+
+def test_socket_session_sends_one_acknowledgement_per_block():
+    # 20k pulses in 1024-pulse windows: blocks of 16 windows, 3 windows, and
+    # the final short window.
+    cfg = reference_session(0.2, 20_000, Seeds(42, 43, 44))
+    seen = []
+
+    def wrap(handle):
+        def responder(msg):
+            seen.append(msg)
+            return handle(msg)
+        return responder
+
+    result, _ = run_over_socket(cfg, wrap)
+    assert result == run_session(cfg)
+    assert not any(isinstance(m, Detections) for m in seen)
+    acks = [m for m in seen if isinstance(m, DetectionsBlock)]
+    assert [m.ends.size for m in acks] == [16, 3, 1]
+    assert acks[-1].ends[-1] == cfg.n_pulses
 
 
 class RawPeer:
@@ -226,7 +247,8 @@ def test_window_back_capped_at_one_block():
         peer.close()
 
 
-@pytest.mark.parametrize("msg_type", [0x04, 0x05, 0x06])  # DETECTIONS, BASES, DISCLOSE
+# DETECTIONS, BASES, DISCLOSE, DETECTIONS_BLOCK
+@pytest.mark.parametrize("msg_type", [0x04, 0x05, 0x06, 0x0B])
 def test_variable_payload_memory_follows_arrived_bytes(msg_type):
     claimed, sent = 64 << 20, 256 << 10
     data = HEADER.pack(1, msg_type, claimed) + bytes(sent)
@@ -242,6 +264,20 @@ def test_variable_payload_memory_follows_arrived_bytes(msg_type):
         ep.close()
         peer.close()
     assert peak < 4 * sent
+
+
+def test_detections_block_capped_at_one_block_of_windows():
+    ends = np.arange(1, BLOCK_PULSES + 2, dtype="<u8")
+    payload = np.array([ends.size, 0], "<u4").tobytes() + ends.tobytes()
+    peer = RawPeer(HEADER.pack(1, 0x0B, len(payload)) + payload)
+    ep = peer.endpoint()
+    try:
+        with pytest.raises(ProtocolViolationError) as err:
+            ep.recv()
+        assert not isinstance(err.value, IncompleteFrameError)
+    finally:
+        ep.close()
+        peer.close()
 
 
 def test_stalled_peer_aborts_session(monkeypatch):

@@ -19,6 +19,7 @@ from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
 from fmqkd.framing import (
     Detections,
+    DetectionsBlock,
     QFrameBack,
     QFrameOut,
     SessionStart,
@@ -103,6 +104,25 @@ def run_both(cfg):
     return views
 
 
+def block_windows(seen):
+    """(end, indices) of each ack window, split out of the DETECTIONS_BLOCK frames."""
+    assert not any(isinstance(m, Detections) for m in seen)
+    windows = []
+    for m in seen:
+        if isinstance(m, DetectionsBlock):
+            cuts = [0] + np.searchsorted(m.indices, m.ends).tolist()
+            windows += [(end, tuple(m.indices[lo:hi].tolist()))
+                        for end, lo, hi in zip(m.ends.tolist(), cuts, cuts[1:])]
+    return windows
+
+
+def detection_windows(seen, cfg):
+    """(end, indices) of each per-pulse DETECTIONS; window k ends at min(k * w, n)."""
+    detections = [m for m in seen if isinstance(m, Detections)]
+    return [(min((k + 1) * cfg.ack_window, cfg.n_pulses), m.indices)
+            for k, m in enumerate(detections)]
+
+
 def assert_equivalent(cfg):
     (batched, alice_b, seen_b), (reference, alice_r, seen_r) = run_both(cfg)
     # The batched path really ran, in blocks; the reference ran per pulse.
@@ -113,9 +133,9 @@ def assert_equivalent(cfg):
     assert alice_b.sifted_key == alice_r.sifted_key
     assert alice_b.final_key == alice_r.final_key
     assert alice_b.measured_er == alice_r.measured_er
-    detections = [[m for m in seen if isinstance(m, Detections)] for seen in (seen_b, seen_r)]
-    assert detections[0] == detections[1]
-    assert len(detections[0]) == -(-cfg.n_pulses // cfg.ack_window)
+    windows = block_windows(seen_b)
+    assert windows == detection_windows(seen_r, cfg)
+    assert len(windows) == -(-cfg.n_pulses // cfg.ack_window)
     return batched
 
 
@@ -204,14 +224,16 @@ def test_batched_result_holds_python_types(variant, disclosure):
     assert_python_types(result)
 
 
-def test_batched_abort_keeps_acknowledged_windows():
+def test_batched_abort_keeps_acknowledged_windows(monkeypatch):
+    # 400-pulse blocks of four 100-pulse windows; the 4th block frame fails.
+    monkeypatch.setattr(protocol, "BLOCK_PULSES", 400)
     cfg = noisy_config(5000, SEEDS[1], ProtocolVariant.BB92, 100)
     alice = AliceSession(cfg)
     acks = []
 
     def responder(msg):
-        if isinstance(msg, Detections):
-            if len(acks) == 12:
+        if isinstance(msg, DetectionsBlock):
+            if len(acks) == 3:
                 raise ChannelError("connection reset")
             acks.append(msg)
         return alice.handle(msg)
@@ -221,7 +243,7 @@ def test_batched_abort_keeps_acknowledged_windows():
     partial = err.value.partial
     assert partial.aborted
     assert partial.pulses_processed == 1200
-    assert partial.detected_indices == tuple(i for m in acks for i in m.indices)
+    assert partial.detected_indices == tuple(i for m in acks for i in m.indices.tolist())
     assert partial.clicks == len(partial.detected_indices) > 0
     assert_python_types(partial)
 
@@ -368,8 +390,9 @@ def assert_socket_matches(cfg):
     assert alice.sifted_key == alice_r.sifted_key
     assert alice.final_key == alice_r.final_key
     assert alice.measured_er == alice_r.measured_er
-    detections = [[m for m in s if isinstance(m, Detections)] for s in (seen, seen_r)]
-    assert detections[0] == detections[1]
+    windows = block_windows(seen)
+    assert windows == detection_windows(seen_r, cfg)
+    assert len(windows) == -(-cfg.n_pulses // cfg.ack_window)
     assert_python_types(result)
     return result
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fmqkd.framing import (
     HEADER,
     Bases,
     Detections,
+    DetectionsBlock,
     Disclose,
     ErReport,
     QFrameBack,
@@ -65,6 +67,81 @@ def test_window_back_golden_vector():
     assert same_message(decode_frame(expected), msg)
 
 
+def block(ends, indices):
+    return DetectionsBlock(np.array(ends, np.uint64), np.array(indices, np.uint64))
+
+
+def test_detections_block_golden_vector():
+    msg = block([16, 32], [3, 17])
+    expected = bytes.fromhex(
+        "010b" + "28000000" + "02000000" + "02000000"
+        + "1000000000000000" + "2000000000000000"
+        + "0300000000000000" + "1100000000000000"
+    )
+    assert encode_frame(msg) == expected
+    assert same_message(decode_frame(expected), msg)
+
+
+def block_payload(windows, clicks, values):
+    """A DETECTIONS_BLOCK frame with any counts and u64 values."""
+    payload = np.array([windows, clicks], "<u4").tobytes() + np.array(values, "<u8").tobytes()
+    return HEADER.pack(1, 0x0B, len(payload)) + payload
+
+
+BAD_BLOCK_FRAMES = {
+    "no window": (0, 1, [3]),
+    "too many windows": (BLOCK_PULSES + 1, 0, range(1, BLOCK_PULSES + 2)),
+    "counts exceed payload": (2, 3, [16, 32, 3, 17]),
+    "counts short of payload": (2, 1, [16, 32, 3, 17]),
+    "ends repeat": (2, 0, [16, 16]),
+    "ends decrease": (2, 1, [32, 16, 3]),
+    "indices repeat": (1, 2, [16, 3, 3]),
+    "indices decrease": (1, 2, [16, 5, 3]),
+    "index at the last end": (2, 2, [16, 32, 3, 32]),
+    "index past the last end": (1, 1, [16, 40]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_BLOCK_FRAMES))
+def test_bad_detections_block_rejected_on_decode(what):
+    with pytest.raises(ProtocolViolationError):
+        decode_frame(block_payload(*BAD_BLOCK_FRAMES[what]))
+
+
+def test_bad_detections_block_rejected_on_encode():
+    for bad in (block([], []), block(range(1, BLOCK_PULSES + 2), []), block([16, 16], []),
+                block([16], [5, 3]), block([16], [3, 16]),
+                DetectionsBlock(np.array([16], np.int64), np.array([3], np.uint64)),
+                DetectionsBlock((16,), np.array([3], np.uint64)),
+                DetectionsBlock(np.array([16], np.uint64), np.array([[3]], np.uint64))):
+        with pytest.raises(ProtocolViolationError):
+            encode_frame(bad)
+    full = block(range(1, BLOCK_PULSES + 1), [0])
+    assert same_message(decode_frame(encode_frame(full)), full)
+
+
+def test_detections_block_header_shorter_than_one_end_rejected():
+    for length in (0, 15):
+        with pytest.raises(ProtocolViolationError) as err:
+            decode_frame(HEADER.pack(1, 0x0B, length))
+        assert not isinstance(err.value, IncompleteFrameError)
+    with pytest.raises(IncompleteFrameError):
+        decode_frame(HEADER.pack(1, 0x0B, 16))
+
+
+def test_detections_block_decode_memory_follows_bytes():
+    msg = block([4_000_000, 5_000_000], np.arange(0, 4_000_000, 2))
+    frame = encode_frame(msg)
+    tracemalloc.start()
+    try:
+        decoded = decode_frame(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same_message(decoded, msg)
+    assert peak <= 1.5 * len(frame)
+
+
 def same_message(a, b):
     """Field-wise equality; window symbols are arrays, whose ``==`` is elementwise."""
     if type(a) is not type(b):
@@ -94,6 +171,10 @@ def random_messages(rng):
     yield QFrameWindowOut(int(rng.integers(0, 2**50)), count, float(rng.uniform(0, 1e7)), pol)
     yield QFrameWindowBack(int(rng.integers(0, 2**50)), count, float(rng.uniform(0, 1.0)),
                            rng.integers(0, 4, size=count).astype(np.uint8), pol)
+    ends = np.unique(rng.integers(1, 2**63, size=int(rng.integers(1, 8)), dtype=np.uint64))
+    clicks = np.unique(rng.integers(0, ends[-1], size=int(rng.integers(0, 12)),
+                                    dtype=np.uint64))
+    yield DetectionsBlock(ends, clicks)
 
 
 def test_round_trip_all_message_types():

@@ -2,9 +2,10 @@
 
 - Random streams are chunk-independent: any interleaving of scalar and
   block requests serves the same sequence.
-- Alice's state machine answers any message sequence with replies or
-  ``ProtocolViolationError``, nothing else, and rejects every window frame
-  that overlaps, leaves a gap, is empty or runs past the session.
+- Alice's state machine answers any message sequence, block
+  acknowledgements included, with replies or ``ProtocolViolationError``,
+  nothing else, and rejects every window frame that overlaps, leaves a gap,
+  is empty or runs past the session.
 - Framing is canonical: any byte string either fails to decode with
   ``ProtocolViolationError`` or decodes to a message that encodes back to
   exactly those bytes.
@@ -32,6 +33,7 @@ from fmqkd.framing import (
     HEADER,
     Bases,
     Detections,
+    DetectionsBlock,
     Disclose,
     ErReport,
     QFrameBack,
@@ -142,8 +144,8 @@ def session_config(variant, disclosure):
     )
 
 
-KINDS = st.sampled_from(["qframe", "window", "window", "detections", "detections", "bases",
-                         "terminate", "start"])
+KINDS = st.sampled_from(["qframe", "window", "window", "detections", "detections", "block",
+                         "block", "bases", "terminate", "start"])
 MOSTLY = st.sampled_from([True, True, True, False])
 ANY_INDEX = st.integers(-1, N_PULSES + 1)
 LEVELS = st.sampled_from([OUTGOING_REFERENCE_PHOTONS, OUTGOING_REFERENCE_PHOTONS, 1.0])
@@ -151,8 +153,20 @@ SMALL = st.integers(0, 6)
 BIT = st.integers(0, 1)
 
 
-def draw_message(data, valid_start, alice, sent):
-    """One message, biased towards ones that advance the session."""
+def picks(data, pool, count):
+    """``count`` draws from the range ``pool``, in draw order."""
+    return [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)] if pool else []
+
+
+def detections_block(ends, indices):
+    return DetectionsBlock(np.array(ends, np.uint64), np.array(indices, np.uint64))
+
+
+def draw_message(data, valid_start, alice, sent, acked):
+    """One message, biased towards ones that advance the session.
+
+    ``sent`` frames were reflected and the first ``acked`` acknowledged.
+    """
     kind = data.draw(KINDS)
     plausible = data.draw(MOSTLY)
     if kind in ("qframe", "window"):
@@ -173,6 +187,15 @@ def draw_message(data, valid_start, alice, sent):
                 pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)
             ))) if pool else ())
         return Detections(tuple(data.draw(ANY_INDEX) for _ in range(count)))
+    if kind == "block":
+        if plausible and sent > acked:
+            # Like Bob's: ends up to the frames reflected, clicks in the new windows.
+            ends = sorted(set(picks(data, range(acked + 1, sent), data.draw(SMALL))) | {sent})
+            return detections_block(ends, sorted(set(picks(data, range(acked, sent),
+                                                           data.draw(SMALL)))))
+        anywhere = range(N_PULSES + 2)
+        return detections_block(picks(data, anywhere, data.draw(st.integers(0, 3))),
+                                picks(data, anywhere, data.draw(SMALL)))
     if kind == "bases":
         count = len(alice.detected_indices) if plausible else data.draw(SMALL)
         return Bases(tuple(data.draw(BIT) for _ in range(count)))
@@ -190,13 +213,13 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
     valid_start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
                                seeds_commitment(cfg))
     started = False
-    sent = 0
+    sent = acked = 0
     symbols = []  # symbol Alice reflected for each frame, in index order
     for k in range(data.draw(st.integers(1, 40))):
         if k == 0 and data.draw(MOSTLY):
             msg = valid_start
         else:
-            msg = draw_message(data, valid_start, alice, sent)
+            msg = draw_message(data, valid_start, alice, sent, acked)
         live = started and not alice.done
         if live and isinstance(msg, (QFrameOut, QFrameWindowOut)):
             start, count = (msg.index, 1) if isinstance(msg, QFrameOut) else msg[:2]
@@ -221,6 +244,10 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
             continue
         assert isinstance(replies, list)
         assert all(isinstance(r, REPLY_TYPES) for r in replies)
+        if live and isinstance(msg, Detections):
+            acked = sent
+        elif live and isinstance(msg, DetectionsBlock):
+            acked = int(msg.ends[-1])
         if msg is valid_start:
             started = started or not alice.done
     # Scalar and window frames served one stream, in index order.
@@ -255,6 +282,9 @@ MESSAGES = st.one_of(
     st.builds(Terminate, st.integers(0, 255)),
     st.builds(QFrameWindowOut, U64, st.integers(0, 2 ** 32 - 1), FINITE, POL),
     st.builds(window_back, U64, FINITE, POL, st.lists(st.integers(0, 3), max_size=20)),
+    st.lists(st.integers(1, 2 ** 64 - 1), min_size=1, max_size=6, unique=True).map(sorted)
+    .flatmap(lambda ends: st.lists(st.integers(0, ends[-1] - 1), max_size=6, unique=True)
+             .map(lambda indices: detections_block(ends, sorted(indices)))),
 )
 
 

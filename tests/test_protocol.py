@@ -12,11 +12,13 @@ from fmqkd.errors import (
     ProtocolViolationError,
     SessionAborted,
 )
-from fmqkd.framing import Disclose
+from fmqkd.framing import Bases, DetectionsBlock, Disclose, QFrameWindowOut, SessionStart
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
+    OUTGOING_REFERENCE_PHOTONS,
     PHASES,
+    POL_HORIZONTAL,
     STREAM_BITS,
     AliceSession,
     BobSession,
@@ -431,6 +433,64 @@ def test_alice_rejects_out_of_order_frames():
     assert alice.handle(start) == []
     with pytest.raises(ProtocolViolationError):
         alice.handle(QFrameOut(5, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+
+
+def acknowledging_alice(variant, reflected):
+    """Alice of a 100-pulse session who has reflected the first ``reflected`` frames."""
+    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3), variant),
+                              ack_window=10)
+    alice = AliceSession(cfg)
+    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                              seeds_commitment(cfg)))
+    alice.handle(QFrameWindowOut(0, reflected, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+    return alice
+
+
+def ack(ends, indices=()):
+    return DetectionsBlock(np.array(ends, np.uint64), np.array(indices, np.uint64))
+
+
+def test_alice_rejects_bad_detections_blocks():
+    alice = acknowledging_alice(ProtocolVariant.BB84, 100)
+    assert alice.handle(ack([10, 20], [4, 15])) == []
+    for bad in (ack([]),                   # no window
+                ack([40, 30]),             # ends decrease
+                ack([30, 30]),             # ends repeat
+                ack([20, 30]),             # end already acknowledged
+                ack([30, 101]),            # end past the frames reflected
+                ack([30], [25, 22]),       # indices decrease
+                ack([30], [22, 22]),       # indices repeat
+                ack([30], [15, 25]),       # index inside an acknowledged window
+                ack([30], [30])):          # index at the last end
+        with pytest.raises(ProtocolViolationError):
+            alice.handle(bad)
+    # BASES only after the final end; the rejected frames changed nothing.
+    assert alice.handle(ack([30, 90], [20, 89])) == []
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(Bases((0,) * 4))
+    assert alice.handle(ack([100], [99])) == []
+    assert alice.detected_indices == (4, 15, 20, 89, 99)
+    replies = alice.handle(Bases((0,) * 5))
+    assert [type(r).__name__ for r in replies] == ["Bases", "Disclose"]
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(ack([100]))
+
+
+def test_alice_rejects_acknowledgement_of_frames_not_reflected():
+    alice = acknowledging_alice(ProtocolVariant.BB92, 40)
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(ack([50]))
+    assert alice.handle(ack([10, 40], [39])) == []
+
+
+def test_alice_discloses_on_the_final_block_end():
+    alice = acknowledging_alice(ProtocolVariant.BB92, 100)
+    assert alice.handle(ack([10, 20, 30], [3])) == []
+    (disclose,) = alice.handle(ack([40, 100], [50, 60]))
+    assert isinstance(disclose, Disclose)
+    assert [i for i, _ in disclose.items] == [3, 50, 60]
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(ack([100]))
 
 
 def test_physics_rejects_out_of_order_and_bad_frames():
