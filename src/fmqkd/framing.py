@@ -11,8 +11,9 @@ with ``length`` counting payload bytes only. Payloads, all little-endian:
     0x03 QFRAME_BACK    index u64 | mean_photons f64 | phase_a f64 | pol 4 x f64
     0x04 DETECTIONS     count u32 | count x index u64, strictly increasing
     0x05 BASES          count u32 | ceil(count/8) bytes, bit i = byte[i//8] >> (i%8),
-                        unused high bits zero
-    0x06 DISCLOSE       count u32 | count x (index u64 | bit u8), indices increasing
+                        unused high bits zero (the key-file bit packing)
+    0x06 DISCLOSE       count u32 | count x (index u64 | bit u8), indices strictly
+                        increasing, bits 0 or 1
     0x07 ER_REPORT      error_rate f64
     0x08 TERMINATE      reason u8
     0x09 QFRAME_WINDOW_OUT   start u64 | count u32 | mean_photons f64 | pol 4 x f64
@@ -28,8 +29,11 @@ physics) uses them. The window frames carry up to BLOCK_PULSES consecutive
 pulses each, and one DETECTIONS_BLOCK acknowledges every ack window a block
 closes: window k holds the indices from end k - 1 (or the previous frame's
 last end) up to end k. The batched engine uses them over both in-process and
-socket endpoints; their arrays decode with ``np.frombuffer``, so a decoded
-frame costs little memory beyond its bytes.
+socket endpoints. Array payloads are numpy arrays (uint8 symbols and BASES
+bits, uint64 ends and indices, DISCLOSE items as ``DISCLOSE_RECORD``s laid
+out as on the wire), each decoded in one numpy call, so a decoded frame
+costs little memory beyond its bytes or bits. Encoding also takes plain
+sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
 
 Encoding is canonical: each message has exactly one valid byte string, so
 encode is injective and decode(encode(m)) == m. Every type bounds its
@@ -46,6 +50,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolViolationError
+from .keyfile import pack_bits, unpack_bits
 
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBI")
@@ -129,11 +134,15 @@ class DetectionsBlock(NamedTuple):
 
 
 class Bases(NamedTuple):
-    bits: Tuple[int, ...]
+    """One basis per detection, as a uint8 array."""
+
+    bits: np.ndarray
 
 
 class Disclose(NamedTuple):
-    items: Tuple[Tuple[int, int], ...]
+    """Disclosed (index, bit) pairs, as a ``DISCLOSE_RECORD`` array."""
+
+    items: np.ndarray
 
 
 class ErReport(NamedTuple):
@@ -153,12 +162,11 @@ _SESSION_START = struct.Struct("<QBd")
 _QFRAME_OUT = struct.Struct("<Qd4d")
 _QFRAME_BACK = struct.Struct("<Qdd4d")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-_DISCLOSE_ITEM = struct.Struct("<QB")
 _WINDOW = struct.Struct("<QId4d")
 _BLOCK_COUNTS = struct.Struct("<II")
 _INDICES = np.dtype("<u8")
+DISCLOSE_RECORD = np.dtype([("index", "<u8"), ("bit", "u1")])
 
 # Least and most payload bytes of each type. The variable-size types are
 # bounded only by the u32 length field, so receivers read them in chunks.
@@ -193,27 +201,16 @@ def _require_index(value: int, field: str) -> None:
         raise ProtocolViolationError(f"{field} must fit in u64, got {value!r}")
 
 
-def _require_increasing(indices, what: str) -> None:
-    for a, b in zip(indices, indices[1:]):
-        if b <= a:
-            raise ProtocolViolationError(f"{what} indices must be strictly increasing")
-
-
-def _pack_bitmap(bits: Tuple[int, ...]) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ProtocolViolationError(f"basis bit must be 0 or 1, got {bit!r}")
-        out[i // 8] |= bit << (i % 8)
-    return bytes(out)
-
-
-def _unpack_bitmap(payload: bytes, count: int) -> Tuple[int, ...]:
-    bits = tuple((payload[i // 8] >> (i % 8)) & 1 for i in range(count))
-    used = (count + 7) // 8
-    if count % 8 and payload and (payload[used - 1] >> (count % 8)):
-        raise ProtocolViolationError("unused bitmap bits must be zero")
-    return bits
+def index_array(values, what: str) -> np.ndarray:
+    """``values`` as a uint64 array; ProtocolViolationError unless they fit
+    u64 and strictly increase."""
+    try:
+        values = np.asarray(values, _INDICES)
+    except (OverflowError, TypeError, ValueError):
+        raise ProtocolViolationError(f"{what} must fit in u64") from None
+    if values.ndim != 1 or np.count_nonzero(values[1:] <= values[:-1]):
+        raise ProtocolViolationError(f"{what} must be strictly increasing")
+    return values
 
 
 def _pack_window(msg) -> bytes:
@@ -247,13 +244,29 @@ def check_detections_block(ends: np.ndarray, indices: np.ndarray) -> None:
         raise ProtocolViolationError(
             f"DETECTIONS_BLOCK carries {ends.size} windows, allowed 1..{BLOCK_PULSES}"
         )
-    for values in (ends, indices):
-        if np.any(values[1:] <= values[:-1]):
-            raise ProtocolViolationError(
-                "DETECTIONS_BLOCK ends and indices must be strictly increasing"
-            )
+    index_array(ends, "DETECTIONS_BLOCK ends")
+    index_array(indices, "DETECTIONS_BLOCK indices")
     if indices.size and indices[-1] >= ends[-1]:
         raise ProtocolViolationError("DETECTIONS_BLOCK index at or past its last end")
+
+
+def disclose_records(items) -> np.ndarray:
+    """Any sequence of DISCLOSE (index, bit) pairs as a ``DISCLOSE_RECORD`` array.
+
+    ProtocolViolationError unless the indices fit u64 and strictly increase
+    and every bit is 0 or 1. Decoding checks this; in-process receivers call it.
+    """
+    if not isinstance(items, np.ndarray):
+        try:
+            items = np.array(list(items), DISCLOSE_RECORD)
+        except (OverflowError, TypeError, ValueError):
+            raise ProtocolViolationError("DISCLOSE items must be (index, bit) pairs") from None
+    if items.dtype != DISCLOSE_RECORD or items.ndim != 1:
+        raise ProtocolViolationError("DISCLOSE items must be one array of records")
+    if np.count_nonzero(items["bit"] > 1):
+        raise ProtocolViolationError("disclosed bits must be 0 or 1")
+    index_array(items["index"], "DISCLOSE indices")
+    return items
 
 
 def _encode_payload(msg: Message) -> Tuple[int, bytes]:
@@ -294,12 +307,8 @@ def _encode_payload(msg: Message) -> Tuple[int, bytes]:
         _require_symbols(symbols)
         return MSG_QFRAME_WINDOW_BACK, _pack_window(msg) + symbols.tobytes()
     if isinstance(msg, Detections):
-        _require_increasing(msg.indices, "DETECTIONS")
-        for i in msg.indices:
-            _require_index(i, "detection index")
-        return MSG_DETECTIONS, _U32.pack(len(msg.indices)) + b"".join(
-            _U64.pack(i) for i in msg.indices
-        )
+        indices = index_array(msg.indices, "DETECTIONS indices")
+        return MSG_DETECTIONS, _U32.pack(indices.size) + indices.tobytes()
     if isinstance(msg, DetectionsBlock):
         for values in msg:
             if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
@@ -309,16 +318,10 @@ def _encode_payload(msg: Message) -> Tuple[int, bytes]:
         return MSG_DETECTIONS_BLOCK, (_BLOCK_COUNTS.pack(msg.ends.size, msg.indices.size)
                                       + msg.ends.tobytes() + msg.indices.tobytes())
     if isinstance(msg, Bases):
-        return MSG_BASES, _U32.pack(len(msg.bits)) + _pack_bitmap(msg.bits)
+        return MSG_BASES, _U32.pack(len(msg.bits)) + pack_bits(msg.bits, ProtocolViolationError)
     if isinstance(msg, Disclose):
-        _require_increasing([i for i, _ in msg.items], "DISCLOSE")
-        for i, bit in msg.items:
-            _require_index(i, "disclose index")
-            if bit not in (0, 1):
-                raise ProtocolViolationError(f"disclosed bit must be 0 or 1, got {bit!r}")
-        return MSG_DISCLOSE, _U32.pack(len(msg.items)) + b"".join(
-            _DISCLOSE_ITEM.pack(i, b) for i, b in msg.items
-        )
+        records = disclose_records(msg.items)
+        return MSG_DISCLOSE, _U32.pack(records.size) + records.tobytes()
     if isinstance(msg, ErReport):
         _require_finite(msg.error_rate, "error_rate")
         return MSG_ER_REPORT, _F64.pack(msg.error_rate)
@@ -385,11 +388,8 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
         (count,) = _U32.unpack_from(payload)
         if len(payload) != 4 + 8 * count:
             raise ProtocolViolationError("DETECTIONS payload has wrong size")
-        indices = tuple(
-            _U64.unpack_from(payload, 4 + 8 * k)[0] for k in range(count)
-        )
-        _require_increasing(indices, "DETECTIONS")
-        return Detections(indices)
+        indices = np.frombuffer(payload, _INDICES, offset=4)
+        return Detections(tuple(index_array(indices, "DETECTIONS indices").tolist()))
     if msg_type == MSG_DETECTIONS_BLOCK:
         windows, clicks = _BLOCK_COUNTS.unpack_from(payload)
         if len(payload) != _BLOCK_COUNTS.size + _INDICES.itemsize * (windows + clicks):
@@ -400,21 +400,12 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
         return DetectionsBlock(ends, indices)
     if msg_type == MSG_BASES:
         (count,) = _U32.unpack_from(payload)
-        if len(payload) != 4 + (count + 7) // 8:
-            raise ProtocolViolationError("BASES payload has wrong size")
-        return Bases(_unpack_bitmap(payload[4:], count))
+        return Bases(unpack_bits(payload[4:], count, ProtocolViolationError))
     if msg_type == MSG_DISCLOSE:
         (count,) = _U32.unpack_from(payload)
-        if len(payload) != 4 + _DISCLOSE_ITEM.size * count:
+        if len(payload) != 4 + DISCLOSE_RECORD.itemsize * count:
             raise ProtocolViolationError("DISCLOSE payload has wrong size")
-        items = []
-        for k in range(count):
-            index, bit = _DISCLOSE_ITEM.unpack_from(payload, 4 + _DISCLOSE_ITEM.size * k)
-            if bit not in (0, 1):
-                raise ProtocolViolationError(f"disclosed bit must be 0 or 1, got {bit}")
-            items.append((index, bit))
-        _require_increasing([i for i, _ in items], "DISCLOSE")
-        return Disclose(tuple(items))
+        return Disclose(disclose_records(np.frombuffer(payload, DISCLOSE_RECORD, offset=4)))
     if msg_type == MSG_ER_REPORT:
         (er,) = _F64.unpack(payload)
         _require_finite(er, "error_rate")

@@ -32,14 +32,22 @@ NATIVE_BLOCK_BITS = 65535
 _HEADER = struct.Struct("<4sB3sI")
 
 
-def pack_bits(bits: np.ndarray) -> bytes:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size and not np.all(bits <= 1):
-        raise KeyFileError("bits must be 0 or 1")
-    return np.packbits(bits, bitorder="little").tobytes()
+def pack_bits(bits, error=KeyFileError) -> bytes:
+    """Any sequence of 0 and 1, packed LSB first; ``error`` for other values."""
+    bits = np.asarray(bits)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise error("bits must be 0 or 1")
+    return np.packbits(bits.astype(np.uint8, copy=False), bitorder="little").tobytes()
 
 
-def unpack_bits(payload: bytes, bit_count: int) -> np.ndarray:
+def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarray:
+    """The ``bit_count`` bits packed in ``payload`` as uint8; ``error`` unless the
+    payload is exactly ceil(bit_count / 8) bytes with zero padding bits."""
+    expected = (bit_count + 7) // 8
+    if len(payload) != expected:
+        raise error(f"payload is {len(payload)} bytes, {bit_count} bits take {expected}")
+    if bit_count % 8 and payload[-1] >> (bit_count % 8):
+        raise error("padding bits in the final byte must be zero")
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_count,
                          bitorder="little")
 
@@ -62,16 +70,7 @@ def decode_key_block(data: bytes) -> np.ndarray:
         raise KeyFileError(f"unsupported version {version}")
     if reserved != b"\x00\x00\x00":
         raise KeyFileError("reserved header bytes must be zero")
-    payload = data[HEADER_SIZE:]
-    expected = (bit_count + 7) // 8
-    if len(payload) != expected:
-        raise KeyFileError(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
-    pad_bits = expected * 8 - bit_count
-    if pad_bits and payload and (payload[-1] >> (8 - pad_bits)):
-        raise KeyFileError("padding bits in the final byte must be zero")
-    return unpack_bits(payload, bit_count)
+    return unpack_bits(data[HEADER_SIZE:], bit_count)
 
 
 def write_key_file(path: Union[str, Path], bits: np.ndarray) -> None:

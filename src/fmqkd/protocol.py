@@ -16,11 +16,15 @@ pre-drawn blocks, so both paths consume the same numbers and produce the
 same result bit for bit. Wrapped endpoints and custom physics run the
 per-pulse state machines, which remain the reference.
 
+Alice checks both acknowledgements with one rule set: a DETECTIONS is a
+DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
+
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
 estimation runs over the bits Alice discloses: everything in oracle mode
 (disclosure_fraction 0, exact error rate, keys kept), or a random subset
-that is then removed from both final keys.
+that is then removed from both final keys. Both parties sift, disclose and
+build keys on uint64 index arrays into their bytes of bits and bases.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import (
 )
 from .framing import (
     BLOCK_PULSES,
+    DISCLOSE_RECORD,
     TERMINATE_CONFIG_MISMATCH,
     TERMINATE_NORMAL,
     Bases,
@@ -59,6 +64,8 @@ from .framing import (
     SessionStart,
     Terminate,
     check_detections_block,
+    disclose_records,
+    index_array,
 )
 from .interferometer import SetupConfig, attenuator_setting, detection_mean
 from .randomness import BitSource, UniformSampler, derive_rng
@@ -109,6 +116,11 @@ def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource
         bases += drawn_bases.tobytes()
         symbols += drawn_bases
     return symbols
+
+
+def _at(buffer: bytearray, indices: np.ndarray) -> np.ndarray:
+    """The bytes of ``buffer`` at ``indices``, as uint8."""
+    return np.frombuffer(buffer, np.uint8)[indices]
 
 
 def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
@@ -193,7 +205,8 @@ class SessionResult:
 
     ``sifted_key_alice`` is the full peer key in oracle mode and None in
     disclosure mode, where only the sacrificed subset crossed the channel.
-    Keys are one byte per bit, values 0 and 1.
+    Keys are one byte per bit, values 0 and 1. The sifting fields default to
+    a session that never reached sifting.
     """
 
     variant: str
@@ -204,14 +217,14 @@ class SessionResult:
     pulses_processed: int
     clicks: int
     detected_indices: Tuple[int, ...]
-    basis_matched: int
-    sifted_key_bob: bytes
-    sifted_key_alice: Optional[bytes]
-    disclosed_indices: Tuple[int, ...]
-    compared_bits: int
-    mismatches: int
-    measured_er: Optional[float]
-    final_key_bob: bytes
+    basis_matched: int = 0
+    sifted_key_bob: bytes = b""
+    sifted_key_alice: Optional[bytes] = None
+    disclosed_indices: Tuple[int, ...] = ()
+    compared_bits: int = 0
+    mismatches: int = 0
+    measured_er: Optional[float] = None
+    final_key_bob: bytes = b""
     aborted: bool = False
 
     @property
@@ -309,13 +322,12 @@ class AliceSession:
         self._bases = bytearray()
         self._started = False
         self._qframes = 0
-        # End of the last acknowledged window; every detection lies below it.
+        # End of the last acknowledged window, and the detections below it.
         self._acked = 0
-        self._detected: List[int] = []
-        self._last_detection = -1
+        self._detected = np.empty(0, np.uint64)
         self._finalized = False
-        self._sifted: List[int] = []
-        self._removed: Tuple[int, ...] = ()
+        # Sifted indices, and those of them the final key keeps.
+        self._sifted = self._final = np.empty(0, np.uint64)
         self.measured_er: Optional[float] = None
         self.done = False
         self.abort_reason: Optional[int] = None
@@ -339,7 +351,9 @@ class AliceSession:
         if not self._started:
             raise ProtocolViolationError("first message must be SESSION_START")
         if isinstance(msg, Detections):
-            return self._on_detections(msg)
+            # One window, ending at the frames reflected so far.
+            msg = DetectionsBlock(np.array([self._qframes], np.uint64),
+                                  index_array(msg.indices, "DETECTIONS indices"))
         if isinstance(msg, DetectionsBlock):
             return self._on_detections_block(msg)
         if isinstance(msg, Bases):
@@ -413,20 +427,11 @@ class AliceSession:
         return [QFrameWindowBack(msg.start, msg.count, self._half_mu, symbols,
                                  _reflect(msg.pol))]
 
-    def _on_detections(self, msg: Detections) -> List[Message]:
-        if self._finalized:
-            raise ProtocolViolationError("DETECTIONS after sifting finished")
-        for idx in msg.indices:
-            if idx <= self._last_detection or idx >= self._qframes:
-                raise ProtocolViolationError(f"detection index {idx} out of order")
-            self._last_detection = idx
-        self._detected.extend(msg.indices)
-        # A DETECTIONS acknowledges every frame reflected so far.
-        return self._acknowledged(self._qframes)
-
     def _on_detections_block(self, msg: DetectionsBlock) -> List[Message]:
+        """Checks and records acknowledged windows; after the last, the
+        two-state variant sifts and discloses."""
         if self._finalized:
-            raise ProtocolViolationError("DETECTIONS_BLOCK after sifting finished")
+            raise ProtocolViolationError("acknowledgement after sifting finished")
         ends, indices = msg
         check_detections_block(ends, indices)
         first, last = int(ends[0]), int(ends[-1])
@@ -435,23 +440,14 @@ class AliceSession:
                 f"DETECTIONS_BLOCK ends {first}..{last} out of order, acknowledged "
                 f"{self._acked}, reflected {self._qframes}"
             )
-        if indices.size:
-            if indices[0] < self._acked:
-                raise ProtocolViolationError(
-                    f"detection index {indices[0]} in a window acknowledged before"
-                )
-            self._last_detection = int(indices[-1])
-            self._detected += indices.tolist()
-        return self._acknowledged(last)
-
-    def _acknowledged(self, end: int) -> List[Message]:
-        """Pulses below ``end`` are acknowledged; after the last, the two-state
-        variant sifts and discloses."""
-        self._acked = end
-        if end == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
-            self._sifted = list(self._detected)
-            self._finalized = True
-            return [self._make_disclose()]
+        if indices.size and indices[0] < self._acked:
+            raise ProtocolViolationError(
+                f"detection index {indices[0]} in a window acknowledged before"
+            )
+        self._detected = np.concatenate((self._detected, indices))
+        self._acked = last
+        if last == self.cfg.n_pulses and not self._uses_bases:
+            return [self._disclose(self._detected)]
         return []
 
     def _on_bases(self, msg: Bases) -> List[Message]:
@@ -459,43 +455,42 @@ class AliceSession:
             raise ProtocolViolationError("BASES message in a two-state session")
         if self._finalized or self._acked != self.cfg.n_pulses:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
-        if len(msg.bits) != len(self._detected):
+        detected = self._detected
+        if len(msg.bits) != detected.size:
             raise ProtocolViolationError(
-                f"BASES carries {len(msg.bits)} bits for {len(self._detected)} detections"
+                f"BASES carries {len(msg.bits)} bits for {detected.size} detections"
             )
-        mine = Bases(tuple(self._bases[idx] for idx in self._detected))
-        self._sifted = [
-            idx for k, idx in enumerate(self._detected) if msg.bits[k] == mine.bits[k]
-        ]
-        self._finalized = True
-        return [mine, self._make_disclose()]
+        mine = _at(self._bases, detected)
+        return [Bases(mine), self._disclose(detected[mine == msg.bits])]
 
-    def _make_disclose(self) -> Disclose:
+    def _disclose(self, sifted: np.ndarray) -> Disclose:
+        """Sifting is done: disclose every sifted bit, or a random part that
+        leaves the final key."""
+        self._sifted = self._final = sifted
+        self._finalized = True
+        chosen = sifted
         f = self.cfg.disclosure_fraction
-        if f == 0.0:
-            chosen = self._sifted
-            self._removed = ()
-        else:
-            k = int(f * len(self._sifted))
-            picks = sorted(
-                self._disclose_rng.choice(len(self._sifted), size=k, replace=False)
+        if f != 0.0:
+            picks = np.sort(
+                self._disclose_rng.choice(sifted.size, size=int(f * sifted.size), replace=False)
             )
-            chosen = [self._sifted[p] for p in picks]
-            self._removed = tuple(chosen)
-        return Disclose(tuple((idx, self._bits[idx]) for idx in chosen))
+            chosen = sifted[picks]
+            self._final = np.delete(sifted, picks)
+        records = np.empty(chosen.size, DISCLOSE_RECORD)
+        records["index"], records["bit"] = chosen, _at(self._bits, chosen)
+        return Disclose(records)
 
     @property
     def sifted_key(self) -> bytes:
-        return bytes(self._bits[i] for i in self._sifted)
+        return _at(self._bits, self._sifted).tobytes()
 
     @property
     def final_key(self) -> bytes:
-        removed = set(self._removed)
-        return bytes(self._bits[i] for i in self._sifted if i not in removed)
+        return _at(self._bits, self._final).tobytes()
 
     @property
     def detected_indices(self) -> Tuple[int, ...]:
-        return tuple(self._detected)
+        return tuple(self._detected.tolist())
 
 
 class BobSession:
@@ -517,16 +512,17 @@ class BobSession:
         # indices of the acknowledged windows, which end at ``_progress_pulses``.
         self._bits = bytearray()
         self._bases = bytearray()
-        self._detected: List[int] = []
+        self._detected = np.empty(0, np.uint64)
         self._progress_pulses = 0
 
     def run(self, endpoint) -> SessionResult:
         try:
             return self._run(endpoint)
         except ChannelError as exc:
-            raise SessionAborted(str(exc), partial=self._partial()) from exc
+            raise SessionAborted(str(exc), partial=self._result(aborted=True)) from exc
 
-    def _partial(self) -> SessionResult:
+    def _result(self, **outcome) -> SessionResult:
+        """The result over the acknowledged windows; ``outcome`` sets the rest."""
         cfg = self.cfg
         return SessionResult(
             variant=cfg.variant.value,
@@ -535,17 +531,9 @@ class BobSession:
             disclosure_fraction=cfg.disclosure_fraction,
             seeds=cfg.seeds.as_tuple(),
             pulses_processed=self._progress_pulses,
-            clicks=len(self._detected),
-            detected_indices=tuple(self._detected),
-            basis_matched=0,
-            sifted_key_bob=b"",
-            sifted_key_alice=None,
-            disclosed_indices=(),
-            compared_bits=0,
-            mismatches=0,
-            measured_er=None,
-            final_key_bob=b"",
-            aborted=True,
+            clicks=self._detected.size,
+            detected_indices=tuple(self._detected.tolist()),
+            **outcome,
         )
 
     def _expect(self, endpoint, kind):
@@ -598,7 +586,8 @@ class BobSession:
                 window_clicks.append(i)
             if (i + 1) % window == 0 or i + 1 == n:
                 send(Detections(tuple(window_clicks)))
-                self._detected += window_clicks
+                self._detected = np.concatenate(
+                    (self._detected, np.array(window_clicks, np.uint64)))
                 self._progress_pulses = i + 1
                 window_clicks.clear()
 
@@ -625,68 +614,52 @@ class BobSession:
             if ends.size:
                 k = int(np.searchsorted(pending, ends[-1]))
                 endpoint.send(DetectionsBlock(ends, pending[:k]))
-                self._detected += pending[:k].tolist()
+                self._detected = np.concatenate((self._detected, pending[:k]))
                 self._progress_pulses = int(ends[-1])
                 pending = pending[k:]
 
     def _sift(self, endpoint) -> SessionResult:
         """Bases exchange, disclosure check and the result, after the last window."""
         cfg = self.cfg
-        n = cfg.n_pulses
-        uses_bases = cfg.variant.uses_bases
-        bob_bits, bob_bases, detected = self._bits, self._bases, self._detected
-        if uses_bases:
-            bob_bases_at = tuple(bob_bases[i] for i in detected)
-            endpoint.send(Bases(bob_bases_at))
+        matched = detected = self._detected
+        if cfg.variant.uses_bases:
+            bob_bases = _at(self._bases, detected)
+            endpoint.send(Bases(bob_bases))
             alice_bases = self._expect(endpoint, Bases)
-            if len(alice_bases.bits) != len(detected):
+            if len(alice_bases.bits) != detected.size:
                 raise ProtocolViolationError("peer BASES length mismatch")
-            matched = [
-                idx
-                for k, idx in enumerate(detected)
-                if bob_bases_at[k] == alice_bases.bits[k]
-            ]
-        else:
-            matched = detected
-        disclose = self._expect(endpoint, Disclose)
-        matched_set = set(matched)
-        for idx, _ in disclose.items:
-            if idx not in matched_set:
-                raise ProtocolViolationError(f"disclosed index {idx} was not sifted")
-        sifted_bob = bytes(bob_bits[i] for i in matched)
-        compared = len(disclose.items)
-        mismatches = sum(
-            1 for idx, alice_bit in disclose.items if alice_bit != bob_bits[idx]
-        )
+            matched = detected[bob_bases == alice_bases.bits]
+        records = disclose_records(self._expect(endpoint, Disclose).items)
+        disclosed, alice_bits = records["index"], records["bit"]
+        # Both index arrays increase, so each disclosed index must sit where
+        # it sorts into the sifted ones.
+        at = matched.searchsorted(disclosed)
+        if at.size and (at[-1] == matched.size or np.count_nonzero(matched[at] != disclosed)):
+            raise ProtocolViolationError("peer disclosed an index that was not sifted")
+        bob_bits = np.frombuffer(self._bits, np.uint8)
+        sifted_bob = bob_bits[matched].tobytes()
+        compared = disclosed.size
+        mismatches = int(np.count_nonzero(alice_bits != bob_bits[disclosed]))
         measured: Optional[float] = (
             mismatches / compared if compared else None
         )
         if cfg.disclosure_fraction == 0.0:
-            if compared != len(matched):
+            if compared != matched.size:
                 raise ProtocolViolationError(
                     "oracle mode requires the peer to disclose every sifted bit"
                 )
-            sifted_alice: Optional[bytes] = bytes(b for _, b in disclose.items)
+            sifted_alice: Optional[bytes] = alice_bits.tobytes()
             removed: Tuple[int, ...] = ()
             final_bob = sifted_bob
         else:
             sifted_alice = None
-            removed = tuple(idx for idx, _ in disclose.items)
-            removed_set = set(removed)
-            final_bob = bytes(bob_bits[i] for i in matched if i not in removed_set)
+            removed = tuple(disclosed.tolist())
+            final_bob = bob_bits[np.delete(matched, at)].tobytes()
         if measured is not None:
             endpoint.send(ErReport(measured))
         endpoint.send(Terminate(TERMINATE_NORMAL))
-        return SessionResult(
-            variant=cfg.variant.value,
-            n_pulses=n,
-            mu_pair=cfg.setup.mu_pair,
-            disclosure_fraction=cfg.disclosure_fraction,
-            seeds=cfg.seeds.as_tuple(),
-            pulses_processed=n,
-            clicks=len(detected),
-            detected_indices=tuple(detected),
-            basis_matched=len(matched),
+        return self._result(
+            basis_matched=matched.size,
             sifted_key_bob=sifted_bob,
             sifted_key_alice=sifted_alice,
             disclosed_indices=removed,

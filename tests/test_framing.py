@@ -7,6 +7,7 @@ import pytest
 from fmqkd.errors import IncompleteFrameError, ProtocolViolationError
 from fmqkd.framing import (
     BLOCK_PULSES,
+    DISCLOSE_RECORD,
     HEADER,
     Bases,
     Detections,
@@ -42,6 +43,19 @@ def test_bases_bitmap_golden_vector():
     # Nine bits, LSB-first: byte0 = 0b11101101 = 0xed, byte1 = 0b00000001.
     frame = encode_frame(Bases((1, 0, 1, 1, 0, 1, 1, 1, 1)))
     assert frame == bytes.fromhex("0105" + "06000000" + "09000000" + "ed01")
+
+
+def disclose(indices, bits):
+    return Disclose(np.array(list(zip(indices, bits)), DISCLOSE_RECORD))
+
+
+def test_disclose_golden_vector():
+    expected = bytes.fromhex(
+        "0106" + "16000000" + "02000000"
+        + "0300000000000000" + "01" + "1100000000000000" + "00"
+    )
+    assert encode_frame(Disclose(((3, 1), (17, 0)))) == expected
+    assert same_message(decode_frame(expected), disclose([3, 17], [1, 0]))
 
 
 def test_window_out_golden_vector():
@@ -130,16 +144,23 @@ def test_detections_block_header_shorter_than_one_end_rejected():
 
 
 def test_detections_block_decode_memory_follows_bytes():
-    msg = block([4_000_000, 5_000_000], np.arange(0, 4_000_000, 2))
-    frame = encode_frame(msg)
-    tracemalloc.start()
-    try:
-        decoded = decode_frame(frame)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert same_message(decoded, msg)
-    assert peak <= 1.5 * len(frame)
+    # Array payloads decode in place: a block of 2M clicks and a DISCLOSE of
+    # 2M records peak at 1.5x their frame bytes, a BASES of 2M bits at 1.5x
+    # its decoded uint8 array.
+    clicks = np.arange(0, 4_000_000, 2)
+    bits = (clicks % 3 == 0).astype(np.uint8)
+    for msg, decoded_bytes in ((block([4_000_000, 5_000_000], clicks), None),
+                               (disclose(clicks, bits), None),
+                               (Bases(bits), bits.size)):
+        frame = encode_frame(msg)
+        tracemalloc.start()
+        try:
+            decoded = decode_frame(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_message(decoded, msg)
+        assert peak <= 1.5 * (decoded_bytes or len(frame)), type(msg).__name__
 
 
 def same_message(a, b):
@@ -163,8 +184,8 @@ def random_messages(rng):
     k = int(rng.integers(0, 6))
     indices = tuple(sorted(int(x) for x in rng.choice(1000, size=k, replace=False)))
     yield Detections(indices)
-    yield Bases(tuple(int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, 20)))))
-    yield Disclose(tuple((idx, int(rng.integers(0, 2))) for idx in indices))
+    yield Bases(rng.integers(0, 2, size=int(rng.integers(0, 20))).astype(np.uint8))
+    yield disclose(indices, rng.integers(0, 2, size=k))
     yield ErReport(float(rng.uniform(0, 1)))
     yield Terminate(int(rng.integers(0, 4)))
     count = int(rng.integers(0, 40))

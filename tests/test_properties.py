@@ -14,6 +14,7 @@
   ``ConfigError`` or ``SessionAborted``, nothing else.
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -30,6 +31,7 @@ from fmqkd.errors import (
     SessionAborted,
 )
 from fmqkd.framing import (
+    DISCLOSE_RECORD,
     HEADER,
     Bases,
     Detections,
@@ -178,11 +180,10 @@ def draw_message(data, valid_start, alice, sent, acked):
         count = data.draw(st.integers(1, left)) if plausible and left else data.draw(ANY_INDEX)
         return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
     if kind == "detections":
-        detected = alice.detected_indices
-        low = detected[-1] + 1 if detected else 0
         count = data.draw(SMALL)
         if plausible:
-            pool = range(low, sent)
+            # Like Bob's: clicks in the window since the last acknowledgement.
+            pool = range(acked, sent)
             return Detections(tuple(sorted(set(
                 pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)
             ))) if pool else ())
@@ -198,7 +199,7 @@ def draw_message(data, valid_start, alice, sent, acked):
                                 picks(data, anywhere, data.draw(SMALL)))
     if kind == "bases":
         count = len(alice.detected_indices) if plausible else data.draw(SMALL)
-        return Bases(tuple(data.draw(BIT) for _ in range(count)))
+        return Bases(np.array([data.draw(BIT) for _ in range(count)], np.uint8))
     if kind == "terminate":
         return Terminate(data.draw(st.integers(0, 3)))
     return valid_start if plausible else valid_start._replace(n_pulses=N_PULSES + 1)
@@ -275,9 +276,9 @@ MESSAGES = st.one_of(
     st.builds(QFrameOut, U64, FINITE, POL),
     st.builds(QFrameBack, U64, FINITE, FINITE, POL),
     st.builds(Detections, INDICES.map(tuple)),
-    st.builds(Bases, st.lists(BIT, max_size=20).map(tuple)),
+    st.builds(Bases, st.lists(BIT, max_size=20).map(lambda bits: np.array(bits, np.uint8))),
     INDICES.flatmap(lambda idx: st.lists(BIT, min_size=len(idx), max_size=len(idx)).map(
-        lambda bits: Disclose(tuple(zip(idx, bits))))),
+        lambda bits: Disclose(np.array(list(zip(idx, bits)), DISCLOSE_RECORD)))),
     st.builds(ErReport, FINITE),
     st.builds(Terminate, st.integers(0, 255)),
     st.builds(QFrameWindowOut, U64, st.integers(0, 2 ** 32 - 1), FINITE, POL),
@@ -333,7 +334,7 @@ def edited(data, msg):
     """``msg`` with one field redrawn near its value, as the wire delivers it, or None."""
     k = data.draw(st.integers(0, len(msg) - 1))
     value = msg[k]
-    if isinstance(value, np.ndarray):  # window symbols; the count follows them
+    if msg._fields[k] == "symbols":  # window symbols; the count follows them
         symbols = np.array(data.draw(st.lists(st.integers(0, 3), max_size=30)), np.uint8)
         return decoded(encode_frame(msg._replace(count=symbols.size, symbols=symbols)))
     if isinstance(value, int):
@@ -343,16 +344,19 @@ def edited(data, msg):
                                   FINITE))
     elif len(value) == 4 and all(isinstance(x, float) for x in value):
         new = data.draw(POL)
-    else:  # BASES bits or DISCLOSE items: one short, one long, or one bit flipped
+    else:  # BASES bits or DISCLOSE records: one short, one long, or one bit flipped
         edit = data.draw(st.sampled_from(["short", "long", "flip"]))
-        if edit == "short" or not value:
+        records = value.dtype == DISCLOSE_RECORD
+        if edit == "short" or not value.size:
             new = value[:-1]
         elif edit == "long":
-            new = value + (value[-1] if isinstance(value[-1], int) else (value[-1][0] + 1, 0),)
+            new = np.concatenate((value, value[-1:]))
+            if records:  # the added record takes the next index and bit 0
+                new["index"][-1:] += 1
+                new["bit"][-1] = 0
         else:
-            j = data.draw(st.integers(0, len(value) - 1))
-            item = value[j] ^ 1 if isinstance(value[j], int) else (value[j][0], value[j][1] ^ 1)
-            new = value[:j] + (item,) + value[j + 1:]
+            new = value.copy()
+            (new["bit"] if records else new)[data.draw(st.integers(0, value.size - 1))] ^= 1
     try:
         frame = encode_frame(msg._replace(**{msg._fields[k]: new}))
     except (ProtocolViolationError, struct.error):
@@ -376,6 +380,22 @@ class PassThrough:
         self._inner.close()
 
 
+@functools.lru_cache(maxsize=None)
+def messages_bob_sends(variant, disclosure, per_pulse):
+    """How many messages Bob sends in an honest session."""
+    cfg = session_config(variant, disclosure)
+    alice = AliceSession(cfg)
+    sent = []
+
+    def responder(msg):
+        sent.append(msg)
+        return alice.handle(msg)
+
+    endpoint = open_in_process(responder)
+    BobSession(cfg).run(PassThrough(endpoint) if per_pulse else endpoint)
+    return len(sent)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(data=st.data(), variant=st.sampled_from(list(ProtocolVariant)),
        disclosure=st.sampled_from([0.0, 0.5]), per_pulse=st.booleans())
@@ -384,9 +404,9 @@ def test_bob_ends_in_result_or_documented_error(data, variant, disclosure, per_p
     alice = AliceSession(cfg)
     sent_types = []
     honest = True
-    # Alice answers the first messages truthfully, so every stage gets probed.
-    # Bob sends about 32 messages on the per-pulse engine and 10 on the batched.
-    truthful = data.draw(st.integers(0, 32 if per_pulse else 10))
+    # Alice answers the first messages truthfully, so every stage gets probed;
+    # the replies to at least Bob's last message are open to the peer's edits.
+    truthful = data.draw(st.integers(0, messages_bob_sends(variant, disclosure, per_pulse) - 1))
 
     def peer(msg):
         """Alice's replies, now and then dropped, replaced, padded, bit-flipped or edited."""

@@ -12,7 +12,15 @@ from fmqkd.errors import (
     ProtocolViolationError,
     SessionAborted,
 )
-from fmqkd.framing import Bases, DetectionsBlock, Disclose, QFrameWindowOut, SessionStart
+from fmqkd.framing import (
+    Bases,
+    Detections,
+    DetectionsBlock,
+    Disclose,
+    QFrameOut,
+    QFrameWindowOut,
+    SessionStart,
+)
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
@@ -491,6 +499,28 @@ def test_alice_discloses_on_the_final_block_end():
     assert [i for i, _ in disclose.items] == [3, 50, 60]
     with pytest.raises(ProtocolViolationError):
         alice.handle(ack([100]))
+
+
+def test_alice_rejects_detection_in_a_window_reported_empty():
+    # Per-pulse DETECTIONS follow the block rules: a window reported empty
+    # stays empty.
+    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3)), ack_window=10)
+    alice = AliceSession(cfg)
+    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                              seeds_commitment(cfg)))
+
+    def reflect(frames):
+        for i in frames:
+            alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+
+    reflect(range(10))
+    assert alice.handle(Detections(())) == []
+    reflect(range(10, 20))
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(Detections((5,)))
+    assert alice.detected_indices == ()
+    assert alice.handle(Detections((15,))) == []
+    assert alice.detected_indices == (15,)
 
 
 def test_physics_rejects_out_of_order_and_bad_frames():
