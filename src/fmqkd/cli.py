@@ -357,9 +357,13 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
+# The Haar draw peaks at about 290 B per sample, so about 2.9 GB at the cap.
+FM_CHECK_MAX_SAMPLES = 10_000_000
+
+
 def cmd_fm_check(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= FM_CHECK_MAX_SAMPLES:
+        raise ConfigError(f"--samples must be in 1..{FM_CHECK_MAX_SAMPLES}, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     fm = visibility_samples(args.samples, args.extinction_db, rng, mirror="faraday")
     rng = np.random.default_rng(args.seed)
@@ -439,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fm-check", help="visibility with Faraday vs ordinary mirrors")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"Haar link draws per mirror, at most {FM_CHECK_MAX_SAMPLES:,}")
     p.add_argument("--extinction-db", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_fm_check)

@@ -234,20 +234,21 @@ def _require_symbols(symbols: np.ndarray) -> None:
         raise ProtocolViolationError("window symbol is outside the alphabet")
 
 
-def check_detections_block(ends: np.ndarray, indices: np.ndarray) -> None:
-    """Raise ProtocolViolationError unless the arrays form a valid DETECTIONS_BLOCK.
+def check_detections_block(ends, indices) -> Tuple[np.ndarray, np.ndarray]:
+    """Both fields as uint64 arrays; ProtocolViolationError unless a valid block.
 
     Decoding checks this; in-process receivers, whose messages skip the
-    wire, call it themselves.
+    wire and may carry any sequences, call it themselves.
     """
+    ends = index_array(ends, "DETECTIONS_BLOCK ends")
+    indices = index_array(indices, "DETECTIONS_BLOCK indices")
     if not 1 <= ends.size <= BLOCK_PULSES:
         raise ProtocolViolationError(
             f"DETECTIONS_BLOCK carries {ends.size} windows, allowed 1..{BLOCK_PULSES}"
         )
-    index_array(ends, "DETECTIONS_BLOCK ends")
-    index_array(indices, "DETECTIONS_BLOCK indices")
     if indices.size and indices[-1] >= ends[-1]:
         raise ProtocolViolationError("DETECTIONS_BLOCK index at or past its last end")
+    return ends, indices
 
 
 def disclose_records(items) -> np.ndarray:
@@ -396,8 +397,7 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
             raise ProtocolViolationError("DETECTIONS_BLOCK payload has wrong size")
         values = np.frombuffer(payload, _INDICES, offset=_BLOCK_COUNTS.size)
         ends, indices = values[:windows], values[windows:]
-        check_detections_block(ends, indices)
-        return DetectionsBlock(ends, indices)
+        return DetectionsBlock(*check_detections_block(ends, indices))
     if msg_type == MSG_BASES:
         (count,) = _U32.unpack_from(payload)
         return Bases(unpack_bits(payload[4:], count, ProtocolViolationError))

@@ -188,7 +188,12 @@ def attenuator_setting(setup: SetupConfig, incoming_mean_photons: float) -> floa
     return 10.0 * math.log10(incoming_mean_photons / target)
 
 
-def pulse_pair_overlap(link_unitary: np.ndarray, alice_mirror: str = "faraday") -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def pulse_pair_overlap(link_unitary: np.ndarray,
+                       alice_mirror: str = "faraday") -> float | np.ndarray:
     """Polarization overlap of the two interfering pulses at the coupler.
 
     The leading pulse makes the link round trip first and the internal delay
@@ -197,6 +202,7 @@ def pulse_pair_overlap(link_unitary: np.ndarray, alice_mirror: str = "faraday") 
     multiple of the delay trip. With a Faraday mirror at the far end the link
     trip is exactly that multiple and the overlap is 1 for every link
     unitary; with an ordinary mirror it fluctuates with the birefringence.
+    A stack of links, shape (n, 2, 2), gives an (n,) array of overlaps.
     """
     if alice_mirror == "faraday":
         trip = jones.round_trip(link_unitary)
@@ -205,11 +211,11 @@ def pulse_pair_overlap(link_unitary: np.ndarray, alice_mirror: str = "faraday") 
     else:
         raise ValueError(f"alice_mirror must be 'faraday' or 'ordinary', got {alice_mirror!r}")
     delay_trip = jones.faraday_mirror()
-    leading = delay_trip @ trip @ jones.HORIZONTAL
-    trailing = trip @ delay_trip @ jones.HORIZONTAL
-    leading = leading / np.linalg.norm(leading)
-    trailing = trailing / np.linalg.norm(trailing)
-    return float(abs(np.vdot(leading, trailing)))
+    pair = np.stack((delay_trip @ trip @ jones.HORIZONTAL, trip @ delay_trip @ jones.HORIZONTAL))
+    # Norms and |vdot| by parts, rounded as np.linalg.norm and np.vdot round one link.
+    pair = pair / np.sqrt(_dot(pair.real, pair.real) + _dot(pair.imag, pair.imag))[..., None]
+    (lr, tr), (li, ti) = pair.real, pair.imag
+    return np.hypot(_dot(lr, tr) + _dot(li, ti), _dot(lr, ti) - _dot(li, tr))
 
 
 def visibility_samples(n_samples: int, extinction_db: float,
@@ -222,8 +228,4 @@ def visibility_samples(n_samples: int, extinction_db: float,
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     v_max = visibility_from_extinction_db(extinction_db)
-    stack = jones.haar_random_unitaries(rng, n_samples)
-    out = np.empty(n_samples)
-    for k in range(n_samples):
-        out[k] = v_max * pulse_pair_overlap(stack[k], mirror)
-    return out
+    return v_max * pulse_pair_overlap(jones.haar_random_unitaries(rng, n_samples), mirror)

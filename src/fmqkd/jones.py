@@ -1,8 +1,8 @@
 """Complex 2x2 Jones calculus with Faraday-mirror round trips.
 
 States are complex numpy arrays of shape (2,) holding the amplitudes on the
-two lab axes; operators are complex arrays of shape (2, 2), composed and
-applied with ``@``.
+two lab axes; operators are complex arrays of shape (2, 2), or stacks of
+them of shape (..., 2, 2), composed and applied with ``@``.
 
 Convention, fixed once for the whole package: states live in a right-handed
 lab frame; a backward-propagating state is written in the mirrored frame in
@@ -38,7 +38,7 @@ HORIZONTAL.flags.writeable = False
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(np.abs(u @ u.conj().T - np.eye(2)).max() <= tol)
+    return bool(np.abs(u @ np.swapaxes(u, -1, -2).conj() - np.eye(2)).max() <= tol)
 
 
 def rotator(angle_rad: float) -> np.ndarray:
@@ -90,15 +90,14 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     birefringence-compensation property the composite is built for.
     """
     _require_unitary(u)
-    # The strided view u.T would take another matmul kernel, whose rounding
-    # differs in the last bit; a contiguous copy keeps results reproducible.
-    return np.ascontiguousarray(u.T) @ faraday_mirror() @ u
+    # Copy the transpose: a strided view takes another matmul kernel, rounding otherwise.
+    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ faraday_mirror() @ u
 
 
 def ordinary_mirror_round_trip(u: np.ndarray) -> np.ndarray:
     """Round trip as above but with a plain mirror; depends on ``u``."""
     _require_unitary(u)
-    return np.ascontiguousarray(u.T) @ u
+    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ u
 
 
 def haar_random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:

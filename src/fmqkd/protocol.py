@@ -432,8 +432,7 @@ class AliceSession:
         two-state variant sifts and discloses."""
         if self._finalized:
             raise ProtocolViolationError("acknowledgement after sifting finished")
-        ends, indices = msg
-        check_detections_block(ends, indices)
+        ends, indices = check_detections_block(*msg)
         first, last = int(ends[0]), int(ends[-1])
         if first <= self._acked or last > self._qframes:
             raise ProtocolViolationError(

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmqkd import channel
+from fmqkd import channel, cli
 from fmqkd.channel import SocketEndpoint, connect
 from fmqkd.cli import (
     EXIT_CHANNEL,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PROTOCOL,
+    FM_CHECK_MAX_SAMPLES,
     main,
     parse_run_config,
 )
@@ -223,6 +224,26 @@ def test_fm_check_runs(capsys):
     assert main(["fm-check", "--samples", "100", "--seed", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "faraday" in out and "ordinary" in out
+
+
+def test_fm_check_output_is_pinned(capsys):
+    assert main(["fm-check", "--samples", "2000", "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "samples: 2000, extinction 30 dB -> max visibility 0.998002\n"
+        "faraday   min 0.998002  mean 0.998002  max 0.998002  below-0.9 0\n"
+        "ordinary  min 0.0193021  mean 0.829909  max 0.998002  below-0.9 0.457\n"
+    )
+
+
+def test_fm_check_rejects_sample_counts_outside_the_cap(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("visibility_samples must not run")
+
+    monkeypatch.setattr(cli, "visibility_samples", refuse)
+    for n in (0, FM_CHECK_MAX_SAMPLES + 1, 10 ** 10):
+        assert main(["fm-check", "--samples", str(n)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(FM_CHECK_MAX_SAMPLES) in err
 
 
 def malformed_window_back():

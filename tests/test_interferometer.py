@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmqkd.errors import ConfigError
 from fmqkd.interferometer import (
@@ -17,9 +19,16 @@ from fmqkd.interferometer import (
     visibility_from_extinction_db,
     visibility_samples,
 )
-from fmqkd.jones import haar_random_unitaries
+from fmqkd.jones import (
+    HORIZONTAL,
+    faraday_mirror,
+    haar_random_unitaries,
+    ordinary_mirror_round_trip,
+    round_trip,
+)
 
 INF = float("inf")
+MIRRORS = ("faraday", "ordinary")
 
 
 def ideal_setup(mu_pair=0.1):
@@ -161,6 +170,46 @@ def test_visibility_samples_modes():
     for mirror in ("faraday", "ordinary"):
         eye = pulse_pair_overlap(np.eye(2), mirror)
         assert abs(v_max * eye - v_max) < 1e-12
+
+
+def oracle_overlap(u, mirror):
+    """One link's overlap, computed the plain per-link way."""
+    trip = round_trip(u) if mirror == "faraday" else ordinary_mirror_round_trip(u)
+    leading = faraday_mirror() @ trip @ HORIZONTAL
+    trailing = trip @ faraday_mirror() @ HORIZONTAL
+    leading = leading / np.linalg.norm(leading)
+    trailing = trailing / np.linalg.norm(trailing)
+    return float(abs(np.vdot(leading, trailing)))
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
+def test_visibility_samples_match_per_link_oracle(mirror):
+    v_max = visibility_from_extinction_db(30.0)
+    for seed in range(20):
+        got = visibility_samples(1000, 30.0, np.random.default_rng(seed), mirror)
+        stack = haar_random_unitaries(np.random.default_rng(seed), 1000)
+        want = np.array([v_max * oracle_overlap(u, mirror) for u in stack])
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2 ** 64 - 1), mirror=st.sampled_from(MIRRORS))
+def test_stacked_overlap_equals_per_link_calls(n, seed, mirror):
+    stack = haar_random_unitaries(np.random.default_rng(seed), n)
+    got = pulse_pair_overlap(stack, mirror)
+    assert got.shape == (n,)
+    assert np.array_equal(got, [pulse_pair_overlap(u, mirror) for u in stack])
+    assert np.array_equal(got, [oracle_overlap(u, mirror) for u in stack])
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
+def test_stack_with_one_non_unitary_link_is_rejected(mirror):
+    n = 8
+    for k in range(n):
+        stack = haar_random_unitaries(np.random.default_rng(k), n)
+        stack[k] = np.diag([1.0, 1.0 + 1e-6])
+        with pytest.raises(ValueError):
+            pulse_pair_overlap(stack, mirror)
 
 
 def test_effective_visibility_geometric_pairing():

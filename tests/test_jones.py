@@ -75,6 +75,17 @@ def test_round_trip_rejects_non_unitary():
         round_trip(np.diag([1.0, 2.0]))
 
 
+def test_round_trips_act_on_each_matrix_of_a_stack():
+    stack = haar_random_unitaries(np.random.default_rng(6), 5)
+    assert is_unitary(stack)
+    for trip in (round_trip, ordinary_mirror_round_trip):
+        assert np.array_equal(trip(stack), [trip(u) for u in stack])
+    stack[3, 1, 1] *= 1.0 + 1e-6
+    assert not is_unitary(stack)
+    with pytest.raises(ValueError):
+        round_trip(stack)
+
+
 def test_compensation_theorem_over_haar_samples():
     rng = np.random.default_rng(42)
     fm = faraday_mirror()

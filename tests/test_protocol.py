@@ -484,6 +484,33 @@ def test_alice_rejects_bad_detections_blocks():
         alice.handle(ack([100]))
 
 
+def test_alice_takes_sequence_blocks_as_their_array_form():
+    # In-process peers skip the wire and may send plain sequences.
+    as_arrays = acknowledging_alice(ProtocolVariant.BB92, 100)
+    as_tuples = acknowledging_alice(ProtocolVariant.BB92, 100)
+    for ends, indices in (((10, 20), (4, 15)), ((30,), ()), ((40, 100), (50, 60))):
+        want = as_arrays.handle(ack(ends, indices))
+        got = as_tuples.handle(DetectionsBlock(ends, indices))
+        assert [type(m) for m in got] == [type(m) for m in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.items, w.items)
+    assert as_tuples.detected_indices == as_arrays.detected_indices == (4, 15, 50, 60)
+
+
+def test_alice_rejects_bad_sequence_blocks():
+    alice = acknowledging_alice(ProtocolVariant.BB84, 100)
+    for bad in (DetectionsBlock((), ()),          # no window
+                DetectionsBlock((20, 10), ()),    # ends decrease
+                DetectionsBlock((10,), (-1,)),    # index outside u64
+                DetectionsBlock((10,), ("x",)),   # not an integer
+                DetectionsBlock(((10,),), ()),    # nested
+                DetectionsBlock(10, ()),          # not a sequence
+                DetectionsBlock(None, ())):
+        with pytest.raises(ProtocolViolationError):
+            alice.handle(bad)
+    assert alice.handle(DetectionsBlock((10,), ())) == []
+
+
 def test_alice_rejects_acknowledgement_of_frames_not_reflected():
     alice = acknowledging_alice(ProtocolVariant.BB92, 40)
     with pytest.raises(ProtocolViolationError):
