@@ -13,14 +13,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .channel import connect, serve_once
+from .channel import connect, open_in_process, serve_once
 from .detector import GatedDetectorConfig, er_det_analytic
 from .errors import (
     BitSourceExhausted,
@@ -31,7 +31,6 @@ from .errors import (
     SessionAborted,
 )
 from .interferometer import (
-    SetupConfig,
     er_opt_from_visibility,
     er_opt_prediction,
     visibility_from_extinction_db,
@@ -56,9 +55,15 @@ EXIT_CHANNEL = 3
 EXIT_IO = 4
 EXIT_PROTOCOL = 5
 
-# Failures that end a two-process session after it has started; each side
-# logs one session line before it exits with the matching code.
-_SESSION_FAILURES = (ChannelError, SessionAborted, ProtocolViolationError, BitSourceExhausted)
+# Exit code and stderr label of each failure main reports; the first match wins.
+_FAILURES = (
+    ((ChannelError, SessionAborted), EXIT_CHANNEL, "channel error"),
+    ((ProtocolViolationError, BitSourceExhausted), EXIT_PROTOCOL, "protocol error"),
+    ((KeyFileError,), EXIT_IO, "key file error"),
+    ((ValueError,), EXIT_CONFIG, "config error"),  # ConfigError and module validation errors
+    ((OSError,), EXIT_IO, "i/o error"),
+)
+_REPORTED_FAILURES = sum((types for types, _, _ in _FAILURES), ())
 
 REPORT_COLUMNS = (
     "mu",
@@ -84,28 +89,36 @@ class RunSpec:
     port: int
 
 
-_CONFIG_DEFAULTS = {
-    "variant": "BB92",
-    "n_pulses": "4000000",
-    "mu_pair": "0.1",
-    "line_loss_db": "8.6",
-    "c1_tap_db": "1.4",
-    "alice_extinction_db": "27",
-    "bob_extinction_db": "30",
-    "efficiency": "0.1",
-    "dark_prob_per_gate": "7e-6",
-    "seeds": "1,2,3",
-    "disclosure_fraction": "0",
-    "ack_window": "1024",
-    "channel": "in_process",
-    "host": "127.0.0.1",
-    "port": "9876",
+def _seeds(text: str) -> Seeds:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError("must be three comma-separated integers")
+    return Seeds(*map(int, parts))
+
+
+# Run-config key -> the part of the session it sets and how its value parses.
+# Unset keys keep the values of the mu = 0.1 reference session.
+_SESSION_KEYS = {
+    "variant": ("session", lambda text: ProtocolVariant(text.upper())),
+    "n_pulses": ("session", int),
+    "mu_pair": ("setup", float),
+    "line_loss_db": ("setup", float),
+    "c1_tap_db": ("setup", float),
+    "alice_extinction_db": ("setup", float),
+    "bob_extinction_db": ("setup", float),
+    "efficiency": ("detector", float),
+    "dark_prob_per_gate": ("detector", float),
+    "seeds": ("session", _seeds),
+    "disclosure_fraction": ("session", float),
+    "ack_window": ("session", int),
 }
 
 
 def parse_run_config(path: Path) -> RunSpec:
     """Parse a key=value run config; unknown keys are rejected with their line."""
-    values = dict(_CONFIG_DEFAULTS)
+    given = {}
+    # Deployment settings, which no session carries.
+    deploy = {"channel": "in_process", "host": "127.0.0.1", "port": "9876"}
     try:
         text = path.read_text()
     except OSError as exc:
@@ -118,57 +131,31 @@ def parse_run_config(path: Path) -> RunSpec:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_DEFAULTS:
+        if key in deploy:
+            deploy[key] = value
+        elif key in _SESSION_KEYS:
+            given[key] = (lineno, value)
+        else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
 
-    def num(key: str, conv):
+    session = reference_session(0.1, 4_000_000, Seeds(1, 2, 3))
+    for key, (lineno, value) in given.items():
+        part, parse = _SESSION_KEYS[key]
         try:
-            return conv(values[key])
+            change = {key: parse(value)}
+            if part != "session":
+                change = {part: replace(getattr(session, part), **change)}
+            session = replace(session, **change)
         except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {values[key]!r}") from exc
-
-    variant_name = values["variant"].upper()
-    try:
-        variant = ProtocolVariant[variant_name]
-    except KeyError:
-        raise ConfigError(f"{path}: variant must be BB92 or BB84, got {values['variant']!r}")
-    seed_parts = values["seeds"].split(",")
-    if len(seed_parts) != 3:
-        raise ConfigError(f"{path}: seeds must be three comma-separated integers")
-    try:
-        seeds = Seeds(*(int(s.strip()) for s in seed_parts))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad seeds {values['seeds']!r}") from exc
-    channel_mode = values["channel"]
-    if channel_mode not in ("in_process", "socket"):
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})") from exc
+    if deploy["channel"] not in ("in_process", "socket"):
         raise ConfigError(
-            f"{path}: channel must be in_process or socket, got {channel_mode!r}"
+            f"{path}: channel must be in_process or socket, got {deploy['channel']!r}"
         )
-    setup = SetupConfig(
-        mu_pair=num("mu_pair", float),
-        line_loss_db=num("line_loss_db", float),
-        c1_tap_db=num("c1_tap_db", float),
-        alice_extinction_db=num("alice_extinction_db", float),
-        bob_extinction_db=num("bob_extinction_db", float),
-    )
-    detector = GatedDetectorConfig(
-        efficiency=num("efficiency", float),
-        dark_prob_per_gate=num("dark_prob_per_gate", float),
-    )
-    session = SessionConfig(
-        n_pulses=num("n_pulses", int),
-        variant=variant,
-        setup=setup,
-        detector=detector,
-        seeds=seeds,
-        disclosure_fraction=num("disclosure_fraction", float),
-        ack_window=num("ack_window", int),
-    )
-    port = num("port", int)
-    if not 1 <= port <= 65535:
-        raise ConfigError(f"{path}: port must be in 1..65535, got {values['port']!r}")
-    return RunSpec(session, channel_mode, values["host"], port)
+    port = deploy["port"]
+    if not (port.isdecimal() and 1 <= int(port) <= 65535):
+        raise ConfigError(f"{path}: port must be in 1..65535, got {port!r}")
+    return RunSpec(session, deploy["channel"], deploy["host"], int(port))
 
 
 def _predictions(cfg: SessionConfig) -> Tuple[float, float]:
@@ -193,14 +180,10 @@ def write_report(path: Path, cfg: SessionConfig, result: SessionResult) -> None:
     path.write_text(",".join(REPORT_COLUMNS) + "\n" + ",".join(row) + "\n")
 
 
-def append_session_log(path: Path, payload: dict) -> None:
-    with path.open("a") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _log_payload(role: str, mode: str, cfg: SessionConfig,
-                 result: Optional[SessionResult], duration_s: float,
-                 error: Optional[Exception] = None) -> dict:
+def append_session_log(path: Path, role: str, mode: str, cfg: SessionConfig, outcome,
+                       started: float, error: Optional[Exception] = None) -> None:
+    """Append one JSON line to ``path``; ``outcome`` is Bob's (partial)
+    SessionResult, Alice's finished AliceSession, or None."""
     payload = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "role": role,
@@ -209,88 +192,69 @@ def _log_payload(role: str, mode: str, cfg: SessionConfig,
         "n_pulses": cfg.n_pulses,
         "mu_pair": cfg.setup.mu_pair,
         "seeds": list(cfg.seeds.as_tuple()),
-        "duration_s": round(duration_s, 3),
+        "duration_s": round(time.time() - started, 3),
     }
-    if result is not None:
+    if isinstance(outcome, SessionResult):
         payload.update(
-            clicks=result.clicks,
-            sifted_bits=len(result.sifted_key_bob),
-            compared_bits=result.compared_bits,
-            mismatches=result.mismatches,
-            measured_er=result.measured_er,
-            aborted=result.aborted,
+            clicks=outcome.clicks,
+            sifted_bits=len(outcome.sifted_key_bob),
+            compared_bits=outcome.compared_bits,
+            mismatches=outcome.mismatches,
+            measured_er=outcome.measured_er,
+            aborted=outcome.aborted,
         )
+    elif outcome is not None:
+        payload.update(sifted_bits=len(outcome.sifted_key), measured_er=outcome.measured_er)
     if error is not None:
         payload["error"] = f"{type(error).__name__}: {error}"
-    return payload
+    with path.open("a") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args) -> int:
+    """Run one role of a session. Once the config parses, every run appends
+    exactly one session.log line, with an ``error`` field if it fails."""
     spec = parse_run_config(Path(args.config))
     cfg = spec.session
+    mode = "in_process" if args.role == "both" else "socket"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "session.log"
     started = time.time()
-
-    if args.role == "alice":
-        if spec.channel_mode != "socket":
-            raise ConfigError("--role alice requires channel=socket in the config")
-        alice = AliceSession(cfg)
-        try:
+    result = None
+    try:
+        if spec.channel_mode != mode:
+            raise ConfigError(f"--role {args.role} needs channel={mode} in the config; "
+                              "a socket session runs --role alice and --role bob")
+        alice = AliceSession(cfg) if args.role != "bob" else None
+        if args.role == "alice":
             serve_once(spec.host, spec.port, alice.handle, is_done=lambda: alice.done)
-        except _SESSION_FAILURES as exc:
-            append_session_log(log_path, _log_payload("alice", "socket", cfg, None,
-                                                      time.time() - started, exc))
-            raise
-        if alice.abort_reason is not None:
-            append_session_log(log_path, _log_payload("alice", "socket", cfg, None,
-                                                      time.time() - started))
-            raise ConfigError(f"peer aborted with reason {alice.abort_reason}")
-        write_key_file(out / "alice_key.qkdr",
-                       np.frombuffer(alice.final_key, dtype=np.uint8))
-        payload = _log_payload("alice", "socket", cfg, None, time.time() - started)
-        payload.update(sifted_bits=len(alice.sifted_key), measured_er=alice.measured_er)
-        append_session_log(log_path, payload)
-        return EXIT_OK
-
-    if args.role == "bob":
-        if spec.channel_mode != "socket":
-            raise ConfigError("--role bob requires channel=socket in the config")
-        endpoint = connect(spec.host, spec.port)
-        try:
-            result = BobSession(cfg).run(endpoint)
-        except _SESSION_FAILURES as exc:
-            append_session_log(log_path, _log_payload(
-                "bob", "socket", cfg, getattr(exc, "partial", None),
-                time.time() - started, exc))
-            raise
-        finally:
-            endpoint.close()
-        mode = "socket"
-    else:
-        if spec.channel_mode != "in_process":
-            raise ConfigError(
-                "channel=socket needs two processes; run --role alice and --role bob"
-            )
-        alice = AliceSession(cfg)
-        from .channel import open_in_process
-
-        result = BobSession(cfg).run(open_in_process(alice.handle))
-        write_key_file(out / "alice_key.qkdr",
-                       np.frombuffer(alice.final_key, dtype=np.uint8))
-        mode = "in_process"
-
-    write_report(out / "report.csv", cfg, result)
-    write_key_file(out / "bob_key.qkdr",
-                   np.frombuffer(result.final_key_bob, dtype=np.uint8))
-    append_session_log(log_path, _log_payload(args.role, mode, cfg, result,
-                                              time.time() - started))
-    print(
-        f"simulate: {len(result.sifted_key_bob)} sifted bits, "
-        f"measured ER {_fmt(result.measured_er)}, "
-        f"sift rate {_fmt(result.sift_rate_per_1000)} per 1000 pulses"
-    )
+            if alice.abort_reason is not None:
+                raise ConfigError(f"peer aborted with reason {alice.abort_reason}")
+        else:
+            endpoint = (connect(spec.host, spec.port) if args.role == "bob"
+                        else open_in_process(alice.handle))
+            try:
+                result = BobSession(cfg).run(endpoint)
+            finally:
+                endpoint.close()
+        if result is not None:
+            write_report(out / "report.csv", cfg, result)
+            write_key_file(out / "bob_key.qkdr",
+                           np.frombuffer(result.final_key_bob, dtype=np.uint8))
+        if alice is not None:
+            write_key_file(out / "alice_key.qkdr",
+                           np.frombuffer(alice.final_key, dtype=np.uint8))
+    except _REPORTED_FAILURES as exc:
+        append_session_log(out / "session.log", args.role, mode, cfg,
+                           result or getattr(exc, "partial", None), started, exc)
+        raise
+    append_session_log(out / "session.log", args.role, mode, cfg, result or alice, started)
+    if result is not None:
+        print(
+            f"simulate: {len(result.sifted_key_bob)} sifted bits, "
+            f"measured ER {_fmt(result.measured_er)}, "
+            f"sift rate {_fmt(result.sift_rate_per_1000)} per 1000 pulses"
+        )
     return EXIT_OK
 
 
@@ -318,13 +282,10 @@ TABLE_COLUMNS = (
 
 def cmd_table1(args) -> int:
     out_rows: List[Tuple[str, ...]] = []
-    base_seed = args.seed
     for k, row in enumerate(REFERENCE_ROWS):
         n_pulses = row.desk_scale_pulses * (10 if args.full_scale else 1)
-        cfg = reference_session(
-            row.mu_pair, n_pulses, Seeds(base_seed + 3 * k, base_seed + 3 * k + 1,
-                                         base_seed + 3 * k + 2)
-        )
+        seed = args.seed + 3 * k
+        cfg = reference_session(row.mu_pair, n_pulses, Seeds(seed, seed + 1, seed + 2))
         result = run_session(cfg)
         er_det, er_opt = _predictions(cfg)
         predicted = er_det + er_opt
@@ -334,22 +295,21 @@ def cmd_table1(args) -> int:
         rate = result.sift_rate_per_1000
         rate_low = row.sift_rate_per_1000 - row.sift_rate_tol
         rate_high = row.sift_rate_per_1000 + row.sift_rate_tol
-        rate_pass = rate_low <= rate <= rate_high
-        er_pass = er_low <= result.measured_er <= er_high
+        rate_pass = "pass" if rate_low <= rate <= rate_high else "FAIL"
+        er_pass = "pass" if er_low <= result.measured_er <= er_high else "FAIL"
         out_rows.append((
             _fmt(row.mu_pair), str(n_pulses), str(n_sifted), _fmt(rate),
-            _fmt(rate_low), _fmt(rate_high), "pass" if rate_pass else "FAIL",
+            _fmt(rate_low), _fmt(rate_high), rate_pass,
             _fmt(result.measured_er), _fmt(predicted),
-            _fmt(er_low), _fmt(er_high), "pass" if er_pass else "FAIL",
+            _fmt(er_low), _fmt(er_high), er_pass,
             _fmt(er_det), _fmt(row.er_det), _fmt(er_opt), _fmt(row.er_opt),
             _fmt(row.measured_er), _fmt(row.bit_rate_hz),
         ))
         print(
             f"mu={row.mu_pair}: sift rate {_fmt(rate)}/1000 "
-            f"(band {_fmt(rate_low)}..{_fmt(rate_high)}: "
-            f"{'pass' if rate_pass else 'FAIL'}), "
+            f"(band {_fmt(rate_low)}..{_fmt(rate_high)}: {rate_pass}), "
             f"measured ER {_fmt(result.measured_er)} "
-            f"(band {_fmt(er_low)}..{_fmt(er_high)}: {'pass' if er_pass else 'FAIL'}), "
+            f"(band {_fmt(er_low)}..{_fmt(er_high)}: {er_pass}), "
             f"reference ER {_fmt(row.measured_er)}"
         )
     text = ",".join(TABLE_COLUMNS) + "\n" + "\n".join(",".join(r) for r in out_rows) + "\n"
@@ -471,21 +431,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ChannelError, SessionAborted) as exc:
-        print(f"channel error: {exc}", file=sys.stderr)
-        return EXIT_CHANNEL
-    except (ProtocolViolationError, BitSourceExhausted) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
-    except KeyFileError as exc:
-        print(f"key file error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:  # ConfigError and module validation errors
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except _REPORTED_FAILURES as exc:
+        code, label = next((code, label) for types, code, label in _FAILURES
+                           if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

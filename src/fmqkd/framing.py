@@ -44,6 +44,7 @@ bound before a receiver reads any payload.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import NamedTuple, Tuple, Union
 
@@ -202,12 +203,16 @@ def _require_index(value: int, field: str) -> None:
 
 
 def index_array(values, what: str) -> np.ndarray:
-    """``values`` as a uint64 array; ProtocolViolationError unless they fit
-    u64 and strictly increase."""
+    """``values`` as a uint64 array; ProtocolViolationError unless they are
+    integers that fit u64 and strictly increase."""
     try:
-        values = np.asarray(values, _INDICES)
+        if not isinstance(values, np.ndarray):
+            values = np.fromiter(map(operator.index, values), _INDICES)
+        elif values.dtype.kind != "u" and (values.dtype.kind != "i" or np.any(values < 0)):
+            raise TypeError
     except (OverflowError, TypeError, ValueError):
-        raise ProtocolViolationError(f"{what} must fit in u64") from None
+        raise ProtocolViolationError(f"{what} must be integers that fit in u64") from None
+    values = values.astype(_INDICES, copy=False)
     if values.ndim != 1 or np.count_nonzero(values[1:] <= values[:-1]):
         raise ProtocolViolationError(f"{what} must be strictly increasing")
     return values

@@ -1,4 +1,7 @@
+import argparse
+import hashlib
 import json
+import re
 import socket
 import threading
 import time
@@ -15,11 +18,19 @@ from fmqkd.cli import (
     EXIT_OK,
     EXIT_PROTOCOL,
     FM_CHECK_MAX_SAMPLES,
+    build_parser,
     main,
     parse_run_config,
 )
 from fmqkd.errors import ConfigError
-from fmqkd.framing import QFrameWindowBack, QFrameWindowOut, SessionStart, encode_frame
+from fmqkd.framing import (
+    TERMINATE_CONFIG_MISMATCH,
+    QFrameWindowBack,
+    QFrameWindowOut,
+    SessionStart,
+    Terminate,
+    encode_frame,
+)
 from fmqkd.keyfile import read_key_file
 from fmqkd.protocol import ProtocolVariant
 from fmqkd.randomness import BitSource
@@ -38,6 +49,16 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def log_entries(out):
+    return [json.loads(line) for line in (out / "session.log").read_text().splitlines()]
+
+
+def free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
 
 
 def test_parse_run_config_defaults_and_overrides(tmp_path):
@@ -97,6 +118,36 @@ def test_simulate_is_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# sha256 of both key files of the BASE_CONFIG run; Alice and Bob hold the same key.
+BASE_CONFIG_KEY_SHA256 = "3aa84ef89f1d0a5373e3011730409f54318091e9e74c0ef1b4335ad2139f6fbc"
+
+
+def test_simulate_outputs_are_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "simulate: 20 sifted bits, measured ER 0, sift rate 1 per 1000 pulses\n")
+    assert (out / "report.csv").read_text().splitlines()[1] == "0.2,0,0.00347915,0.00149515,20,1"
+    for name in ("alice_key.qkdr", "bob_key.qkdr"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == BASE_CONFIG_KEY_SHA256
+    (entry,) = log_entries(out)
+    assert "error" not in entry
+    assert entry["role"] == "both" and entry["sifted_bits"] == 20
+
+
+def test_simulate_in_process_failure_logs_one_line(tmp_path, capsys):
+    # Ten pulses leave no comparable bits, so no report can be written.
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("n_pulses = 20000", "n_pulses = 10"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "no comparable bits" in capsys.readouterr().err
+    (entry,) = log_entries(out)
+    assert entry["role"] == "both" and entry["clicks"] == 0
+    assert entry["error"].startswith("ConfigError: session produced no comparable bits")
+    assert sorted(path.name for path in out.iterdir()) == ["session.log"]
+
+
 def test_simulate_rejects_zero_pulses(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("n_pulses = 20000", "n_pulses = 0"))
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -129,12 +180,16 @@ def test_simulate_role_needs_socket_config(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--role", "alice"])
     assert code == EXIT_CONFIG
+    (entry,) = log_entries(tmp_path / "x")
+    assert entry["role"] == "alice" and entry["error"].startswith("ConfigError: --role alice")
 
 
 def test_simulate_socket_config_needs_roles(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "channel = socket\n")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+    (entry,) = log_entries(tmp_path / "x")
+    assert entry["role"] == "both" and entry["error"].startswith("ConfigError: --role both")
 
 
 def test_simulate_bob_connect_failure_is_channel_error(tmp_path, capsys):
@@ -154,6 +209,8 @@ def test_simulate_bob_connect_failure_is_channel_error(tmp_path, capsys):
     finally:
         cli_mod.connect = orig
     assert code == EXIT_CHANNEL
+    (entry,) = log_entries(tmp_path / "x")
+    assert entry["role"] == "bob" and entry["error"].startswith("ChannelError")
 
 
 def test_keygen_single_block(tmp_path, capsys):
@@ -337,6 +394,53 @@ def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
     assert "protocol error" in capsys.readouterr().err
     (line,) = (out / "session.log").read_text().splitlines()
     assert json.loads(line)["error"].startswith("ProtocolViolationError")
+
+
+def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys):
+    port = free_port()
+    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
+    out = tmp_path / "alice"
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(
+        ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
+        daemon=True)
+    thread.start()
+    endpoint = connect("127.0.0.1", port, delay_s=0.05)
+    try:
+        # The session Alice expects, but committed to other seeds.
+        endpoint.send(SessionStart(20000, ProtocolVariant.BB92.code, 0.2, bytes(32)))
+        reply = endpoint.recv()
+        thread.join(10)
+    finally:
+        endpoint.close()
+    assert reply == Terminate(TERMINATE_CONFIG_MISMATCH)
+    assert codes == [EXIT_CONFIG]
+    assert "config error" in capsys.readouterr().err
+    (entry,) = log_entries(out)
+    assert entry["role"] == "alice"
+    assert entry["error"].startswith("ConfigError: peer aborted")
+    assert not (out / "alice_key.qkdr").exists()
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("fmqkd ")]
+
+
+def test_readme_cli_block_matches_the_parser():
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    documented = {}
+    for line in readme_cli_lines():
+        command = line.split()[1]
+        assert command in subparsers.choices, line
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+    assert set(documented) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        options = {option for action in parser._actions for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+        assert documented[command] == options, command
 
 
 def test_bit_source_exhausted_exits_5(tmp_path, capsys, monkeypatch):

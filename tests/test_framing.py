@@ -22,6 +22,7 @@ from fmqkd.framing import (
     Terminate,
     decode_frame,
     encode_frame,
+    index_array,
 )
 
 
@@ -241,6 +242,36 @@ def test_non_increasing_indices_rejected_both_ways():
     good[10:18] = (20).to_bytes(8, "little")  # first index now 20 > 17
     with pytest.raises(ProtocolViolationError):
         decode_frame(bytes(good))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3, -1]),            # negative, would wrap to 2**64 - 1
+    np.array([1.7, 2.2]),         # float dtype, would truncate
+    np.array([2.0, 3.0]),         # float dtype, even when integral
+    np.array([False, True]),      # bool dtype
+    np.array([], np.float64),     # float dtype, even when empty
+    [1.7, 2.2],                   # list of floats
+    [3, -1],                      # list with a negative int
+    [2 ** 64],                    # past u64
+    ["3"],                        # list of strings
+], ids=repr)
+def test_index_array_rejects_what_is_not_u64_integers(values):
+    with pytest.raises(ProtocolViolationError, match="integers that fit in u64"):
+        index_array(values, "indices")
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], []),
+    ((4, 15), [4, 15]),
+    ([2 ** 64 - 1], [2 ** 64 - 1]),
+    ([1, 2 ** 64 - 1], [1, 2 ** 64 - 1]),
+    (np.array([0, 2 ** 64 - 1], np.uint64), [0, 2 ** 64 - 1]),
+    (np.array([], np.uint64), []),
+    (np.array([5, 9]), [5, 9]),   # non-negative signed ints fit
+], ids=repr)
+def test_index_array_accepts_u64_integers(values, expected):
+    got = index_array(values, "indices")
+    assert got.dtype == np.dtype("<u8") and got.tolist() == expected
 
 
 def test_nonzero_bitmap_padding_rejected():

@@ -504,6 +504,9 @@ def test_alice_rejects_bad_sequence_blocks():
                 DetectionsBlock((10,), (-1,)),    # index outside u64
                 DetectionsBlock((10,), ("x",)),   # not an integer
                 DetectionsBlock(((10,),), ()),    # nested
+                DetectionsBlock((10,), (4.5,)),   # a float in a tuple
+                DetectionsBlock(np.array([10.7]), ()),            # a float array
+                DetectionsBlock((10,), np.array([False, True])),  # a bool array
                 DetectionsBlock(10, ()),          # not a sequence
                 DetectionsBlock(None, ())):
         with pytest.raises(ProtocolViolationError):
