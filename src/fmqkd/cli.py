@@ -36,7 +36,7 @@ from .interferometer import (
     visibility_from_extinction_db,
     visibility_samples,
 )
-from .keyfile import NATIVE_BLOCK_BITS, write_key_file
+from .keyfile import MAX_BITS, NATIVE_BLOCK_BITS, write_key_file
 from .presets import REFERENCE_ROWS, reference_session
 from .protocol import (
     AliceSession,
@@ -364,8 +364,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    if args.bits < 1:
-        raise ConfigError(f"--bits must be >= 1, got {args.bits}")
+    if not 1 <= args.bits <= MAX_BITS:
+        raise ConfigError(f"--bits must be in 1..{MAX_BITS}, got {args.bits}")
     if args.blocks < 1:
         raise ConfigError(f"--blocks must be >= 1, got {args.blocks}")
     source = BitSource.from_seed(args.seed)

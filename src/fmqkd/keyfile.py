@@ -28,6 +28,7 @@ MAGIC = b"QKDR"
 VERSION = 1
 HEADER_SIZE = 12
 NATIVE_BLOCK_BITS = 65535
+MAX_BITS = 2 ** 32 - 1  # the largest u32 bit count
 
 _HEADER = struct.Struct("<4sB3sI")
 
@@ -54,8 +55,8 @@ def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarra
 
 def encode_key_block(bits: np.ndarray) -> bytes:
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size >= 2 ** 32:
-        raise KeyFileError("bit count exceeds the u32 header field")
+    if bits.size > MAX_BITS:
+        raise KeyFileError(f"bit count exceeds the u32 header field ({MAX_BITS})")
     header = _HEADER.pack(MAGIC, VERSION, b"\x00\x00\x00", bits.size)
     return header + pack_bits(bits)
 

@@ -187,16 +187,17 @@ def seeds_commitment(cfg: SessionConfig) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
-def _bit_source(key_files: Tuple[str, ...], seed: int) -> BitSource:
-    if key_files:
-        return BitSource.from_key_files(key_files)
-    return BitSource.from_rng(derive_rng(seed, STREAM_BITS))
-
-
-def _check_supply(source: BitSource, needed: int, who: str) -> None:
-    left = source.remaining()
-    if left is not None and left < needed:
-        raise ConfigError(f"{who} bit source holds {left} bits, session needs {needed}")
+def _sources(cfg: SessionConfig, key_files: Tuple[str, ...], seed: int,
+             who: str) -> Tuple[BitSource, Optional[BitSource]]:
+    """A party's bit source, checked to cover the session, and its bases
+    source, which the two-state variant does not have."""
+    bits = (BitSource.from_key_files(key_files) if key_files
+            else BitSource.from_seed(seed, STREAM_BITS))
+    left = bits.remaining()
+    if left is not None and left < cfg.n_pulses:
+        raise ConfigError(f"{who} bit source holds {left} bits, session needs {cfg.n_pulses}")
+    bases = BitSource.from_seed(seed, STREAM_BASES) if cfg.variant.uses_bases else None
+    return bits, bases
 
 
 @dataclass(frozen=True)
@@ -304,13 +305,8 @@ class AliceSession:
 
     def __init__(self, cfg: SessionConfig):
         self.cfg = cfg
-        self._bits_src = _bit_source(cfg.alice_key_files, cfg.seeds.alice)
-        _check_supply(self._bits_src, cfg.n_pulses, "alice")
-        self._bases_src = (
-            BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BASES))
-            if cfg.variant.uses_bases
-            else None
-        )
+        self._bits_src, self._bases_src = _sources(
+            cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
         self._disclose_rng = derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
         self._commitment = seeds_commitment(cfg)
         # Validates that the reference level can reach mu_pair / 2 at all.
@@ -497,13 +493,8 @@ class BobSession:
 
     def __init__(self, cfg: SessionConfig, physics: Optional[QuantumPhysics] = None):
         self.cfg = cfg
-        self._bits_src = _bit_source(cfg.bob_key_files, cfg.seeds.bob)
-        _check_supply(self._bits_src, cfg.n_pulses, "bob")
-        self._bases_src = (
-            BitSource.from_rng(derive_rng(cfg.seeds.bob, STREAM_BASES))
-            if cfg.variant.uses_bases
-            else None
-        )
+        self._bits_src, self._bases_src = _sources(
+            cfg, cfg.bob_key_files, cfg.seeds.bob, "bob")
         self._physics = physics or QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )

@@ -31,7 +31,7 @@ from fmqkd.framing import (
     Terminate,
     encode_frame,
 )
-from fmqkd.keyfile import read_key_file
+from fmqkd.keyfile import MAX_BITS, read_key_file
 from fmqkd.protocol import ProtocolVariant
 from fmqkd.randomness import BitSource
 
@@ -233,6 +233,19 @@ def test_keygen_multiple_blocks(tmp_path):
     blocks = [read_key_file(f) for f in files]
     assert all(b.size == 1000 for b in blocks)
     assert not np.array_equal(blocks[0], blocks[1])
+
+
+def test_keygen_rejects_bit_counts_beyond_the_key_file_format(tmp_path, monkeypatch, capsys):
+    def refuse(self, n):
+        raise AssertionError("no bit may be drawn")
+
+    monkeypatch.setattr(BitSource, "take", refuse)
+    out = tmp_path / "k.qkdr"
+    for n in (0, MAX_BITS + 1, 2 ** 40):
+        assert main(["keygen", "--out", str(out), "--bits", str(n)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(MAX_BITS) in err
+    assert not out.exists()
 
 
 def test_table_command_structure(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from fmqkd.errors import KeyFileError
 from fmqkd.keyfile import (
     HEADER_SIZE,
+    MAX_BITS,
     NATIVE_BLOCK_BITS,
     decode_key_block,
     encode_key_block,
@@ -62,3 +63,9 @@ def test_nonzero_padding_rejected():
 def test_bit_values_validated():
     with pytest.raises(KeyFileError):
         encode_key_block(np.array([0, 3], dtype=np.uint8))
+
+
+def test_bit_count_beyond_u32_rejected():
+    too_many = np.broadcast_to(np.uint8(0), (MAX_BITS + 1,))  # a view; nothing allocated
+    with pytest.raises(KeyFileError, match=str(MAX_BITS)):
+        encode_key_block(too_many)

@@ -79,14 +79,28 @@ def serve(runs, scalar, block):
         if as_scalar:
             served.extend(scalar() for _ in range(count))
         else:
-            served.extend(block(count).tolist())
+            served.extend(taken(block, count))
     return served
+
+
+def taken(block, count):
+    """``block(count)`` as a list, then overwritten: a result owns its memory,
+    so writing into it must leave every later draw unchanged."""
+    out = block(count)
+    assert out.flags.owndata
+    values = out.tolist()
+    out[:] = 1 - out
+    return values
+
+
+class SmallBits(BitSource):
+    _BLOCK = SMALL_BLOCK
 
 
 @SETTINGS
 @given(runs=request_runs, seed=st.integers(0, 2 ** 64 - 1))
 def test_prng_bits_any_interleaving_same_stream(runs, seed):
-    src = BitSource("prng", rng=derive_rng(seed, 0), block_size_bits=SMALL_BLOCK)
+    src = SmallBits.from_rng(derive_rng(seed, 0))
     served = serve(runs, src.take_bit, src.take)
     rng = derive_rng(seed, 0)
     blocks = -(-len(served) // SMALL_BLOCK)
@@ -98,16 +112,18 @@ def test_prng_bits_any_interleaving_same_stream(runs, seed):
 
 
 @SETTINGS
-@given(runs=request_runs, bits=st.lists(st.integers(0, 1), max_size=4 * SMALL_BLOCK))
+@given(runs=request_runs, bits=st.integers(0, 4 * SMALL_BLOCK).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)))
 def test_key_file_bits_any_interleaving_same_stream(runs, bits):
-    src = BitSource.from_bits(bits)
+    # Up to four small blocks, so requests cross key-file blocks and meet the end.
+    src = SmallBits.from_bits(bits)
     served = []
     for as_scalar, count in runs:
         left = min(count, src.remaining())
         if as_scalar:
             served.extend(src.take_bit() for _ in range(left))
         elif left == count:
-            served.extend(src.take(count).tolist())
+            served.extend(taken(src.take, count))
         if left < count:
             # A refused block serves nothing; scalars stop at the last bit.
             with pytest.raises(BitSourceExhausted):

@@ -22,7 +22,7 @@ def test_take_bit_matches_take():
 def test_prng_source_spans_refill_boundary():
     a = BitSource.from_seed(3)
     b = BitSource.from_seed(3)
-    n = a.block_size_bits + 100
+    n = BitSource._BLOCK + 100
     assert np.array_equal(a.take(n), b.take(n))
     assert a.cursor == n
 
@@ -64,15 +64,17 @@ def test_from_bits_validates_values():
         BitSource.from_bits([0, 2])
 
 
-def test_key_file_origin_metadata(tmp_path):
+def test_key_files_serve_their_bits_in_file_order(tmp_path):
     from fmqkd.keyfile import write_key_file
 
-    path = tmp_path / "k.qkdr"
-    write_key_file(path, np.array([1, 0, 1], dtype=np.uint8))
-    src = BitSource.from_key_files([str(path)])
-    assert src.origin == "key-file"
-    assert src.block_size_bits == 65535
-    assert np.array_equal(src.take(3), [1, 0, 1])
+    paths = [str(tmp_path / "a.qkdr"), str(tmp_path / "b.qkdr")]
+    write_key_file(paths[0], np.array([1, 0, 1], dtype=np.uint8))
+    write_key_file(paths[1], np.array([0, 0], dtype=np.uint8))
+    src = BitSource.from_key_files(paths)
+    assert src.remaining() == 5
+    assert np.array_equal(src.take(5), [1, 0, 1, 0, 0])
+    with pytest.raises(BitSourceExhausted):
+        src.take_bit()
 
 
 def test_uniform_sampler_tracks_generator_stream():
