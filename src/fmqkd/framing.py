@@ -4,24 +4,21 @@ Every frame is
 
     version u8 (0x01) | msg_type u8 | length u32 LE | payload
 
-with ``length`` counting payload bytes only. Payloads, all little-endian:
+with ``length`` counting payload bytes only. ``WIRE_TYPES`` declares each
+type once: its message class, its fixed fields as little-endian struct codes
+(``pol`` as 4 x f64, last) and the bytes its array tail may add. README's
+"Wire format" table lays out every payload; the tails are
 
-    0x01 SESSION_START  n_pulses u64 | variant u8 | mu_pair f64 | commitment 32B
-    0x02 QFRAME_OUT     index u64 | mean_photons f64 | pol 4 x f64
-    0x03 QFRAME_BACK    index u64 | mean_photons f64 | phase_a f64 | pol 4 x f64
-    0x04 DETECTIONS     count u32 | count x index u64, strictly increasing
-    0x05 BASES          count u32 | ceil(count/8) bytes, bit i = byte[i//8] >> (i%8),
-                        unused high bits zero (the key-file bit packing)
-    0x06 DISCLOSE       count u32 | count x (index u64 | bit u8), indices strictly
-                        increasing, bits 0 or 1
-    0x07 ER_REPORT      error_rate f64
-    0x08 TERMINATE      reason u8
-    0x09 QFRAME_WINDOW_OUT   start u64 | count u32 | mean_photons f64 | pol 4 x f64
-    0x0A QFRAME_WINDOW_BACK  start u64 | count u32 | mean_photons f64 | pol 4 x f64 |
-                             count x symbol u8 (2 * bit + basis, below 4)
-    0x0B DETECTIONS_BLOCK    windows u32 | clicks u32 | windows x end u64 |
-                             clicks x index u64; 1 .. BLOCK_PULSES ends, both
-                             strictly increasing, every index below the last end
+    0x01 SESSION_START       the 32-byte seeds commitment
+    0x04 DETECTIONS          count x index u64, strictly increasing
+    0x05 BASES               ceil(count/8) bytes, bit i = byte[i//8] >> (i%8),
+                             unused high bits zero (the key-file bit packing)
+    0x06 DISCLOSE            count x (index u64 | bit u8), indices strictly
+                             increasing, bits 0 or 1
+    0x0A QFRAME_WINDOW_BACK  count x symbol u8 (2 * bit + basis, below 4)
+    0x0B DETECTIONS_BLOCK    windows x end u64 | clicks x index u64; 1 ..
+                             BLOCK_PULSES ends, both strictly increasing,
+                             every index below the last end
 
 QFRAME_OUT / QFRAME_BACK carry one pulse each, and DETECTIONS acknowledges
 one ack window; the per-pulse session engine (wrapped endpoints, custom
@@ -35,10 +32,12 @@ out as on the wire), each decoded in one numpy call, so a decoded frame
 costs little memory beyond its bytes or bits. Encoding also takes plain
 sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
 
-Encoding is canonical: each message has exactly one valid byte string, so
-encode is injective and decode(encode(m)) == m. Every type bounds its
-payload length, and ``decode_header`` checks the length field against that
-bound before a receiver reads any payload.
+Encode and decode run from that one table and share each check, and either
+raises ProtocolViolationError: a float must be finite, a field must fit its
+struct code, and a payload must lie within its type's bounds, which
+``decode_header`` checks before a receiver reads any payload. Encoding is
+canonical: each message has exactly one valid byte string, so encode is
+injective and decode(encode(m)) == m.
 """
 
 from __future__ import annotations
@@ -55,18 +54,6 @@ from .keyfile import pack_bits, unpack_bits
 
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBI")
-
-MSG_SESSION_START = 0x01
-MSG_QFRAME_OUT = 0x02
-MSG_QFRAME_BACK = 0x03
-MSG_DETECTIONS = 0x04
-MSG_BASES = 0x05
-MSG_DISCLOSE = 0x06
-MSG_ER_REPORT = 0x07
-MSG_TERMINATE = 0x08
-MSG_QFRAME_WINDOW_OUT = 0x09
-MSG_QFRAME_WINDOW_BACK = 0x0A
-MSG_DETECTIONS_BLOCK = 0x0B
 
 # Most pulses one window frame carries, and most ends one DETECTIONS_BLOCK
 # carries.
@@ -159,47 +146,69 @@ Message = Union[
     QFrameWindowOut, QFrameWindowBack, DetectionsBlock,
 ]
 
-_SESSION_START = struct.Struct("<QBd")
-_QFRAME_OUT = struct.Struct("<Qd4d")
-_QFRAME_BACK = struct.Struct("<Qdd4d")
-_U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
-_WINDOW = struct.Struct("<QId4d")
-_BLOCK_COUNTS = struct.Struct("<II")
 _INDICES = np.dtype("<u8")
 DISCLOSE_RECORD = np.dtype([("index", "<u8"), ("bit", "u1")])
-
-# Least and most payload bytes of each type. The variable-size types are
-# bounded only by the u32 length field, so receivers read them in chunks.
 _U32_MAX = 2 ** 32 - 1
-_PAYLOAD_BOUNDS = {
-    MSG_SESSION_START: (_SESSION_START.size + 32,) * 2,
-    MSG_QFRAME_OUT: (_QFRAME_OUT.size,) * 2,
-    MSG_QFRAME_BACK: (_QFRAME_BACK.size,) * 2,
-    MSG_DETECTIONS: (4, _U32_MAX),
-    MSG_BASES: (4, _U32_MAX),
-    MSG_DISCLOSE: (4, _U32_MAX),
-    MSG_ER_REPORT: (_F64.size,) * 2,
-    MSG_TERMINATE: (1, 1),
-    MSG_QFRAME_WINDOW_OUT: (_WINDOW.size,) * 2,
-    MSG_QFRAME_WINDOW_BACK: (_WINDOW.size, _WINDOW.size + BLOCK_PULSES),
-    MSG_DETECTIONS_BLOCK: (_BLOCK_COUNTS.size + _INDICES.itemsize, _U32_MAX),
+
+
+class WireType:
+    """One frame type: its name, its message class, its fixed fields as struct codes
+    (``pol`` flattened last), then an array tail of least .. most bytes."""
+
+    def __init__(self, name: str, cls: type, fields: str, most_tail: int = 0,
+                 least_tail: int = 0):
+        self.name, self.cls, self.fixed = name, cls, struct.Struct("<" + fields)
+        zeros = self.fixed.unpack(bytes(self.fixed.size))
+        # Where the f64 fields sit, and where pol starts if the type has one.
+        self.floats = tuple(i for i, value in enumerate(zeros) if isinstance(value, float))
+        self.pol = len(zeros) - 4 if "pol" in cls._fields else None
+        self.least = self.fixed.size + least_tail
+        self.most = min(self.fixed.size + most_tail, _U32_MAX)
+
+    def check_length(self, length: int) -> None:
+        if not self.least <= length <= self.most:
+            raise ProtocolViolationError(
+                f"{self.name} payload of {length} bytes, allowed {self.least}..{self.most}"
+            )
+
+    def check_floats(self, values) -> None:
+        for i in self.floats:
+            if not math.isfinite(values[i]):
+                raise ProtocolViolationError(f"{self.name} float {values[i]!r} is not finite")
+
+    def pack(self, values) -> bytes:
+        packed = self.fixed.pack(*values)  # first: it refuses a wrong count or kind of value
+        self.check_floats(values)
+        return packed
+
+    def fields(self, msg: Message) -> tuple:
+        """``msg``'s fixed fields in wire order."""
+        return msg if self.pol is None else (*msg[:self.pol], *msg.pol)
+
+    def message(self, values: tuple, *tail) -> Message:
+        """The message of fixed ``values``, with any ``tail`` fields before pol."""
+        if self.pol is None:
+            return self.cls(*values, *tail)
+        return self.cls(*values[:self.pol], *tail, values[self.pol:])
+
+
+# Every wire type, by its code. The count-prefixed types are bounded only by
+# the u32 length field, so receivers read them in chunks.
+WIRE_TYPES = {
+    0x01: WireType("SESSION_START", SessionStart, "QBd", most_tail=32, least_tail=32),
+    0x02: WireType("QFRAME_OUT", QFrameOut, "Qd4d"),
+    0x03: WireType("QFRAME_BACK", QFrameBack, "Qdd4d"),
+    0x04: WireType("DETECTIONS", Detections, "I", most_tail=_U32_MAX),
+    0x05: WireType("BASES", Bases, "I", most_tail=_U32_MAX),
+    0x06: WireType("DISCLOSE", Disclose, "I", most_tail=_U32_MAX),
+    0x07: WireType("ER_REPORT", ErReport, "d"),
+    0x08: WireType("TERMINATE", Terminate, "B"),
+    0x09: WireType("QFRAME_WINDOW_OUT", QFrameWindowOut, "QId4d"),
+    0x0A: WireType("QFRAME_WINDOW_BACK", QFrameWindowBack, "QId4d", most_tail=BLOCK_PULSES),
+    0x0B: WireType("DETECTIONS_BLOCK", DetectionsBlock, "II", most_tail=_U32_MAX,
+                   least_tail=_INDICES.itemsize),  # at least one end
 }
-
-
-def _require_finite(value: float, field: str) -> None:
-    if not math.isfinite(value):
-        raise ProtocolViolationError(f"{field} must be finite, got {value!r}")
-
-
-def _require_pol(pol) -> None:
-    for x in pol:
-        _require_finite(x, "pol")
-
-
-def _require_index(value: int, field: str) -> None:
-    if not (0 <= value < 2 ** 64):
-        raise ProtocolViolationError(f"{field} must fit in u64, got {value!r}")
+_BY_CLASS = {wire.cls: (code, wire) for code, wire in WIRE_TYPES.items()}
 
 
 def index_array(values, what: str) -> np.ndarray:
@@ -218,25 +227,16 @@ def index_array(values, what: str) -> np.ndarray:
     return values
 
 
-def _pack_window(msg) -> bytes:
-    _require_index(msg.start, "start")
-    if not (0 <= msg.count <= _U32_MAX):
-        raise ProtocolViolationError(f"window count must fit in u32, got {msg.count!r}")
-    _require_finite(msg.mean_photons, "mean_photons")
-    _require_pol(msg.pol)
-    return _WINDOW.pack(msg.start, msg.count, msg.mean_photons, *msg.pol)
-
-
-def _unpack_window(payload: bytes):
-    start, count, mean_photons, *pol = _WINDOW.unpack_from(payload)
-    _require_finite(mean_photons, "mean_photons")
-    _require_pol(pol)
-    return start, count, mean_photons, tuple(pol)
-
-
-def _require_symbols(symbols: np.ndarray) -> None:
+def check_window_symbols(frame: QFrameWindowBack) -> np.ndarray:
+    """The frame's symbols; ProtocolViolationError unless they are ``count`` uint8
+    values 2 * bit + basis. Decoding checks this; in-process receivers call it."""
+    symbols = frame.symbols
+    if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
+            and symbols.shape == (frame.count,)):
+        raise ProtocolViolationError("window symbols must be count uint8 values")
     if symbols.size and symbols.max() >= _SYMBOLS:
         raise ProtocolViolationError("window symbol is outside the alphabet")
+    return symbols
 
 
 def check_detections_block(ends, indices) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,72 +275,44 @@ def disclose_records(items) -> np.ndarray:
     return items
 
 
-def _encode_payload(msg: Message) -> Tuple[int, bytes]:
-    if isinstance(msg, SessionStart):
-        _require_index(msg.n_pulses, "n_pulses")
-        _require_finite(msg.mu_pair, "mu_pair")
-        if not (0 <= msg.variant_code <= 0xFF):
-            raise ProtocolViolationError(f"variant_code must be a u8, got {msg.variant_code}")
-        if len(msg.seeds_commitment) != 32:
-            raise ProtocolViolationError("seeds_commitment must be exactly 32 bytes")
-        return MSG_SESSION_START, _SESSION_START.pack(
-            msg.n_pulses, msg.variant_code, msg.mu_pair
-        ) + msg.seeds_commitment
-    if isinstance(msg, QFrameOut):
-        _require_index(msg.index, "index")
-        _require_finite(msg.mean_photons, "mean_photons")
-        _require_pol(msg.pol)
-        return MSG_QFRAME_OUT, _QFRAME_OUT.pack(msg.index, msg.mean_photons, *msg.pol)
-    if isinstance(msg, QFrameBack):
-        _require_index(msg.index, "index")
-        _require_finite(msg.mean_photons, "mean_photons")
-        _require_finite(msg.phase_a, "phase_a")
-        _require_pol(msg.pol)
-        return MSG_QFRAME_BACK, _QFRAME_BACK.pack(
-            msg.index, msg.mean_photons, msg.phase_a, *msg.pol
-        )
-    if isinstance(msg, QFrameWindowOut):
-        return MSG_QFRAME_WINDOW_OUT, _pack_window(msg)
-    if isinstance(msg, QFrameWindowBack):
-        symbols = msg.symbols
-        if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
-                and symbols.shape == (msg.count,)):
-            raise ProtocolViolationError("window symbols must be count uint8 values")
-        if msg.count > BLOCK_PULSES:
-            raise ProtocolViolationError(
-                f"window of {msg.count} frames exceeds {BLOCK_PULSES}"
-            )
-        _require_symbols(symbols)
-        return MSG_QFRAME_WINDOW_BACK, _pack_window(msg) + symbols.tobytes()
-    if isinstance(msg, Detections):
-        indices = index_array(msg.indices, "DETECTIONS indices")
-        return MSG_DETECTIONS, _U32.pack(indices.size) + indices.tobytes()
-    if isinstance(msg, DetectionsBlock):
-        for values in msg:
-            if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
-                    and values.ndim == 1):
-                raise ProtocolViolationError("DETECTIONS_BLOCK fields must be uint64 arrays")
-        check_detections_block(msg.ends, msg.indices)
-        return MSG_DETECTIONS_BLOCK, (_BLOCK_COUNTS.pack(msg.ends.size, msg.indices.size)
-                                      + msg.ends.tobytes() + msg.indices.tobytes())
-    if isinstance(msg, Bases):
-        return MSG_BASES, _U32.pack(len(msg.bits)) + pack_bits(msg.bits, ProtocolViolationError)
-    if isinstance(msg, Disclose):
+def _payload(wire: WireType, msg: Message) -> bytes:
+    """``msg``'s fixed fields, then its array tail if its type has one."""
+    cls = wire.cls
+    if wire.most == wire.fixed.size:
+        return wire.pack(wire.fields(msg))
+    if cls is SessionStart:
+        return wire.pack(msg[:3]) + msg.seeds_commitment
+    if cls is QFrameWindowBack:
+        return wire.pack(wire.fields(msg)) + check_window_symbols(msg).tobytes()
+    if cls is Bases:
+        return wire.pack((len(msg.bits),)) + pack_bits(msg.bits, ProtocolViolationError)
+    if cls is Disclose:
         records = disclose_records(msg.items)
-        return MSG_DISCLOSE, _U32.pack(records.size) + records.tobytes()
-    if isinstance(msg, ErReport):
-        _require_finite(msg.error_rate, "error_rate")
-        return MSG_ER_REPORT, _F64.pack(msg.error_rate)
-    if isinstance(msg, Terminate):
-        if not (0 <= msg.reason <= 0xFF):
-            raise ProtocolViolationError(f"terminate reason must be a u8, got {msg.reason}")
-        return MSG_TERMINATE, bytes([msg.reason])
-    raise ProtocolViolationError(f"unknown message {msg!r}")
+        return wire.pack((records.size,)) + records.tobytes()
+    if cls is Detections:
+        indices = index_array(msg.indices, "DETECTIONS indices")
+        return wire.pack((indices.size,)) + indices.tobytes()
+    for values in msg:
+        if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
+                and values.ndim == 1):
+            raise ProtocolViolationError("DETECTIONS_BLOCK fields must be uint64 arrays")
+    ends, indices = check_detections_block(msg.ends, msg.indices)
+    return wire.pack((ends.size, indices.size)) + ends.tobytes() + indices.tobytes()
 
 
 def encode_frame(msg: Message) -> bytes:
-    msg_type, payload = _encode_payload(msg)
-    return HEADER.pack(WIRE_VERSION, msg_type, len(payload)) + payload
+    """The frame of ``msg``; ProtocolViolationError for a message its type cannot carry."""
+    code, wire = _BY_CLASS.get(type(msg), (None, None))
+    if wire is None:
+        raise ProtocolViolationError(f"unknown message {msg!r}")
+    try:
+        payload = _payload(wire, msg)
+    except (struct.error, TypeError) as exc:
+        # An int outside its field's range, a float where an int belongs, a
+        # wrong number of pol values, or a value of no wire type at all.
+        raise ProtocolViolationError(f"{wire.name} field does not fit: {exc}") from None
+    wire.check_length(len(payload))
+    return HEADER.pack(WIRE_VERSION, code, len(payload)) + payload
 
 
 def decode_header(header: bytes) -> Tuple[int, int]:
@@ -352,72 +324,42 @@ def decode_header(header: bytes) -> Tuple[int, int]:
     version, msg_type, length = HEADER.unpack(header)
     if version != WIRE_VERSION:
         raise ProtocolViolationError(f"unsupported wire version {version}")
-    bounds = _PAYLOAD_BOUNDS.get(msg_type)
-    if bounds is None:
+    if msg_type not in WIRE_TYPES:
         raise ProtocolViolationError(f"unknown msg_type 0x{msg_type:02x}")
-    least, most = bounds
-    if not least <= length <= most:
-        raise ProtocolViolationError(
-            f"msg_type 0x{msg_type:02x} payload of {length} bytes, "
-            f"allowed {least}..{most}"
-        )
+    WIRE_TYPES[msg_type].check_length(length)
     return msg_type, length
+
+
+def _tail_array(wire: WireType, payload: bytes, dtype: np.dtype, count: int) -> np.ndarray:
+    if len(payload) != wire.fixed.size + dtype.itemsize * count:
+        raise ProtocolViolationError(f"{wire.name} payload has wrong size")
+    return np.frombuffer(payload, dtype, offset=wire.fixed.size)
 
 
 def decode_payload(msg_type: int, payload: bytes) -> Message:
     """The message of a payload whose header ``decode_header`` accepted."""
-    if msg_type == MSG_SESSION_START:
-        n_pulses, variant_code, mu_pair = _SESSION_START.unpack_from(payload)
-        _require_finite(mu_pair, "mu_pair")
-        return SessionStart(n_pulses, variant_code, mu_pair, payload[_SESSION_START.size:])
-    if msg_type == MSG_QFRAME_OUT:
-        index, mean_photons, *pol = _QFRAME_OUT.unpack(payload)
-        _require_finite(mean_photons, "mean_photons")
-        _require_pol(pol)
-        return QFrameOut(index, mean_photons, tuple(pol))
-    if msg_type == MSG_QFRAME_BACK:
-        index, mean_photons, phase_a, *pol = _QFRAME_BACK.unpack(payload)
-        _require_finite(mean_photons, "mean_photons")
-        _require_finite(phase_a, "phase_a")
-        _require_pol(pol)
-        return QFrameBack(index, mean_photons, phase_a, tuple(pol))
-    if msg_type == MSG_QFRAME_WINDOW_OUT:
-        return QFrameWindowOut(*_unpack_window(payload))
-    if msg_type == MSG_QFRAME_WINDOW_BACK:
-        start, count, mean_photons, pol = _unpack_window(payload)
-        if len(payload) != _WINDOW.size + count:
-            raise ProtocolViolationError("QFRAME_WINDOW_BACK payload has wrong size")
-        symbols = np.frombuffer(payload, np.uint8, offset=_WINDOW.size)
-        _require_symbols(symbols)
-        return QFrameWindowBack(start, count, mean_photons, symbols, pol)
-    if msg_type == MSG_DETECTIONS:
-        (count,) = _U32.unpack_from(payload)
-        if len(payload) != 4 + 8 * count:
-            raise ProtocolViolationError("DETECTIONS payload has wrong size")
-        indices = np.frombuffer(payload, _INDICES, offset=4)
+    wire = WIRE_TYPES[msg_type]
+    values = wire.fixed.unpack_from(payload)
+    wire.check_floats(values)
+    if wire.most == wire.fixed.size:
+        return wire.message(values)
+    cls, offset = wire.cls, wire.fixed.size
+    if cls is SessionStart:
+        return SessionStart(*values, payload[offset:])
+    if cls is QFrameWindowBack:
+        msg = wire.message(values, np.frombuffer(payload, np.uint8, offset=offset))
+        check_window_symbols(msg)
+        return msg
+    if cls is Bases:
+        return Bases(unpack_bits(payload[offset:], values[0], ProtocolViolationError))
+    if cls is Disclose:
+        return Disclose(disclose_records(_tail_array(wire, payload, DISCLOSE_RECORD, values[0])))
+    if cls is Detections:
+        indices = _tail_array(wire, payload, _INDICES, values[0])
         return Detections(tuple(index_array(indices, "DETECTIONS indices").tolist()))
-    if msg_type == MSG_DETECTIONS_BLOCK:
-        windows, clicks = _BLOCK_COUNTS.unpack_from(payload)
-        if len(payload) != _BLOCK_COUNTS.size + _INDICES.itemsize * (windows + clicks):
-            raise ProtocolViolationError("DETECTIONS_BLOCK payload has wrong size")
-        values = np.frombuffer(payload, _INDICES, offset=_BLOCK_COUNTS.size)
-        ends, indices = values[:windows], values[windows:]
-        return DetectionsBlock(*check_detections_block(ends, indices))
-    if msg_type == MSG_BASES:
-        (count,) = _U32.unpack_from(payload)
-        return Bases(unpack_bits(payload[4:], count, ProtocolViolationError))
-    if msg_type == MSG_DISCLOSE:
-        (count,) = _U32.unpack_from(payload)
-        if len(payload) != 4 + DISCLOSE_RECORD.itemsize * count:
-            raise ProtocolViolationError("DISCLOSE payload has wrong size")
-        return Disclose(disclose_records(np.frombuffer(payload, DISCLOSE_RECORD, offset=4)))
-    if msg_type == MSG_ER_REPORT:
-        (er,) = _F64.unpack(payload)
-        _require_finite(er, "error_rate")
-        return ErReport(er)
-    if msg_type == MSG_TERMINATE:
-        return Terminate(payload[0])
-    raise ProtocolViolationError(f"unknown msg_type 0x{msg_type:02x}")
+    windows, clicks = values
+    both = _tail_array(wire, payload, _INDICES, windows + clicks)
+    return DetectionsBlock(*check_detections_block(both[:windows], both[windows:]))
 
 
 def decode_frame(data: bytes) -> Message:

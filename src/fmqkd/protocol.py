@@ -64,6 +64,7 @@ from .framing import (
     SessionStart,
     Terminate,
     check_detections_block,
+    check_window_symbols,
     disclose_records,
     index_array,
 )
@@ -287,14 +288,11 @@ class QuantumPhysics:
     def observe_window(self, frame: QFrameWindowBack, bob_symbols: np.ndarray) -> np.ndarray:
         """Click flags of one returned window, as a bool array."""
         self._check(frame.start, frame.mean_photons, frame.pol)
-        symbols = frame.symbols
-        if frame.count != bob_symbols.size or symbols.shape != bob_symbols.shape:
+        symbols = check_window_symbols(frame)
+        if frame.count < 1 or frame.count != bob_symbols.size:
             raise ProtocolViolationError(
-                f"returned window carries {symbols.size} symbols for "
-                f"{bob_symbols.size} pulses"
+                f"returned window carries {frame.count} symbols for {bob_symbols.size} pulses"
             )
-        if frame.count < 1 or symbols.dtype != np.uint8 or symbols.max() >= len(PHASES):
-            raise ProtocolViolationError("returned window symbol is outside the alphabet")
         self._expected_index += frame.count
         p = self._table[(symbols << 2) + bob_symbols]
         return self._gates.take(frame.count) < p

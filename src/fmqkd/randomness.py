@@ -107,10 +107,10 @@ class BitSource(_BlockStream):
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitSource":
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)  # checked as given: a cast would wrap 256 to 0, 1.5 to 1
         if arr.size and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("bits must be 0 or 1")
-        return cls(values=arr)
+        return cls(values=arr.astype(np.uint8))  # a copy: the caller's array stays theirs
 
     @classmethod
     def from_key_files(cls, paths: Sequence[str]) -> "BitSource":

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fmqkd.framing import (
     BLOCK_PULSES,
     DISCLOSE_RECORD,
     HEADER,
+    WIRE_TYPES,
     Bases,
     Detections,
     DetectionsBlock,
@@ -362,3 +365,33 @@ def test_fixed_size_header_with_wrong_length_rejected(msg_type, size):
         assert not isinstance(err.value, IncompleteFrameError)
     with pytest.raises(IncompleteFrameError):
         decode_frame(HEADER.pack(1, msg_type, size))
+
+
+POL = (1.0, 0.0, 0.0, 0.0)
+MALFORMED = {
+    "float index": QFrameOut(1.5, 1e6, POL),
+    "two pol values": QFrameOut(0, 1e6, (1.0, 0.0)),
+    "float window start": QFrameWindowOut(2.5, 3, 1e6, POL),
+    "float window-back start": QFrameWindowBack(0.5, 1, 0.5, np.zeros(1, np.uint8), POL),
+    "float n_pulses": SessionStart(10.5, 0, 0.1, bytes(32)),
+    "str commitment": SessionStart(10, 0, 0.1, "x" * 32),
+    "float reason": Terminate(1.5),
+    "str error rate": ErReport("0.1"),
+    # A zero-copy view: the count must be refused before any bit is packed.
+    "2**32 bases": Bases(np.broadcast_to(np.uint8(0), (2 ** 32,))),
+}
+
+
+@pytest.mark.parametrize("what", sorted(MALFORMED))
+def test_malformed_message_rejected_on_encode(what):
+    with pytest.raises(ProtocolViolationError):
+        encode_frame(MALFORMED[what])
+
+
+def test_readme_wire_format_table_names_every_type():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Wire format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (0x[0-9A-F]{2}) \| (\w+) +\|", section, re.MULTILINE)
+    assert {int(code, 16): name for code, name in rows} == {
+        code: wire.name for code, wire in WIRE_TYPES.items()}
+    assert len(rows) == len(WIRE_TYPES)

@@ -8,7 +8,8 @@
   is empty or runs past the session.
 - Framing is canonical: any byte string either fails to decode with
   ``ProtocolViolationError`` or decodes to a message that encodes back to
-  exactly those bytes.
+  exactly those bytes, and any message with one malformed field either
+  fails to encode with ``ProtocolViolationError`` or decodes back to itself.
 - Bob's session, on either engine, ends against any peer whose replies the
   wire can carry in a ``SessionResult``, ``ProtocolViolationError``,
   ``ConfigError`` or ``SessionAborted``, nothing else.
@@ -331,6 +332,43 @@ def test_decode_either_rejects_or_round_trips(data):
     except ProtocolViolationError:  # IncompleteFrameError included
         return
     assert encode_frame(msg) == data
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+BAD_INTS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64), st.floats())
+WRONG_POLS = st.lists(FINITE, max_size=6).filter(lambda p: len(p) != 4).map(tuple)
+
+
+@st.composite
+def corrupted_messages(draw):
+    """A message from ``MESSAGES`` with one field replaced: a float field by NaN
+    or inf, an int field by a negative or above-u64 int or by a float, ``pol``
+    by a wrong number of values, and an array field by any of those scalars."""
+    msg = draw(MESSAGES)
+    field = draw(st.sampled_from(msg._fields))
+    value = getattr(msg, field)
+    if field == "pol":
+        bad = draw(WRONG_POLS)
+    elif isinstance(value, float):
+        bad = draw(NON_FINITE)
+    elif isinstance(value, int):
+        bad = draw(BAD_INTS)
+    else:
+        bad = draw(st.one_of(NON_FINITE, BAD_INTS))
+    return msg._replace(**{field: bad})
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(msg=corrupted_messages())
+def test_encode_either_rejects_or_round_trips(msg):
+    try:
+        frame = encode_frame(msg)
+    except ProtocolViolationError:
+        return
+    back = decode_frame(frame)
+    assert type(back) is type(msg)
+    for got, sent in zip(back, msg):
+        assert np.array_equal(got, sent) if isinstance(got, np.ndarray) else got == sent
 
 
 def decoded(frame):

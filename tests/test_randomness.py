@@ -60,8 +60,15 @@ def test_prng_source_is_unbounded():
 
 
 def test_from_bits_validates_values():
-    with pytest.raises(ValueError):
-        BitSource.from_bits([0, 2])
+    # Checked as given, before any cast: uint8 would wrap 256 to 0 and cut 0.5 to 0.
+    for bad in ([0, 2], np.array([256, 257, -255]), np.array([0.5, 1.0])):
+        with pytest.raises(ValueError):
+            BitSource.from_bits(bad)
+    # The source keeps its own copy: writing into the caller's array changes nothing.
+    bits = np.array([0, 1, 0, 1], np.uint8)
+    src = BitSource.from_bits(bits)
+    bits[:] = 1
+    assert src.take(4).tolist() == [0, 1, 0, 1]
 
 
 def test_key_files_serve_their_bits_in_file_order(tmp_path):
