@@ -33,8 +33,9 @@ costs little memory beyond its bytes or bits. Encoding also takes plain
 sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
 
 Encode and decode run from that one table and share each check, and either
-raises ProtocolViolationError: a float must be finite, a field must fit its
-struct code, and a payload must lie within its type's bounds, which
+raises ProtocolViolationError: a float must be finite and exact (an int
+that float() rounds is refused), a field must fit its struct code, and a
+payload must lie within its type's bounds, which
 ``decode_header`` checks before a receiver reads any payload. Encoding is
 canonical: each message has exactly one valid byte string, so encode is
 injective and decode(encode(m)) == m.
@@ -172,9 +173,11 @@ class WireType:
             )
 
     def check_floats(self, values) -> None:
+        # An int that float() rounds (above 2**53) would share another message's frame.
         for i in self.floats:
-            if not math.isfinite(values[i]):
-                raise ProtocolViolationError(f"{self.name} float {values[i]!r} is not finite")
+            if not math.isfinite(values[i]) or float(values[i]) != values[i]:
+                raise ProtocolViolationError(
+                    f"{self.name} float {values[i]!r} is not finite or not exact")
 
     def pack(self, values) -> bytes:
         packed = self.fixed.pack(*values)  # first: it refuses a wrong count or kind of value

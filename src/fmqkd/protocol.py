@@ -243,7 +243,11 @@ class QuantumPhysics:
     click decision. The click probability of every (Alice, Bob) symbol pair
     is computed once, with ``interferometer.detection_mean`` and
     ``detector.click_probability``, into a 4 x 4 table that both the
-    per-pulse and the window path index.
+    per-pulse and the window path index. The window path compares each
+    pulse's gate uniform with the table's largest entry first and looks up
+    the pair's own probability only where it passes: u < p implies
+    u < max(p), so the clicks are the same, and at the reference rows about
+    0.1-0.2% of pulses reach the lookup.
     """
 
     def __init__(self, setup: SetupConfig, detector: GatedDetectorConfig,
@@ -257,6 +261,7 @@ class QuantumPhysics:
             for pa in PHASES for pb in PHASES
         ]
         self._table = np.array(self._probs)
+        self._p_max = self._table.max()
         self._gates = UniformSampler(rng)
 
     def _check(self, index: int, mean_photons: float, pol) -> None:
@@ -294,8 +299,11 @@ class QuantumPhysics:
                 f"returned window carries {frame.count} symbols for {bob_symbols.size} pulses"
             )
         self._expected_index += frame.count
-        p = self._table[(symbols << 2) + bob_symbols]
-        return self._gates.take(frame.count) < p
+        u = self._gates.take(frame.count)
+        clicks = u < self._p_max
+        at = np.flatnonzero(clicks)
+        clicks[at] = u[at] < self._table[(symbols[at] << 2) + bob_symbols[at]]
+        return clicks
 
 
 class AliceSession:

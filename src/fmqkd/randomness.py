@@ -1,9 +1,12 @@
 """Seeded random streams and the bit sources that feed the protocol.
 
 Every consumer gets its own derived generator so streams never interleave.
-One block stream serves random bits, key-file bits and uniforms in fixed-size
-blocks, which makes each served sequence independent of how callers chunk their
+One block stream serves random bits, key-file bits and uniforms in blocks of
+``framing.BLOCK_PULSES`` values, so each window frame takes exactly one block.
+Serving from blocks makes each sequence independent of how callers chunk their
 requests; that is what keeps both engines and both channel modes bit-identical.
+Random bits are the bits ``integers(0, 2)`` would draw, read straight from the
+PCG64 output words at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BitSourceExhausted
+from .framing import BLOCK_PULSES
 
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
@@ -24,7 +28,7 @@ class _BlockStream:
     """Serves each value once, in order, in blocks of ``_BLOCK``: the subclass's
     ``_draw()`` from ``rng``, or the next slice of a finite ``values`` array."""
 
-    _BLOCK = 65536
+    _BLOCK = BLOCK_PULSES  # even; no served value depends on the size
 
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  values: Optional[np.ndarray] = None):
@@ -92,14 +96,11 @@ class _BlockStream:
 
 
 class BitSource(_BlockStream):
-    """Random bits as uint8: unbounded from a seeded generator, or finite
-    from bits loaded from key files, served in file order."""
+    """Random bits as uint8: unbounded from a seeded PCG64 generator
+    (``from_seed``), or finite from bits loaded from key files, served in
+    file order."""
 
     _DTYPE = np.uint8
-
-    @classmethod
-    def from_rng(cls, rng: np.random.Generator) -> "BitSource":
-        return cls(rng)
 
     @classmethod
     def from_seed(cls, seed: int, stream: int = 0) -> "BitSource":
@@ -122,7 +123,10 @@ class BitSource(_BlockStream):
         return cls(values=np.concatenate(blocks))
 
     def _draw(self) -> np.ndarray:
-        return self._rng.integers(0, 2, size=self._BLOCK, dtype=np.int64).astype(np.uint8)
+        # integers(0, 2) never rejects (Lemire's threshold is 0 for two values): bit k is the
+        # top bit of the k-th 32-bit half of the PCG64 words, low half first (O'Neill 2014).
+        raw = self._rng.bit_generator.random_raw(self._BLOCK // 2)
+        return (raw.astype("<u8", copy=False).view("<i4") < 0).view(np.uint8)
 
     take_bit = _BlockStream._scalar
 

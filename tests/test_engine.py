@@ -15,7 +15,7 @@ import pytest
 
 from fmqkd import protocol
 from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
-from fmqkd.detector import GatedDetectorConfig
+from fmqkd.detector import GatedDetectorConfig, click_probability
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
 from fmqkd.framing import (
     Detections,
@@ -26,9 +26,9 @@ from fmqkd.framing import (
     decode_frame,
     encode_frame,
 )
-from fmqkd.interferometer import SetupConfig
+from fmqkd.interferometer import SetupConfig, detection_mean
 from fmqkd.keyfile import write_key_file
-from fmqkd.presets import reference_session
+from fmqkd.presets import reference_detector, reference_session, reference_setup
 from fmqkd.protocol import (
     OUTGOING_REFERENCE_PHOTONS,
     POL_HORIZONTAL,
@@ -331,6 +331,49 @@ def test_window_and_pulse_paths_share_one_click_table():
                                 protocol.PHASES[b[i]]) for i in range(5000)]
     assert batched.tolist() == per_pulse
     assert 100 < sum(per_pulse) < 4900
+
+
+def dense_click_table(setup, detector):
+    """Click probability of every pair, by 4 * alice_symbol + bob_symbol."""
+    return np.array([click_probability(detection_mean(pa - pb, setup), detector)
+                     for pa in protocol.PHASES for pb in protocol.PHASES])
+
+
+GATE_CASES = {
+    "mu 0.1": (reference_setup(0.1), reference_detector()),
+    "mu 0.2": (reference_setup(0.2), reference_detector()),
+    # Bright pulses on a perfect detector: the table's maximum is exactly 1.0.
+    "p_max 1": (SetupConfig(mu_pair=1000.0), GatedDetectorConfig(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_window_gate_matches_dense_lookup(variant, case):
+    # The window gate looks up a pair's probability only under the table's
+    # maximum; its clicks must equal a lookup on every pulse.
+    setup, detector = GATE_CASES[case]
+    table = dense_click_table(setup, detector)
+    assert (table.max() == 1.0) == (case == "p_max 1")
+    block = protocol.BLOCK_PULSES
+    rng = np.random.default_rng(11)
+    n = 3 * block
+    if variant.uses_bases:
+        a, b = rng.integers(0, 4, (2, n), dtype=np.uint8)
+    else:
+        a, b = 2 * rng.integers(0, 2, (2, n), dtype=np.uint8)
+    assert set(a.tolist()) == ({0, 1, 2, 3} if variant.uses_bases else {0, 2})
+    physics = QuantumPhysics(setup, detector, derive_rng(5, 0))
+    pol = (0.0, 0.0, 1.0, 0.0)
+    clicks = np.concatenate([
+        physics.observe_window(QFrameWindowBack(start, block, setup.mu_pair / 2.0,
+                                                a[start:start + block], pol),
+                               b[start:start + block])
+        for start in range(0, n, block)])
+    dense = derive_rng(5, 0).random(n) < table[(a << 2) + b]
+    assert clicks.dtype == bool
+    assert np.array_equal(clicks, dense)
+    assert dense.any()
 
 
 def test_alice_rejects_window_larger_than_a_block():

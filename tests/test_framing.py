@@ -377,6 +377,9 @@ MALFORMED = {
     "str commitment": SessionStart(10, 0, 0.1, "x" * 32),
     "float reason": Terminate(1.5),
     "str error rate": ErReport("0.1"),
+    # Ints that float() rounds: each would share its frame with 2**53.
+    "inexact error rate": ErReport(2 ** 53 + 1),
+    "inexact mean photons": QFrameWindowOut(0, 3, 2 ** 53 + 1, POL),
     # A zero-copy view: the count must be refused before any bit is packed.
     "2**32 bases": Bases(np.broadcast_to(np.uint8(0), (2 ** 32,))),
 }

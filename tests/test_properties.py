@@ -101,7 +101,7 @@ class SmallBits(BitSource):
 @SETTINGS
 @given(runs=request_runs, seed=st.integers(0, 2 ** 64 - 1))
 def test_prng_bits_any_interleaving_same_stream(runs, seed):
-    src = SmallBits.from_rng(derive_rng(seed, 0))
+    src = SmallBits.from_seed(seed, 0)
     served = serve(runs, src.take_bit, src.take)
     rng = derive_rng(seed, 0)
     blocks = -(-len(served) // SMALL_BLOCK)
@@ -269,10 +269,10 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
         if msg is valid_start:
             started = started or not alice.done
     # Scalar and window frames served one stream, in index order.
-    bits = BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BITS)).take(sent)
+    bits = BitSource.from_seed(cfg.seeds.alice, STREAM_BITS).take(sent)
     expected = 2 * bits.astype(int)
     if variant.uses_bases:
-        expected += BitSource.from_rng(derive_rng(cfg.seeds.alice, STREAM_BASES)).take(sent)
+        expected += BitSource.from_seed(cfg.seeds.alice, STREAM_BASES).take(sent)
     assert symbols == expected.tolist()
 
 

@@ -150,8 +150,8 @@ def test_errors_only_on_differing_bits():
     )
     result = run_session(cfg)
     n = result.n_pulses
-    alice_bits = BitSource.from_rng(derive_rng(seeds.alice, STREAM_BITS)).take(n)
-    bob_bits = BitSource.from_rng(derive_rng(seeds.bob, STREAM_BITS)).take(n)
+    alice_bits = BitSource.from_seed(seeds.alice, STREAM_BITS).take(n)
+    bob_bits = BitSource.from_seed(seeds.bob, STREAM_BITS).take(n)
     assert result.mismatches > 0
     for k, idx in enumerate(result.detected_indices):
         assert result.sifted_key_alice[k] == alice_bits[idx]
@@ -230,8 +230,8 @@ def test_estimate_disclosure_within_binomial_band():
     )
     result = run_session(cfg)
     n = result.n_pulses
-    alice_bits = BitSource.from_rng(derive_rng(seeds.alice, STREAM_BITS)).take(n)
-    bob_bits = BitSource.from_rng(derive_rng(seeds.bob, STREAM_BITS)).take(n)
+    alice_bits = BitSource.from_seed(seeds.alice, STREAM_BITS).take(n)
+    bob_bits = BitSource.from_seed(seeds.bob, STREAM_BITS).take(n)
     idx = np.array(result.detected_indices)
     true_er = float(np.mean(alice_bits[idx] != bob_bits[idx]))
     k = result.compared_bits

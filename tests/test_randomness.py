@@ -89,3 +89,56 @@ def test_uniform_sampler_tracks_generator_stream():
     reference = np.random.default_rng(12).random(UniformSampler._BLOCK + 5)
     got = np.array([sampler.next() for _ in range(UniformSampler._BLOCK + 5)])
     assert np.array_equal(got, reference)
+
+
+ORACLE_SEEDS = [0, 1, 2, 3, 7, 42, 255, 256, 65535, 10 ** 9, 2 ** 32 - 1, 2 ** 32,
+                2 ** 63, 2 ** 64 - 1, 123456789, 987654321, 31337, 271828, 314159, 8675309]
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+def test_prng_bits_are_the_generators_integers(stream):
+    # Bits come from the raw PCG64 words; they must be exactly integers(0, 2),
+    # and leave the generator where integers(0, 2) leaves it after whole blocks.
+    n = 3 * BitSource._BLOCK + 5
+    for seed in ORACLE_SEEDS:
+        src = BitSource.from_seed(seed, stream)
+        oracle = derive_rng(seed, stream)
+        expected = oracle.integers(0, 2, size=4 * BitSource._BLOCK, dtype=np.int64)
+        assert np.array_equal(src.take(n), expected[:n].astype(np.uint8))
+        got, want = src._rng.bit_generator.state, oracle.bit_generator.state
+        # ``uinteger`` keeps a spent half that is never read while has_uint32 is 0.
+        assert got["state"] == want["state"]
+        assert got["has_uint32"] == want["has_uint32"] == 0
+
+
+class WideBits(BitSource):
+    _BLOCK = 65536
+
+
+class WideSampler(UniformSampler):
+    _BLOCK = 65536
+
+
+def mixed_serve(take, scalar, total, plan_seed):
+    """``total`` values in a random mix of ``take`` calls and runs of scalars."""
+    plan = np.random.default_rng(plan_seed)
+    served = []
+    while len(served) < total:
+        count = min(int(plan.integers(0, 40_000)), total - len(served))
+        if plan.random() < 0.3:
+            count = min(count, 2_000)
+            served.extend(scalar() for _ in range(count))
+        else:
+            served.extend(take(count).tolist())
+    return served
+
+
+def test_block_size_changes_no_served_value():
+    total = 200_000
+    for seed in (4, 2 ** 63):
+        wide, default = WideBits.from_seed(seed, 1), BitSource.from_seed(seed, 1)
+        assert (mixed_serve(wide.take, wide.take_bit, total, 1)
+                == mixed_serve(default.take, default.take_bit, total, 2))
+        wide, default = WideSampler(derive_rng(seed, 2)), UniformSampler(derive_rng(seed, 2))
+        assert (mixed_serve(wide.take, wide.next, total, 3)
+                == mixed_serve(default.take, default.next, total, 4))
