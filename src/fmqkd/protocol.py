@@ -11,10 +11,10 @@ the same exchange a block of pulses at a time: one window frame out and back
 per block, one numpy pass over the block, and one DETECTIONS_BLOCK that
 acknowledges every ``ack_window`` the block closes, with the same clicks per
 window as the per-pulse path's DETECTIONS. A block that closes no window
-sends no acknowledgement. Every random stream is served from fixed
-pre-drawn blocks, so both paths consume the same numbers and produce the
-same result bit for bit. Wrapped endpoints and custom physics run the
-per-pulse state machines, which remain the reference.
+sends no acknowledgement. Every random stream serves the same values
+however its requests are chunked, so both paths consume the same numbers
+and produce the same result bit for bit. Wrapped endpoints and custom
+physics run the per-pulse state machines, which remain the reference.
 
 Alice checks both acknowledgements with one rule set: a DETECTIONS is a
 DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
@@ -111,7 +111,7 @@ def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource
     """
     drawn = bits_src.take(count)
     bits += drawn.tobytes()
-    symbols = drawn << 1
+    symbols = drawn + drawn
     if bases_src is not None:
         drawn_bases = bases_src.take(count)
         bases += drawn_bases.tobytes()
@@ -627,42 +627,42 @@ class BobSession:
             matched = detected[bob_bases == alice_bases.bits]
         records = disclose_records(self._expect(endpoint, Disclose).items)
         disclosed, alice_bits = records["index"], records["bit"]
-        # Both index arrays increase, so each disclosed index must sit where
-        # it sorts into the sifted ones.
-        at = matched.searchsorted(disclosed)
-        if at.size and (at[-1] == matched.size or np.count_nonzero(matched[at] != disclosed)):
-            raise ProtocolViolationError("peer disclosed an index that was not sifted")
         bob_bits = np.frombuffer(self._bits, np.uint8)
-        sifted_bob = bob_bits[matched].tobytes()
-        compared = disclosed.size
-        mismatches = int(np.count_nonzero(alice_bits != bob_bits[disclosed]))
-        measured: Optional[float] = (
-            mismatches / compared if compared else None
-        )
+        sifted_bob = bob_bits[matched]
         if cfg.disclosure_fraction == 0.0:
-            if compared != matched.size:
+            if not np.array_equal(disclosed, matched):
                 raise ProtocolViolationError(
                     "oracle mode requires the peer to disclose every sifted bit"
                 )
+            bob_disclosed = final_bob = sifted_bob
             sifted_alice: Optional[bytes] = alice_bits.tobytes()
             removed: Tuple[int, ...] = ()
-            final_bob = sifted_bob
         else:
+            # Both index arrays increase, so each disclosed index must sit
+            # where it sorts into the sifted ones.
+            at = matched.searchsorted(disclosed)
+            if at.size and (at[-1] == matched.size or np.count_nonzero(matched[at] != disclosed)):
+                raise ProtocolViolationError("peer disclosed an index that was not sifted")
+            bob_disclosed, final_bob = bob_bits[disclosed], bob_bits[np.delete(matched, at)]
             sifted_alice = None
             removed = tuple(disclosed.tolist())
-            final_bob = bob_bits[np.delete(matched, at)].tobytes()
+        compared = disclosed.size
+        mismatches = int(np.count_nonzero(alice_bits != bob_disclosed))
+        measured: Optional[float] = (
+            mismatches / compared if compared else None
+        )
         if measured is not None:
             endpoint.send(ErReport(measured))
         endpoint.send(Terminate(TERMINATE_NORMAL))
         return self._result(
             basis_matched=matched.size,
-            sifted_key_bob=sifted_bob,
+            sifted_key_bob=sifted_bob.tobytes(),
             sifted_key_alice=sifted_alice,
             disclosed_indices=removed,
             compared_bits=compared,
             mismatches=mismatches,
             measured_er=measured,
-            final_key_bob=final_bob,
+            final_key_bob=final_bob.tobytes(),
         )
 
 

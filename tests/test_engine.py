@@ -498,3 +498,30 @@ def test_socket_disconnect_after_first_block_aborts_on_window_boundary():
         i for i in reference.detected_indices if i < first_block_end)
     assert partial.clicks == len(partial.detected_indices) > 0
     assert_python_types(partial)
+
+
+def advanced_state(seed, stream, words):
+    """The generator state of ``derive_rng(seed, stream)`` after ``words``
+    PCG64 words."""
+    rng = derive_rng(seed, stream)
+    rng.bit_generator.advance(words)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("ack_window", [1024, 7])
+def test_batched_session_draws_only_the_values_it_uses(variant, ack_window):
+    # Bits come two to a PCG64 word and gate uniforms one to a word, so each
+    # stream ends exactly where the session's own pulses leave it.
+    n = 20_001
+    cfg = dataclasses.replace(reference_session(0.2, n, SEEDS[1], variant),
+                              ack_window=ack_window)
+    alice, bob = AliceSession(cfg), BobSession(cfg)
+    bob.run(open_in_process(alice.handle))
+    for party, seed in ((alice, cfg.seeds.alice), (bob, cfg.seeds.bob)):
+        for stream, src in ((protocol.STREAM_BITS, party._bits_src),
+                            (protocol.STREAM_BASES, party._bases_src)):
+            if src is not None:
+                assert src._rng.bit_generator.state == advanced_state(seed, stream, -(-n // 2))
+    gates = bob._physics._gates._rng.bit_generator.state
+    assert gates == advanced_state(cfg.seeds.physics, protocol.STREAM_GATES, n)

@@ -175,12 +175,14 @@ def test_measured_er_tracks_prediction():
 
 
 class DiscloseTamperingEndpoint:
-    """Flips Alice's disclosed bits at the given positions of her DISCLOSE."""
+    """Flips Alice's disclosed bits at the given positions of her DISCLOSE;
+    ``edit`` then rewrites the list of (index, bit) records."""
 
-    def __init__(self, inner, flip=(), drop_last=False):
+    def __init__(self, inner, flip=(), drop_last=False, edit=lambda items: items):
         self._inner = inner
         self._flip = set(flip)
         self._drop_last = drop_last
+        self._edit = edit
 
     def send(self, msg):
         self._inner.send(msg)
@@ -189,7 +191,7 @@ class DiscloseTamperingEndpoint:
         msg = self._inner.recv()
         if isinstance(msg, Disclose):
             items = [(idx, bit ^ (k in self._flip)) for k, (idx, bit) in enumerate(msg.items)]
-            return Disclose(tuple(items[:-1] if self._drop_last else items))
+            return Disclose(tuple(self._edit(items[:-1] if self._drop_last else items)))
         return msg
 
     def close(self):
@@ -257,6 +259,32 @@ def test_oracle_mode_requires_full_disclosure():
     cfg = noiseless_config(2000)
     alice = AliceSession(cfg)
     endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), drop_last=True)
+    with pytest.raises(ProtocolViolationError):
+        BobSession(cfg).run(endpoint)
+
+
+def omit_a_middle_index(items):
+    return items[:len(items) // 2] + items[len(items) // 2 + 1:]
+
+
+def swap_in_an_unsifted_index(items):
+    # The first sifted index after a gap moves back by one, onto a pulse that
+    # was not sifted; the order stays strictly increasing.
+    k = next(k for k in range(1, len(items)) if items[k][0] > items[k - 1][0] + 1)
+    return items[:k] + [(items[k - 1][0] + 1, items[k][1])] + items[k + 1:]
+
+
+def swap_in_an_index_past_the_session(items):
+    return items[:-1] + [(10 ** 6, items[-1][1])]
+
+
+@pytest.mark.parametrize("edit", [omit_a_middle_index, swap_in_an_unsifted_index,
+                                  swap_in_an_index_past_the_session])
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_oracle_mode_refuses_a_disclosure_that_is_not_the_sifted_key(edit, variant):
+    cfg = noiseless_config(2000, variant=variant)
+    alice = AliceSession(cfg)
+    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), edit=edit)
     with pytest.raises(ProtocolViolationError):
         BobSession(cfg).run(endpoint)
 

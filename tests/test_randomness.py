@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,20 +97,76 @@ ORACLE_SEEDS = [0, 1, 2, 3, 7, 42, 255, 256, 65535, 10 ** 9, 2 ** 32 - 1, 2 ** 3
                 2 ** 63, 2 ** 64 - 1, 123456789, 987654321, 31337, 271828, 314159, 8675309]
 
 
+def integers_oracle(seed, stream, served):
+    """The first ``served`` bits of ``integers(0, 2)``, and the generator state
+    after them, rounded up to a whole PCG64 word."""
+    oracle = derive_rng(seed, stream)
+    bits = oracle.integers(0, 2, size=served + served % 2, dtype=np.int64)
+    return bits[:served].astype(np.uint8), oracle.bit_generator.state
+
+
+def assert_same_state(src, state):
+    got = src._rng.bit_generator.state
+    # ``uinteger`` keeps a spent half that is never read while has_uint32 is 0.
+    assert got["state"] == state["state"]
+    assert got["has_uint32"] == state["has_uint32"] == 0
+
+
 @pytest.mark.parametrize("stream", [0, 1])
 def test_prng_bits_are_the_generators_integers(stream):
     # Bits come from the raw PCG64 words; they must be exactly integers(0, 2),
-    # and leave the generator where integers(0, 2) leaves it after whole blocks.
+    # and a take draws only the words its bits need.
     n = 3 * BitSource._BLOCK + 5
     for seed in ORACLE_SEEDS:
         src = BitSource.from_seed(seed, stream)
-        oracle = derive_rng(seed, stream)
-        expected = oracle.integers(0, 2, size=4 * BitSource._BLOCK, dtype=np.int64)
-        assert np.array_equal(src.take(n), expected[:n].astype(np.uint8))
-        got, want = src._rng.bit_generator.state, oracle.bit_generator.state
-        # ``uinteger`` keeps a spent half that is never read while has_uint32 is 0.
-        assert got["state"] == want["state"]
-        assert got["has_uint32"] == want["has_uint32"] == 0
+        bits, state = integers_oracle(seed, stream, n)
+        assert np.array_equal(src.take(n), bits)
+        assert_same_state(src, state)
+
+
+# Odd requests and a carried spare bit. A scalar draw refills a whole block,
+# which the takes after it use up, so each chunking ends with no value drawn
+# ahead.
+ODD_CHUNKINGS = [
+    (5, 3, "bit", BitSource._BLOCK + 1),
+    (1, 1, 7, 2 * BitSource._BLOCK + 1),
+    ("bit", BitSource._BLOCK - 1, 3),
+]
+
+
+@pytest.mark.parametrize("chunking", ODD_CHUNKINGS)
+def test_odd_chunkings_draw_only_what_they_serve(chunking):
+    for seed in ORACLE_SEEDS:
+        src = BitSource.from_seed(seed, 1)
+        served = np.concatenate([
+            np.array([src.take_bit()], np.uint8) if n == "bit" else src.take(n)
+            for n in chunking
+        ])
+        bits, state = integers_oracle(seed, 1, served.size)
+        assert np.array_equal(served, bits)
+        assert_same_state(src, state)
+
+
+def key_file_bits(n):
+    return BitSource.from_bits(np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: BitSource.from_seed(3),
+    key_file_bits,
+    lambda n: UniformSampler(derive_rng(3, 0)),
+], ids=["prng_bits", "key_file_bits", "uniforms"])
+def test_large_take_needs_little_more_than_its_output(make):
+    n = 2 ** 22
+    src = make(n)
+    tracemalloc.start()
+    try:
+        out = src.take(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == n
+    assert peak <= 1.1 * out.nbytes
 
 
 class WideBits(BitSource):
