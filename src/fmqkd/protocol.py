@@ -254,13 +254,11 @@ class QuantumPhysics:
                  rng: np.random.Generator):
         self._expected_index = 0
         self._half_mu = setup.mu_pair / 2.0
-        # Indexed by 4 * alice_symbol + bob_symbol; a list for the per-pulse
-        # path, an array for the window path.
-        self._probs = [
+        # Indexed by 4 * alice_symbol + bob_symbol.
+        self._table = np.array([
             click_probability(detection_mean(pa - pb, setup), detector)
             for pa in PHASES for pb in PHASES
-        ]
-        self._table = np.array(self._probs)
+        ])
         self._p_max = self._table.max()
         self._gates = UniformSampler(rng)
 
@@ -282,7 +280,7 @@ class QuantumPhysics:
     def observe(self, frame: QFrameBack, phase_b: float) -> bool:
         self._check(frame.index, frame.mean_photons, frame.pol)
         try:
-            p = self._probs[4 * _SYMBOL_OF_PHASE[frame.phase_a] + _SYMBOL_OF_PHASE[phase_b]]
+            p = self._table.item(4 * _SYMBOL_OF_PHASE[frame.phase_a] + _SYMBOL_OF_PHASE[phase_b])
         except KeyError:
             raise ProtocolViolationError(
                 f"phase pair ({frame.phase_a}, {phase_b}) is outside the alphabet"

@@ -6,11 +6,15 @@ objects, and skips any attribute it cannot find, so renaming one of them in
 such name on live sessions of both variants.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fmqkd import interferometer, jones
+from fmqkd.errors import BitSourceExhausted
+from fmqkd.keyfile import write_key_file
 from fmqkd.presets import reference_session
 from fmqkd.protocol import ProtocolVariant, Seeds
 
@@ -45,6 +49,35 @@ def test_every_traced_hook_exists(tracing, variant):
             assert meter.calls == 1
     assert callable(interferometer.pulse_pair_overlap)
     assert callable(jones.haar_random_unitaries)
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_traced_hooks_exist_on_key_file_sources(tracing, variant, tmp_path):
+    from runners import inproc_pair
+
+    n = 8
+    paths = {}
+    for k, party in enumerate(("alice", "bob")):
+        paths[party] = (str(tmp_path / f"{party}.qkdr"),)
+        write_key_file(paths[party][0],
+                       np.random.default_rng(k).integers(0, 2, n, dtype=np.uint8))
+    cfg = replace(reference_session(0.1, n, Seeds(1, 2, 3), variant),
+                  alice_key_files=paths["alice"], bob_key_files=paths["bob"])
+    bob, _, alice = inproc_pair(cfg)
+    for party in (alice, bob):
+        src = party._bits_src
+        assert src.remaining() == n
+        meters = {name: tracing.Meter() for name in ("take_bit", "_refill")}
+        for name, meter in meters.items():
+            tracing._wrap(src, name, meter)
+            assert name in vars(src), name  # wrapped, not skipped
+        src.take(1)
+        src.take_bit()
+        src.take(n - 2)
+        # A key-file source never draws: it reaches ``_refill`` only when it runs out.
+        assert (meters["take_bit"].calls, meters["_refill"].calls) == (1, 0)
+        with pytest.raises(BitSourceExhausted):
+            src.take_bit()
 
 
 def test_micro_benchmark_entry_points_exist(tracing):

@@ -26,7 +26,7 @@ def test_prng_source_spans_refill_boundary():
     b = BitSource.from_seed(3)
     n = BitSource._BLOCK + 100
     assert np.array_equal(a.take(n), b.take(n))
-    assert a.cursor == n
+    assert_same_state(a, integers_oracle(3, 0, n)[1])
 
 
 def test_same_seed_same_stream():
@@ -54,7 +54,7 @@ def test_file_source_never_reserves_and_exhausts():
     assert src.take_bit() == 0
     with pytest.raises(BitSourceExhausted):
         src.take_bit()
-    assert src.cursor == 5
+    assert src.remaining() == 0
 
 
 def test_prng_source_is_unbounded():
@@ -63,7 +63,9 @@ def test_prng_source_is_unbounded():
 
 def test_from_bits_validates_values():
     # Checked as given, before any cast: uint8 would wrap 256 to 0 and cut 0.5 to 0.
-    for bad in ([0, 2], np.array([256, 257, -255]), np.array([0.5, 1.0])):
+    # Only a 1-D sequence: a 2-D array or a bare scalar would serve the wrong shape.
+    for bad in ([0, 2], np.array([256, 257, -255]), np.array([0.5, 1.0]),
+                [[0, 1], [1, 0]], 1):
         with pytest.raises(ValueError):
             BitSource.from_bits(bad)
     # The source keeps its own copy: writing into the caller's array changes nothing.
@@ -151,13 +153,14 @@ def key_file_bits(n):
     return BitSource.from_bits(np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("make", [
-    lambda n: BitSource.from_seed(3),
-    key_file_bits,
-    lambda n: UniformSampler(derive_rng(3, 0)),
-], ids=["prng_bits", "key_file_bits", "uniforms"])
-def test_large_take_needs_little_more_than_its_output(make):
-    n = 2 ** 22
+@pytest.mark.parametrize("make, n", [
+    (lambda n: BitSource.from_seed(3), 2 ** 22),
+    # An odd count holds its spare bit on its own, not in a copy of the draw.
+    (lambda n: BitSource.from_seed(3), 2 ** 22 + 1),
+    (key_file_bits, 2 ** 22),
+    (lambda n: UniformSampler(derive_rng(3, 0)), 2 ** 22),
+], ids=["prng_bits", "prng_bits_odd", "key_file_bits", "uniforms"])
+def test_large_take_needs_little_more_than_its_output(make, n):
     src = make(n)
     tracemalloc.start()
     try:
