@@ -25,6 +25,8 @@ RECV_CHUNK = 65536
 # Seconds a socket waits on its peer to connect or for any one send or recv;
 # a stalled peer then ends the session with ChannelError instead of a hang.
 IDLE_TIMEOUT_S = 30.0
+CONNECT_ATTEMPTS = 40  # tries to reach a peer that is still starting up
+CONNECT_DELAY_S = 0.25  # seconds between tries
 
 
 class InProcessEndpoint:
@@ -97,15 +99,15 @@ def open_in_process(responder: Responder) -> InProcessEndpoint:
     return InProcessEndpoint(responder)
 
 
-def connect(host: str, port: int, attempts: int = 40, delay_s: float = 0.25) -> SocketEndpoint:
+def connect(host: str, port: int) -> SocketEndpoint:
     """Connect to a serving peer, retrying while it starts up."""
     last: Optional[Exception] = None
-    for _ in range(attempts):
+    for _ in range(CONNECT_ATTEMPTS):
         try:
             return SocketEndpoint(socket.create_connection((host, port), timeout=IDLE_TIMEOUT_S))
         except OSError as exc:
             last = exc
-            time.sleep(delay_s)
+            time.sleep(CONNECT_DELAY_S)
     raise ChannelError(f"could not connect to {host}:{port}: {last}")
 
 

@@ -159,9 +159,7 @@ def parse_run_config(path: Path) -> RunSpec:
 
 
 def _predictions(cfg: SessionConfig) -> Tuple[float, float]:
-    er_det = er_det_analytic(
-        cfg.setup.mu_pair, cfg.setup.post_alice_loss_db, cfg.detector, 1.0
-    )
+    er_det = er_det_analytic(cfg.setup.mu_pair, cfg.setup.post_alice_loss_db, cfg.detector)
     return er_det, er_opt_prediction(cfg.setup)
 
 
@@ -356,7 +354,7 @@ def cmd_analyze(args) -> int:
         if missing:
             raise ConfigError(f"--mu also needs {', '.join(missing)}")
         cfg = GatedDetectorConfig(efficiency=args.eta, dark_prob_per_gate=args.dark)
-        print(f"er_det = {_fmt(er_det_analytic(args.mu, args.loss_db, cfg, 1.0))}")
+        print(f"er_det = {_fmt(er_det_analytic(args.mu, args.loss_db, cfg))}")
         printed = True
     if not printed:
         raise ConfigError("nothing to analyze; pass --extinction-db and/or --mu")

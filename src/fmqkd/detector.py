@@ -60,31 +60,21 @@ def gate_many(
     return rng.random(p.shape[0]) < p
 
 
-def er_det_analytic(
-    mu_pair: float,
-    post_alice_loss_db: float,
-    cfg: GatedDetectorConfig,
-    visibility: float = 1.0,
-) -> float:
+def er_det_analytic(mu_pair: float, post_alice_loss_db: float, cfg: GatedDetectorConfig) -> float:
     """Detector-induced error rate of the sifted key, closed form.
 
     Alice and Bob's phase choices match half the time, so the key collects
     clicks at the constructive fringe (p_sig) and the destructive fringe
     (p_err) with equal weight; the error rate is p_err / (p_sig + p_err).
-    With visibility 1 the destructive port is dark and the result isolates
-    the dark-count contribution.
+    The fringe is perfect, so p_err is the dark-count probability alone and
+    the result isolates the dark-count contribution.
     """
     if not (math.isfinite(mu_pair) and mu_pair >= 0.0):
         raise ValueError(f"mu_pair must be >= 0, got {mu_pair}")
     if not (math.isfinite(post_alice_loss_db) and post_alice_loss_db >= 0.0):
         raise ValueError(f"post_alice_loss_db must be >= 0, got {post_alice_loss_db}")
-    if not (0.0 <= visibility <= 1.0):
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    transmission = 10.0 ** (-post_alice_loss_db / 10.0)
-    mu_at_detector = mu_pair * transmission
-    p_sig = click_probability(mu_at_detector * (1.0 + visibility) / 2.0, cfg)
-    p_err = click_probability(mu_at_detector * (1.0 - visibility) / 2.0, cfg)
-    total = p_sig + p_err
-    if total == 0.0:
+    p_sig = click_probability(mu_pair * 10.0 ** (-post_alice_loss_db / 10.0), cfg)
+    p_err = cfg.dark_prob_per_gate
+    if p_sig + p_err == 0.0:
         raise UndefinedRateError("no clicks at either fringe; error rate undefined")
-    return p_err / total
+    return p_err / (p_sig + p_err)

@@ -34,8 +34,8 @@ sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
 
 Encode and decode run from that one table and share each check, and either
 raises ProtocolViolationError: a float must be finite and exact (an int
-that float() rounds is refused), a field must fit its struct code, and a
-payload must lie within its type's bounds, which
+that float() rounds is refused), bits must pass ``keyfile.bit_array``, a
+field must fit its struct code and a payload its type's bounds, which
 ``decode_header`` checks before a receiver reads any payload. Encoding is
 canonical: each message has exactly one valid byte string, so encode is
 injective and decode(encode(m)) == m.
@@ -51,7 +51,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolViolationError
-from .keyfile import pack_bits, unpack_bits
+from .keyfile import bit_array, pack_bits, unpack_bits
 
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBI")
@@ -272,8 +272,7 @@ def disclose_records(items) -> np.ndarray:
             raise ProtocolViolationError("DISCLOSE items must be (index, bit) pairs") from None
     if items.dtype != DISCLOSE_RECORD or items.ndim != 1:
         raise ProtocolViolationError("DISCLOSE items must be one array of records")
-    if np.count_nonzero(items["bit"] > 1):
-        raise ProtocolViolationError("disclosed bits must be 0 or 1")
+    bit_array(items["bit"], ProtocolViolationError)
     index_array(items["index"], "DISCLOSE indices")
     return items
 

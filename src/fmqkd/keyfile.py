@@ -12,13 +12,16 @@ Layout, little-endian throughout:
 Bit ``i`` of the stream is bit ``i % 8`` (LSB first) of payload byte
 ``i // 8``; unused high bits of the final byte are zero. The odd native
 block size of 65535 bits is why the bit count is explicit.
+
+Key files, BASES frames and bit sources share one check of their bits,
+``bit_array``, which reads the values as given, in place.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,12 +36,27 @@ MAX_BITS = 2 ** 32 - 1  # the largest u32 bit count
 _HEADER = struct.Struct("<4sB3sI")
 
 
-def pack_bits(bits, error=KeyFileError) -> bytes:
-    """Any sequence of 0 and 1, packed LSB first; ``error`` for other values."""
-    bits = np.asarray(bits)
-    if not np.all((bits == 0) | (bits == 1)):
+def bit_array(bits, error, size: Optional[int] = None) -> np.ndarray:
+    """``bits`` as a one-dimensional uint8 array, not copied when it already is one;
+    ``error`` unless it has ``size`` values (at most MAX_BITS if None), checked before
+    any is read, and each, as given, is a bool or an integer 0 or 1: a cast first would
+    wrap 256 to 0 and cut 0.5 to 0."""
+    try:
+        arr = np.asarray(bits)
+    except ValueError:  # a ragged sequence
+        raise error("bits must be one-dimensional") from None
+    if arr.ndim != 1:
+        raise error("bits must be one-dimensional")
+    if arr.size > MAX_BITS or size not in (None, arr.size):
+        raise error(f"{arr.size} bits, expected {f'at most {MAX_BITS}' if size is None else size}")
+    if arr.size and (arr.dtype.kind not in "biu" or arr.max() > 1 or arr.min() < 0):
         raise error("bits must be 0 or 1")
-    return np.packbits(bits.astype(np.uint8, copy=False), bitorder="little").tobytes()
+    return arr.astype(np.uint8, copy=False)
+
+
+def pack_bits(bits, error=KeyFileError) -> bytes:
+    """Any sequence of 0 and 1, packed LSB first; ``error`` unless ``bit_array`` takes it."""
+    return np.packbits(bit_array(bits, error), bitorder="little").tobytes()
 
 
 def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarray:
@@ -54,11 +72,8 @@ def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarra
 
 
 def encode_key_block(bits: np.ndarray) -> bytes:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size > MAX_BITS:
-        raise KeyFileError(f"bit count exceeds the u32 header field ({MAX_BITS})")
-    header = _HEADER.pack(MAGIC, VERSION, b"\x00\x00\x00", bits.size)
-    return header + pack_bits(bits)
+    payload = pack_bits(bits)
+    return _HEADER.pack(MAGIC, VERSION, b"\x00\x00\x00", len(bits)) + payload
 
 
 def decode_key_block(data: bytes) -> np.ndarray:

@@ -69,6 +69,7 @@ from .framing import (
     index_array,
 )
 from .interferometer import SetupConfig, attenuator_setting, detection_mean
+from .keyfile import bit_array
 from .randomness import BitSource, UniformSampler, derive_rng
 
 # Bright reference level of the outgoing pulses; the sender's attenuator
@@ -338,18 +339,14 @@ class AliceSession:
                 # Aborted sessions drop stragglers, like a closed socket would.
                 return []
             raise ProtocolViolationError("message received after session end")
-        if isinstance(msg, QFrameOut):
-            if not self._started:
-                raise ProtocolViolationError("first message must be SESSION_START")
-            return self._on_qframe(msg)
-        if isinstance(msg, QFrameWindowOut):
-            if not self._started:
-                raise ProtocolViolationError("first message must be SESSION_START")
-            return self._on_qframe_window(msg)
         if isinstance(msg, SessionStart):
             return self._on_start(msg)
         if not self._started:
             raise ProtocolViolationError("first message must be SESSION_START")
+        if isinstance(msg, QFrameOut):
+            return self._on_qframe(msg)
+        if isinstance(msg, QFrameWindowOut):
+            return self._on_qframe_window(msg)
         if isinstance(msg, Detections):
             # One window, ending at the frames reflected so far.
             msg = DetectionsBlock(np.array([self._qframes], np.uint64),
@@ -455,12 +452,9 @@ class AliceSession:
         if self._finalized or self._acked != self.cfg.n_pulses:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
         detected = self._detected
-        if len(msg.bits) != detected.size:
-            raise ProtocolViolationError(
-                f"BASES carries {len(msg.bits)} bits for {detected.size} detections"
-            )
+        theirs = bit_array(msg.bits, ProtocolViolationError, detected.size)
         mine = _at(self._bases, detected)
-        return [Bases(mine), self._disclose(detected[mine == msg.bits])]
+        return [Bases(mine), self._disclose(detected[mine == theirs])]
 
     def _disclose(self, sifted: np.ndarray) -> Disclose:
         """Sifting is done: disclose every sifted bit, or a random part that
@@ -619,10 +613,9 @@ class BobSession:
         if cfg.variant.uses_bases:
             bob_bases = _at(self._bases, detected)
             endpoint.send(Bases(bob_bases))
-            alice_bases = self._expect(endpoint, Bases)
-            if len(alice_bases.bits) != detected.size:
-                raise ProtocolViolationError("peer BASES length mismatch")
-            matched = detected[bob_bases == alice_bases.bits]
+            alice_bases = bit_array(self._expect(endpoint, Bases).bits, ProtocolViolationError,
+                                    detected.size)
+            matched = detected[bob_bases == alice_bases]
         records = disclose_records(self._expect(endpoint, Disclose).items)
         disclosed, alice_bits = records["index"], records["bit"]
         bob_bits = np.frombuffer(self._bits, np.uint8)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BitSourceExhausted
-from .keyfile import read_key_file
+from .keyfile import bit_array, read_key_file
 
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
@@ -90,10 +90,7 @@ class BitSource(_Stream):
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitSource":
-        arr = np.asarray(bits)  # checked as given: a cast would wrap 256 to 0, 1.5 to 1
-        if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("bits must be a one-dimensional sequence of 0s and 1s")
-        return cls(values=arr.astype(np.uint8))  # a copy: the caller's array stays theirs
+        return cls(values=bit_array(bits, ValueError).copy())  # the caller's array stays theirs
 
     @classmethod
     def from_key_files(cls, paths: Sequence[str]) -> "BitSource":

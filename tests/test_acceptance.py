@@ -93,8 +93,8 @@ def test_criterion_2_faraday_compensation():
 
 def test_criterion_3_detector_analytics():
     cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
-    er01 = er_det_analytic(0.1, 10.0, cfg, 1.0)
-    er02 = er_det_analytic(0.2, 10.0, cfg, 1.0)
+    er01 = er_det_analytic(0.1, 10.0, cfg)
+    er02 = er_det_analytic(0.2, 10.0, cfg)
     ok = (0.0072 - 0.0013 <= er01 <= 0.0072 + 0.0013) and (
         0.004 - 0.0007 <= er02 <= 0.004 + 0.0007
     )
@@ -125,7 +125,7 @@ def test_criterion_5_table_row_mu02():
     rate = result.sift_rate_per_1000
     ok_rate = 0.9 <= rate <= 1.1
     predicted = er_det_analytic(
-        0.2, cfg.setup.post_alice_loss_db, cfg.detector, 1.0
+        0.2, cfg.setup.post_alice_loss_db, cfg.detector
     ) + (er_opt_from_visibility(visibility_from_extinction_db(27.0))
          + er_opt_from_visibility(visibility_from_extinction_db(30.0))) / 2.0
     n = len(result.sifted_key_bob)

@@ -110,9 +110,11 @@ def test_socket_peer_close_mid_frame_raises():
     server.join(5)
 
 
-def test_connect_refused_after_retries():
+def test_connect_refused_after_retries(monkeypatch):
+    monkeypatch.setattr(channel, "CONNECT_ATTEMPTS", 2)
+    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.01)
     with pytest.raises(ChannelError):
-        connect("127.0.0.1", free_port(), attempts=2, delay_s=0.01)
+        connect("127.0.0.1", free_port())
 
 
 def run_over_socket(cfg, wrap=lambda handle: handle):

@@ -192,22 +192,12 @@ def test_simulate_socket_config_needs_roles(tmp_path, capsys):
     assert entry["role"] == "both" and entry["error"].startswith("ConfigError: --role both")
 
 
-def test_simulate_bob_connect_failure_is_channel_error(tmp_path, capsys):
+def test_simulate_bob_connect_failure_is_channel_error(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG + "channel = socket\nport = 1\n")
-    import fmqkd.cli as cli_mod
-    import fmqkd.channel as chan_mod
-
-    orig = chan_mod.connect
-
-    def fast_fail(host, port, attempts=40, delay_s=0.25):
-        return orig(host, port, attempts=1, delay_s=0.0)
-
-    cli_mod.connect = fast_fail
-    try:
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
-                     "--role", "bob"])
-    finally:
-        cli_mod.connect = orig
+    monkeypatch.setattr(channel, "CONNECT_ATTEMPTS", 1)
+    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.0)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 "--role", "bob"])
     assert code == EXIT_CHANNEL
     (entry,) = log_entries(tmp_path / "x")
     assert entry["role"] == "bob" and entry["error"].startswith("ChannelError")
@@ -385,7 +375,7 @@ def test_simulate_bob_stalled_peer_exits_3_and_logs(tmp_path, capsys, monkeypatc
     assert entry["role"] == "bob" and "timed out" in entry["error"]
 
 
-def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
+def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys, monkeypatch):
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
@@ -396,7 +386,8 @@ def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
         ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
         daemon=True)
     thread.start()
-    endpoint = connect("127.0.0.1", port, delay_s=0.05)
+    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.05)
+    endpoint = connect("127.0.0.1", port)
     try:
         # A window before SESSION_START.
         endpoint.send(QFrameWindowOut(0, 3, 1e6, (1.0, 0.0, 0.0, 0.0)))
@@ -409,7 +400,7 @@ def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys):
     assert json.loads(line)["error"].startswith("ProtocolViolationError")
 
 
-def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys):
+def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys, monkeypatch):
     port = free_port()
     cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
     out = tmp_path / "alice"
@@ -418,7 +409,8 @@ def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys):
         ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
         daemon=True)
     thread.start()
-    endpoint = connect("127.0.0.1", port, delay_s=0.05)
+    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.05)
+    endpoint = connect("127.0.0.1", port)
     try:
         # The session Alice expects, but committed to other seeds.
         endpoint.send(SessionStart(20000, ProtocolVariant.BB92.code, 0.2, bytes(32)))

@@ -80,8 +80,8 @@ def test_gate_frequency_matches_probability():
 
 def test_er_det_reference_values():
     cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
-    er_01 = er_det_analytic(0.1, 10.0, cfg, 1.0)
-    er_02 = er_det_analytic(0.2, 10.0, cfg, 1.0)
+    er_01 = er_det_analytic(0.1, 10.0, cfg)
+    er_02 = er_det_analytic(0.2, 10.0, cfg)
     # Oracle: closed-form evaluation assembled independently here.
     p_sig = closed_form(0.1 * 0.1, 0.1, 7e-6)
     p_err = closed_form(0.0, 0.1, 7e-6)
@@ -94,28 +94,28 @@ def test_er_det_reference_values():
 
 def test_er_det_zero_without_noise():
     cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=0.0)
-    assert er_det_analytic(0.1, 10.0, cfg, 1.0) == 0.0
+    assert er_det_analytic(0.1, 10.0, cfg) == 0.0
 
 
 def test_er_det_monotonicity():
     cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
-    ers = [er_det_analytic(mu, 10.0, cfg, 1.0) for mu in (0.05, 0.1, 0.2, 0.4)]
+    ers = [er_det_analytic(mu, 10.0, cfg) for mu in (0.05, 0.1, 0.2, 0.4)]
     assert all(a > b for a, b in zip(ers, ers[1:]))
     darker = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=2e-5)
-    assert er_det_analytic(0.1, 10.0, darker, 1.0) > er_det_analytic(0.1, 10.0, cfg, 1.0)
+    assert er_det_analytic(0.1, 10.0, darker) > er_det_analytic(0.1, 10.0, cfg)
 
 
 def test_efficiency_tradeoff_favors_low_dark_counts():
     fast = GatedDetectorConfig(efficiency=0.20, dark_prob_per_gate=22e-6)
     quiet = GatedDetectorConfig(efficiency=0.10, dark_prob_per_gate=7e-6)
-    ratio = er_det_analytic(0.1, 10.0, quiet, 1.0) / er_det_analytic(0.1, 10.0, fast, 1.0)
+    ratio = er_det_analytic(0.1, 10.0, quiet) / er_det_analytic(0.1, 10.0, fast)
     assert ratio < 1.0
 
 
 def test_er_det_undefined_when_both_ports_dark():
     cfg = GatedDetectorConfig(efficiency=0.0, dark_prob_per_gate=0.0)
     with pytest.raises(UndefinedRateError):
-        er_det_analytic(0.1, 10.0, cfg, 1.0)
+        er_det_analytic(0.1, 10.0, cfg)
 
 
 def test_config_validation():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bit_inputs import REFUSED
 from fmqkd.errors import IncompleteFrameError, ProtocolViolationError
 from fmqkd.framing import (
     BLOCK_PULSES,
@@ -382,6 +383,9 @@ MALFORMED = {
     "inexact mean photons": QFrameWindowOut(0, 3, 2 ** 53 + 1, POL),
     # A zero-copy view: the count must be refused before any bit is packed.
     "2**32 bases": Bases(np.broadcast_to(np.uint8(0), (2 ** 32,))),
+    # Bits are checked as given: 2-D bits would pack into a frame that decodes
+    # to other bits, or to none.
+    **{f"bases {what}": Bases(bits) for what, bits in REFUSED.items()},
 }
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bit_inputs import REFUSED, TAKEN
 from fmqkd.errors import KeyFileError
 from fmqkd.keyfile import (
     HEADER_SIZE,
@@ -8,6 +11,7 @@ from fmqkd.keyfile import (
     NATIVE_BLOCK_BITS,
     decode_key_block,
     encode_key_block,
+    pack_bits,
     read_key_file,
     write_key_file,
 )
@@ -60,9 +64,29 @@ def test_nonzero_padding_rejected():
         decode_key_block(bytes(good))
 
 
-def test_bit_values_validated():
-    with pytest.raises(KeyFileError):
-        encode_key_block(np.array([0, 3], dtype=np.uint8))
+def test_bit_values_validated(tmp_path):
+    # Checked as given, before any cast, and one-dimensional only; nothing is written.
+    path = tmp_path / "key.qkdr"
+    for bad in (np.array([0, 3], dtype=np.uint8), *REFUSED.values()):
+        with pytest.raises(KeyFileError):
+            encode_key_block(bad)
+        with pytest.raises(KeyFileError):
+            write_key_file(path, bad)
+    assert not path.exists()
+    for good in TAKEN:
+        assert encode_key_block(good) == b"QKDR\x01\x00\x00\x00\x03\x00\x00\x00\x05"
+
+
+def test_pack_bits_needs_no_temporary_per_bit():
+    # The check reads the bits in place: the peak is the packed bytes, twice.
+    bits = np.random.default_rng(1).integers(0, 2, 2 ** 22, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        pack_bits(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * bits.size
 
 
 def test_bit_count_beyond_u32_rejected():

@@ -169,6 +169,22 @@ ANY_INDEX = st.integers(-1, N_PULSES + 1)
 LEVELS = st.sampled_from([OUTGOING_REFERENCE_PHOTONS, OUTGOING_REFERENCE_PHOTONS, 1.0])
 SMALL = st.integers(0, 6)
 BIT = st.integers(0, 1)
+# Values no bit field holds, by dtype: out of range, negative, fractional or NaN.
+OUT_OF_RANGE = {np.uint8: [2, 255], np.int64: [256, -1], np.float64: [0.5, float("nan")]}
+
+
+@st.composite
+def odd_arrays(draw, rows):
+    """``rows`` 0s and 1s as uint8, int64 or float64, in one dimension or in a
+    column or a row of two, perhaps with one value from ``OUT_OF_RANGE``."""
+    dtype = draw(st.sampled_from(list(OUT_OF_RANGE)))
+    shape = draw(st.sampled_from([(rows,), (rows, 1), (rows, 2)]))
+    size = int(np.prod(shape))
+    values = np.array(draw(st.lists(BIT, min_size=size, max_size=size)), dtype).reshape(shape)
+    if values.size and draw(st.booleans()):
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(
+            st.sampled_from(OUT_OF_RANGE[dtype]))
+    return values
 
 
 def picks(data, pool, count):
@@ -185,15 +201,22 @@ def draw_message(data, valid_start, alice, sent, acked):
 
     ``sent`` frames were reflected and the first ``acked`` acknowledged.
     """
-    kind = data.draw(KINDS)
-    plausible = data.draw(MOSTLY)
+    # Half the time, the kind an honest Bob sends next, so that sessions reach BASES;
+    # half of those BASES are malformed.
+    if data.draw(st.booleans()):
+        kind = "window" if sent < N_PULSES else "block" if acked < N_PULSES else "bases"
+        plausible = data.draw(st.booleans() if kind == "bases" else MOSTLY)
+    else:
+        kind, plausible = data.draw(KINDS), data.draw(MOSTLY)
     if kind in ("qframe", "window"):
         start = sent if plausible else data.draw(ANY_INDEX)
         level = data.draw(LEVELS)
         if kind == "qframe":
             return QFrameOut(start, level, POL_HORIZONTAL)
         left = N_PULSES - sent
-        count = data.draw(st.integers(1, left)) if plausible and left else data.draw(ANY_INDEX)
+        # Often all the frames left, so that sessions reach BASES and disclosure.
+        count = (data.draw(st.one_of(st.just(left), st.integers(1, left))) if plausible and left
+                 else data.draw(ANY_INDEX))
         return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
     if kind == "detections":
         count = data.draw(SMALL)
@@ -214,8 +237,13 @@ def draw_message(data, valid_start, alice, sent, acked):
         return detections_block(picks(data, anywhere, data.draw(st.integers(0, 3))),
                                 picks(data, anywhere, data.draw(SMALL)))
     if kind == "bases":
-        count = len(alice.detected_indices) if plausible else data.draw(SMALL)
-        return Bases(np.array([data.draw(BIT) for _ in range(count)], np.uint8))
+        count = len(alice.detected_indices)
+        if plausible:
+            return Bases(np.array([data.draw(BIT) for _ in range(count)], np.uint8))
+        # Any shape and dtype, as an in-process peer may send: a bare bit, or an
+        # array of mostly one row per detection.
+        rows = count if data.draw(MOSTLY) else data.draw(SMALL)
+        return Bases(data.draw(st.one_of(BIT, odd_arrays(rows))))
     if kind == "terminate":
         return Terminate(data.draw(st.integers(0, 3)))
     return valid_start if plausible else valid_start._replace(n_pulses=N_PULSES + 1)
@@ -261,6 +289,13 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
             continue
         assert isinstance(replies, list)
         assert all(isinstance(r, REPLY_TYPES) for r in replies)
+        if isinstance(msg, Bases) and replies:
+            # Alice sifts only on one integer 0 or 1 per detection; with none, the
+            # empty bits may have any dtype, as an empty list does.
+            bits = np.asarray(msg.bits)
+            assert bits.shape == (len(alice.detected_indices),)
+            assert bits.dtype.kind in "biu" or not bits.size
+            assert set(bits.tolist()) <= {0, 1}
         if live and isinstance(msg, Detections):
             acked = sent
         elif live and isinstance(msg, DetectionsBlock):
@@ -342,7 +377,8 @@ WRONG_POLS = st.lists(FINITE, max_size=6).filter(lambda p: len(p) != 4).map(tupl
 def corrupted_messages(draw):
     """A message from ``MESSAGES`` with one field replaced: a float field by NaN
     or inf, an int field by a negative or above-u64 int or by a float, ``pol``
-    by a wrong number of values, and an array field by any of those scalars."""
+    by a wrong number of values, and an array field by any of those scalars or
+    by an array of another shape or dtype, or holding a value out of range."""
     msg = draw(MESSAGES)
     field = draw(st.sampled_from(msg._fields))
     value = getattr(msg, field)
@@ -353,7 +389,7 @@ def corrupted_messages(draw):
     elif isinstance(value, int):
         bad = draw(BAD_INTS)
     else:
-        bad = draw(st.one_of(NON_FINITE, BAD_INTS))
+        bad = draw(SMALL.flatmap(odd_arrays) if draw(MOSTLY) else st.one_of(NON_FINITE, BAD_INTS))
     return msg._replace(**{field: bad})
 
 
@@ -367,7 +403,9 @@ def test_encode_either_rejects_or_round_trips(msg):
     back = decode_frame(frame)
     assert type(back) is type(msg)
     for got, sent in zip(back, msg):
-        assert np.array_equal(got, sent) if isinstance(got, np.ndarray) else got == sent
+        # DETECTIONS indices encode from an array and decode to a tuple.
+        arrays = isinstance(got, np.ndarray) or isinstance(sent, np.ndarray)
+        assert np.array_equal(got, sent) if arrays else got == sent
 
 
 def decoded(frame):

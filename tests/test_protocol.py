@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bit_inputs import REFUSED
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
@@ -167,7 +168,7 @@ def test_measured_er_tracks_prediction():
     cfg = reference_session(0.2, 400_000, Seeds(100, 200, 300))
     result = run_session(cfg)
     predicted = er_det_analytic(
-        0.2, cfg.setup.post_alice_loss_db, cfg.detector, 1.0
+        0.2, cfg.setup.post_alice_loss_db, cfg.detector
     ) + er_opt_prediction(cfg.setup)
     n = len(result.sifted_key_bob)
     sigma = math.sqrt(predicted * (1.0 - predicted) / n)
@@ -355,6 +356,36 @@ def test_bb84_noiseless_error_free():
     # Mismatched-basis clicks exist but are discarded at sifting.
     assert result.basis_matched < result.clicks
     assert len(result.sifted_key_bob) == result.basis_matched
+
+
+def as_long_as(bits, n):
+    """A one-dimensional ``bits`` repeated to ``n`` values; any other shape as it is."""
+    return (bits * n)[:n] if isinstance(bits, list) and np.ndim(bits) == 1 else bits
+
+
+@pytest.mark.parametrize("what", sorted(REFUSED))
+def test_in_process_bases_are_checked_at_both_parties(what):
+    # In-process messages skip the wire and its checks, so each party checks the
+    # peer's BASES itself, with the length each expects.
+    cfg = noiseless_config(200, variant=ProtocolVariant.BB84)
+    bad = REFUSED[what]
+    alice = AliceSession(cfg)
+
+    def to_alice(msg):
+        return alice.handle(Bases(as_long_as(bad, len(msg.bits))) if isinstance(msg, Bases)
+                            else msg)
+
+    with pytest.raises(ProtocolViolationError, match="bits"):
+        BobSession(cfg).run(open_in_process(to_alice))
+    assert not alice.done and alice.sifted_key == b""
+    alice = AliceSession(cfg)
+
+    def from_alice(msg):
+        return [Bases(as_long_as(bad, r.bits.size)) if isinstance(r, Bases) else r
+                for r in alice.handle(msg)]
+
+    with pytest.raises(ProtocolViolationError, match="bits"):
+        BobSession(cfg).run(open_in_process(from_alice))
 
 
 def test_bb84_sift_fraction_near_half():

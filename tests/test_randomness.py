@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bit_inputs import REFUSED, TAKEN
 from fmqkd.errors import BitSourceExhausted
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
 
@@ -64,10 +65,11 @@ def test_prng_source_is_unbounded():
 def test_from_bits_validates_values():
     # Checked as given, before any cast: uint8 would wrap 256 to 0 and cut 0.5 to 0.
     # Only a 1-D sequence: a 2-D array or a bare scalar would serve the wrong shape.
-    for bad in ([0, 2], np.array([256, 257, -255]), np.array([0.5, 1.0]),
-                [[0, 1], [1, 0]], 1):
+    for bad in ([0, 2], np.array([256, 257, -255]), np.array([0.5, 1.0]), *REFUSED.values()):
         with pytest.raises(ValueError):
             BitSource.from_bits(bad)
+    for good in TAKEN:
+        assert BitSource.from_bits(good).take(3).tolist() == [1, 0, 1]
     # The source keeps its own copy: writing into the caller's array changes nothing.
     bits = np.array([0, 1, 0, 1], np.uint8)
     src = BitSource.from_bits(bits)
