@@ -22,10 +22,10 @@ type once: its message class, its fixed fields as little-endian struct codes
 
 QFRAME_OUT / QFRAME_BACK carry one pulse each, and DETECTIONS acknowledges
 one ack window; the per-pulse session engine (wrapped endpoints, custom
-physics) uses them. The window frames carry up to BLOCK_PULSES consecutive
-pulses each, and one DETECTIONS_BLOCK acknowledges every ack window a block
-closes: window k holds the indices from end k - 1 (or the previous frame's
-last end) up to end k. The batched engine uses them over both in-process and
+physics) uses them. The window frames carry up to BLOCK_PULSES (65,536)
+consecutive pulses each, and one DETECTIONS_BLOCK acknowledges every ack
+window a block closes: window k holds the indices from end k - 1 (or the
+previous frame's last end) up to end k. The batched engine uses them over both in-process and
 socket endpoints. Array payloads are numpy arrays (uint8 symbols and BASES
 bits, uint64 ends and indices, DISCLOSE items as ``DISCLOSE_RECORD``s laid
 out as on the wire), each decoded in one numpy call, so a decoded frame
@@ -58,7 +58,7 @@ HEADER = struct.Struct("<BBI")
 
 # Most pulses one window frame carries, and most ends one DETECTIONS_BLOCK
 # carries.
-BLOCK_PULSES = 16384
+BLOCK_PULSES = 65536
 # Window symbols are 2 * bit + basis.
 _SYMBOLS = 4
 
@@ -267,9 +267,15 @@ def disclose_records(items) -> np.ndarray:
     """
     if not isinstance(items, np.ndarray):
         try:
-            items = np.array(list(items), DISCLOSE_RECORD)
-        except (OverflowError, TypeError, ValueError):
+            pairs = [(index, bit) for index, bit in items]
+        except (TypeError, ValueError):
             raise ProtocolViolationError("DISCLOSE items must be (index, bit) pairs") from None
+        # Each column is checked as given: a cast into the record first would
+        # cut index 5.9 to 5 and bit 0.5 to 0.
+        records = np.empty(len(pairs), DISCLOSE_RECORD)
+        records["index"] = index_array([index for index, _ in pairs], "DISCLOSE indices")
+        records["bit"] = bit_array([bit for _, bit in pairs], ProtocolViolationError)
+        return records
     if items.dtype != DISCLOSE_RECORD or items.ndim != 1:
         raise ProtocolViolationError("DISCLOSE items must be one array of records")
     bit_array(items["bit"], ProtocolViolationError)

@@ -109,11 +109,16 @@ def er_opt_prediction(setup: SetupConfig) -> float:
     return (er_opt_from_visibility(va) + er_opt_from_visibility(vb)) / 2.0
 
 
-def detection_mean(delta_phi: float, setup: SetupConfig) -> float:
-    """Mean photon number arriving at the detector for a phase difference."""
+def detection_mean(delta_phi: float, setup: SetupConfig,
+                   visibility: float | None = None) -> float:
+    """Mean photon number arriving at the detector for a phase difference.
+
+    ``visibility`` is ``effective_visibility(setup)``, which callers that
+    evaluate many phases on one setup may compute once and pass in.
+    """
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi}")
-    v = effective_visibility(setup)
+    v = effective_visibility(setup) if visibility is None else visibility
     fringe = (1.0 + v * math.cos(delta_phi)) / 2.0
     return setup.mu_pair * setup.transmission * fringe
 

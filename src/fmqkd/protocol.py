@@ -68,7 +68,7 @@ from .framing import (
     disclose_records,
     index_array,
 )
-from .interferometer import SetupConfig, attenuator_setting, detection_mean
+from .interferometer import SetupConfig, attenuator_setting, detection_mean, effective_visibility
 from .keyfile import bit_array
 from .randomness import BitSource, UniformSampler, derive_rng
 
@@ -111,11 +111,11 @@ def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource
     a bases source every basis is 0, as in the two-state variant.
     """
     drawn = bits_src.take(count)
-    bits += drawn.tobytes()
+    bits += drawn.data
     symbols = drawn + drawn
     if bases_src is not None:
         drawn_bases = bases_src.take(count)
-        bases += drawn_bases.tobytes()
+        bases += drawn_bases.data
         symbols += drawn_bases
     return symbols
 
@@ -123,6 +123,14 @@ def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource
 def _at(buffer: bytearray, indices: np.ndarray) -> np.ndarray:
     """The bytes of ``buffer`` at ``indices``, as uint8."""
     return np.frombuffer(buffer, np.uint8)[indices]
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The arrays of ``parts`` as one array, which then replaces them, so a
+    list that grows one array per acknowledgement is joined once."""
+    if len(parts) > 1:
+        parts[:] = [np.concatenate(parts)]
+    return parts[0]
 
 
 def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
@@ -255,9 +263,10 @@ class QuantumPhysics:
                  rng: np.random.Generator):
         self._expected_index = 0
         self._half_mu = setup.mu_pair / 2.0
+        visibility = effective_visibility(setup)
         # Indexed by 4 * alice_symbol + bob_symbol.
         self._table = np.array([
-            click_probability(detection_mean(pa - pb, setup), detector)
+            click_probability(detection_mean(pa - pb, setup, visibility), detector)
             for pa in PHASES for pb in PHASES
         ])
         self._p_max = self._table.max()
@@ -290,7 +299,7 @@ class QuantumPhysics:
         return self._gates.next() < p
 
     def observe_window(self, frame: QFrameWindowBack, bob_symbols: np.ndarray) -> np.ndarray:
-        """Click flags of one returned window, as a bool array."""
+        """Offsets in one returned window of the pulses that clicked, increasing, as intp."""
         self._check(frame.start, frame.mean_photons, frame.pol)
         symbols = check_window_symbols(frame)
         if frame.count < 1 or frame.count != bob_symbols.size:
@@ -298,11 +307,17 @@ class QuantumPhysics:
                 f"returned window carries {frame.count} symbols for {bob_symbols.size} pulses"
             )
         self._expected_index += frame.count
-        u = self._gates.take(frame.count)
-        clicks = u < self._p_max
-        at = np.flatnonzero(clicks)
-        clicks[at] = u[at] < self._table[(symbols[at] << 2) + bob_symbols[at]]
-        return clicks
+        # Uniforms are drawn a refill's worth at a time, so a window holds at
+        # most that many of them; only the few under the table's maximum stay.
+        count, step = frame.count, self._gates._BLOCK
+        at, u_at = [], []
+        for lo in range(0, count, step):
+            u = self._gates.take(min(step, count - lo))
+            passed = (u < self._p_max).nonzero()[0]
+            u_at.append(u[passed])
+            at.append(passed + lo)
+        at, u = np.concatenate(at), np.concatenate(u_at)
+        return at[u < self._table[(symbols[at] << 2) + bob_symbols[at]]]
 
 
 class AliceSession:
@@ -312,7 +327,9 @@ class AliceSession:
         self.cfg = cfg
         self._bits_src, self._bases_src = _sources(
             cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
-        self._disclose_rng = derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
+        # Oracle mode discloses every sifted bit and draws nothing.
+        self._disclose_rng = (derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
+                              if cfg.disclosure_fraction != 0.0 else None)
         self._commitment = seeds_commitment(cfg)
         # Validates that the reference level can reach mu_pair / 2 at all.
         self.attenuation_db = attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
@@ -323,9 +340,10 @@ class AliceSession:
         self._bases = bytearray()
         self._started = False
         self._qframes = 0
-        # End of the last acknowledged window, and the detections below it.
+        # End of the last acknowledged window, and the detections below it,
+        # one array per acknowledgement until ``_joined``.
         self._acked = 0
-        self._detected = np.empty(0, np.uint64)
+        self._detected = [np.empty(0, np.uint64)]
         self._finalized = False
         # Sifted indices, and those of them the final key keeps.
         self._sifted = self._final = np.empty(0, np.uint64)
@@ -440,10 +458,10 @@ class AliceSession:
             raise ProtocolViolationError(
                 f"detection index {indices[0]} in a window acknowledged before"
             )
-        self._detected = np.concatenate((self._detected, indices))
+        self._detected.append(indices)
         self._acked = last
         if last == self.cfg.n_pulses and not self._uses_bases:
-            return [self._disclose(self._detected)]
+            return [self._disclose(_joined(self._detected))]
         return []
 
     def _on_bases(self, msg: Bases) -> List[Message]:
@@ -451,7 +469,7 @@ class AliceSession:
             raise ProtocolViolationError("BASES message in a two-state session")
         if self._finalized or self._acked != self.cfg.n_pulses:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
-        detected = self._detected
+        detected = _joined(self._detected)
         theirs = bit_array(msg.bits, ProtocolViolationError, detected.size)
         mine = _at(self._bases, detected)
         return [Bases(mine), self._disclose(detected[mine == theirs])]
@@ -483,7 +501,7 @@ class AliceSession:
 
     @property
     def detected_indices(self) -> Tuple[int, ...]:
-        return tuple(self._detected.tolist())
+        return tuple(_joined(self._detected).tolist())
 
 
 class BobSession:
@@ -497,10 +515,11 @@ class BobSession:
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
         # Bits and bases sent so far, one byte per pulse, and the clicked
-        # indices of the acknowledged windows, which end at ``_progress_pulses``.
+        # indices of the acknowledged windows, which end at ``_progress_pulses``,
+        # one array per acknowledgement until ``_joined``.
         self._bits = bytearray()
         self._bases = bytearray()
-        self._detected = np.empty(0, np.uint64)
+        self._detected = [np.empty(0, np.uint64)]
         self._progress_pulses = 0
 
     def run(self, endpoint) -> SessionResult:
@@ -512,6 +531,7 @@ class BobSession:
     def _result(self, **outcome) -> SessionResult:
         """The result over the acknowledged windows; ``outcome`` sets the rest."""
         cfg = self.cfg
+        detected = _joined(self._detected)
         return SessionResult(
             variant=cfg.variant.value,
             n_pulses=cfg.n_pulses,
@@ -519,8 +539,8 @@ class BobSession:
             disclosure_fraction=cfg.disclosure_fraction,
             seeds=cfg.seeds.as_tuple(),
             pulses_processed=self._progress_pulses,
-            clicks=self._detected.size,
-            detected_indices=tuple(self._detected.tolist()),
+            clicks=detected.size,
+            detected_indices=tuple(detected.tolist()),
             **outcome,
         )
 
@@ -574,8 +594,7 @@ class BobSession:
                 window_clicks.append(i)
             if (i + 1) % window == 0 or i + 1 == n:
                 send(Detections(tuple(window_clicks)))
-                self._detected = np.concatenate(
-                    (self._detected, np.array(window_clicks, np.uint64)))
+                self._detected.append(np.array(window_clicks, np.uint64))
                 self._progress_pulses = i + 1
                 window_clicks.clear()
 
@@ -593,23 +612,26 @@ class BobSession:
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
             )
             back = self._expect(endpoint, QFrameWindowBack)
-            clicks = np.flatnonzero(observe_window(back, symbols)).astype(np.uint64) + start
-            pending = np.concatenate((pending, clicks))
-            # Ends of the windows this block closes.
-            ends = np.arange(start - start % window + window, end, window, dtype=np.uint64)
-            if end % window == 0 or end == n:
-                ends = np.append(ends, np.uint64(end))
+            clicks = observe_window(back, symbols).astype(np.uint64)
+            clicks += start
+            if pending.size:
+                clicks = np.concatenate((pending, clicks))
+            # Ends of the windows this block closes. The block that ends at n
+            # holds only the final window, which may be short.
+            ends = (np.array([n], np.uint64) if end == n else
+                    np.arange(start - start % window + window, end + 1, window, np.uint64))
             if ends.size:
-                k = int(np.searchsorted(pending, ends[-1]))
-                endpoint.send(DetectionsBlock(ends, pending[:k]))
-                self._detected = np.concatenate((self._detected, pending[:k]))
+                k = clicks.searchsorted(ends[-1])
+                endpoint.send(DetectionsBlock(ends, clicks[:k]))
+                self._detected.append(clicks[:k])
                 self._progress_pulses = int(ends[-1])
-                pending = pending[k:]
+                clicks = clicks[k:]
+            pending = clicks
 
     def _sift(self, endpoint) -> SessionResult:
         """Bases exchange, disclosure check and the result, after the last window."""
         cfg = self.cfg
-        matched = detected = self._detected
+        matched = detected = _joined(self._detected)
         if cfg.variant.uses_bases:
             bob_bases = _at(self._bases, detected)
             endpoint.send(Bases(bob_bases))
@@ -661,7 +683,7 @@ def _blocks(n: int, window: int) -> Iterator[Tuple[int, int]]:
     """(start, end) of each block of the batched path.
 
     A block is the largest multiple of ``window`` that fits in BLOCK_PULSES
-    pulses, or BLOCK_PULSES pulses of a longer window. The final window
+    (65,536) pulses, or BLOCK_PULSES pulses of a longer window. The final window
     starts a new block, so Alice has reflected every frame only when its
     acknowledgement arrives, as on the per-pulse path.
     """

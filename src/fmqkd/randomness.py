@@ -64,7 +64,8 @@ class _Stream:
             raise BitSourceExhausted("requested 1 bit, 0 left")
         left = self._held.size - self._pos
         out = np.empty(left + count, self._EMPTY.dtype)
-        out[:left] = self._held[self._pos:]
+        if left:
+            out[:left] = self._held[self._pos:]
         self._held, self._pos = self._draw(out[left:]), 0
         return out
 

@@ -21,6 +21,7 @@ from fmqkd.framing import (
     DetectionsBlock,
     ErReport,
     QFrameWindowBack,
+    QFrameWindowOut,
     Terminate,
     encode_frame,
 )
@@ -150,24 +151,39 @@ def test_socket_session_matches_in_process():
     assert alice.measured_er == in_process.measured_er
 
 
-def test_socket_session_sends_one_acknowledgement_per_block():
-    # 20k pulses in 1024-pulse windows: blocks of 16 windows, 3 windows, and
-    # the final short window.
-    cfg = reference_session(0.2, 20_000, Seeds(42, 43, 44))
-    seen = []
-
+def recorder(seen):
+    """A wrapper of Alice's handler that appends every message Alice receives to ``seen``."""
     def wrap(handle):
         def responder(msg):
             seen.append(msg)
             return handle(msg)
         return responder
+    return wrap
 
-    result, _ = run_over_socket(cfg, wrap)
+
+def test_socket_session_sends_one_acknowledgement_per_block():
+    # 20k pulses in 1024-pulse windows: one block of 19 windows, then the
+    # final short window.
+    cfg = reference_session(0.2, 20_000, Seeds(42, 43, 44))
+    seen = []
+    result, _ = run_over_socket(cfg, recorder(seen))
     assert result == run_session(cfg)
     assert not any(isinstance(m, Detections) for m in seen)
     acks = [m for m in seen if isinstance(m, DetectionsBlock)]
-    assert [m.ends.size for m in acks] == [16, 3, 1]
+    assert [m.ends.size for m in acks] == [19, 1]
     assert acks[-1].ends[-1] == cfg.n_pulses
+
+
+def test_in_process_session_makes_one_round_trip_per_block():
+    # 100k pulses in 1024-pulse windows: two blocks of 64 and 33 windows, then
+    # the final short window.
+    cfg = reference_session(0.1, 100_000, Seeds(42, 43, 44))
+    seen = []
+    result = BobSession(cfg).run(open_in_process(recorder(seen)(AliceSession(cfg).handle)))
+    assert result == run_session(cfg)
+    assert sum(isinstance(m, QFrameWindowOut) for m in seen) == 3
+    acks = [m for m in seen if isinstance(m, DetectionsBlock)]
+    assert [m.ends.size for m in acks] == [64, 33, 1]
 
 
 class RawPeer:

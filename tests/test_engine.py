@@ -294,7 +294,11 @@ def test_physics_window_checks():
         return QFrameWindowBack(start, len(symbols), level, np.asarray(symbols, np.uint8), p)
 
     physics = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(3, 0))
-    assert physics.observe_window(back(0, [0, 1, 2, 3] * 2 + [0, 0]), bob).dtype == bool
+    good = back(0, [0, 1, 2, 3] * 2 + [0, 0])
+    dense = (derive_rng(3, 0).random(10)
+             < dense_click_table(cfg.setup, cfg.detector)[(good.symbols << 2) + bob])
+    offsets = physics.observe_window(good, bob)
+    assert offsets.dtype == np.intp and np.array_equal(offsets, np.flatnonzero(dense))
     for bad, bob_symbols in ((back(5, [0] * 10), bob),          # out of order
                              (back(10, [0] * 10, half * 3), bob),  # wrong level
                              (back(10, [0] * 10, p=(0.5, 0, 0, 0)), bob),
@@ -329,7 +333,7 @@ def test_window_and_pulse_paths_share_one_click_table():
     scalar = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(9, 0))
     per_pulse = [scalar.observe(QFrameBack(i, half, protocol.PHASES[a[i]], pol),
                                 protocol.PHASES[b[i]]) for i in range(5000)]
-    assert batched.tolist() == per_pulse
+    assert batched.tolist() == np.flatnonzero(per_pulse).tolist()
     assert 100 < sum(per_pulse) < 4900
 
 
@@ -366,13 +370,13 @@ def test_window_gate_matches_dense_lookup(variant, case):
     physics = QuantumPhysics(setup, detector, derive_rng(5, 0))
     pol = (0.0, 0.0, 1.0, 0.0)
     clicks = np.concatenate([
-        physics.observe_window(QFrameWindowBack(start, block, setup.mu_pair / 2.0,
-                                                a[start:start + block], pol),
-                               b[start:start + block])
+        start + physics.observe_window(QFrameWindowBack(start, block, setup.mu_pair / 2.0,
+                                                        a[start:start + block], pol),
+                                       b[start:start + block])
         for start in range(0, n, block)])
     dense = derive_rng(5, 0).random(n) < table[(a << 2) + b]
-    assert clicks.dtype == bool
-    assert np.array_equal(clicks, dense)
+    assert clicks.dtype == np.intp
+    assert np.array_equal(clicks, np.flatnonzero(dense))
     assert dense.any()
 
 
@@ -484,7 +488,8 @@ def serve_one_block(host, port, responder, is_done, on_listening):
                     endpoint.send(reply)
 
 
-def test_socket_disconnect_after_first_block_aborts_on_window_boundary():
+def test_socket_disconnect_after_first_block_aborts_on_window_boundary(monkeypatch):
+    monkeypatch.setattr(protocol, "BLOCK_PULSES", 400)
     cfg = noisy_config(3 * protocol.BLOCK_PULSES, SEEDS[1], ProtocolVariant.BB92, 100)
     first_block_end = 100 * (protocol.BLOCK_PULSES // 100)
     with pytest.raises(SessionAborted) as err:

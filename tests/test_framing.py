@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bit_inputs import REFUSED
+from bit_inputs import DISCLOSE_REFUSED, REFUSED
 from fmqkd.errors import IncompleteFrameError, ProtocolViolationError
 from fmqkd.framing import (
     BLOCK_PULSES,
@@ -386,6 +386,7 @@ MALFORMED = {
     # Bits are checked as given: 2-D bits would pack into a frame that decodes
     # to other bits, or to none.
     **{f"bases {what}": Bases(bits) for what, bits in REFUSED.items()},
+    **{f"disclose {what}": Disclose(items) for what, items in DISCLOSE_REFUSED.items()},
 }
 
 

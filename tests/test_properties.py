@@ -13,6 +13,8 @@
 - Bob's session, on either engine, ends against any peer whose replies the
   wire can carry in a ``SessionResult``, ``ProtocolViolationError``,
   ``ConfigError`` or ``SessionAborted``, nothing else.
+- The batched engine acknowledges each block's ack windows, and only those,
+  in one DETECTIONS_BLOCK, whose clicks together are the session's.
 """
 
 import functools
@@ -20,9 +22,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fmqkd import protocol
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
@@ -534,3 +537,40 @@ def test_bob_ends_in_result_or_documented_error(data, variant, disclosure, per_p
         assert isinstance(result, SessionResult)
     if honest:
         assert result == run_session(cfg)
+
+
+@SETTINGS
+@example(n=1000, ack_window=100, block=64)  # windows span blocks; n closes one
+@example(n=1001, ack_window=100, block=64)  # and a final short window
+@example(n=5, ack_window=8, block=64)  # one short window, one block
+@given(n=st.integers(1, 400), ack_window=st.integers(1, 150), block=st.integers(1, 64))
+def test_block_acknowledgements_close_each_window_once(n, ack_window, block):
+    cfg = SessionConfig(
+        n_pulses=n, variant=ProtocolVariant.BB92, setup=SetupConfig(mu_pair=2.0),
+        detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
+        seeds=Seeds(7, 8, 9), ack_window=ack_window,
+    )
+    alice, seen = AliceSession(cfg), []
+
+    def responder(msg):
+        seen.append(msg)
+        return alice.handle(msg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "BLOCK_PULSES", block)
+        result = BobSession(cfg).run(open_in_process(responder))
+    # Each window frame, and the acknowledgements sent before the next one.
+    blocks = []
+    for msg in seen:
+        if isinstance(msg, QFrameWindowOut):
+            blocks.append((msg.start, msg.start + msg.count, []))
+        elif isinstance(msg, DetectionsBlock):
+            blocks[-1][2].append(msg)
+    assert [end for _, end, _ in blocks[:-1]] == [start for start, _, _ in blocks[1:]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    for start, end, acks in blocks:
+        assert end - start <= block
+        ends = [e for e in range(start + 1, end + 1) if e % ack_window == 0 or e == n]
+        assert [ack.ends.tolist() for ack in acks] == ([ends] if ends else [])
+    indices = [i for _, _, acks in blocks for ack in acks for i in ack.indices.tolist()]
+    assert tuple(indices) == result.detected_indices

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bit_inputs import REFUSED
+from bit_inputs import DISCLOSE_REFUSED, REFUSED
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
@@ -385,6 +385,19 @@ def test_in_process_bases_are_checked_at_both_parties(what):
                 for r in alice.handle(msg)]
 
     with pytest.raises(ProtocolViolationError, match="bits"):
+        BobSession(cfg).run(open_in_process(from_alice))
+
+
+@pytest.mark.parametrize("what", sorted(DISCLOSE_REFUSED))
+def test_in_process_disclose_is_checked_before_it_is_read(what):
+    cfg = noiseless_config(200)
+    alice = AliceSession(cfg)
+
+    def from_alice(msg):
+        return [Disclose(DISCLOSE_REFUSED[what]) if isinstance(r, Disclose) else r
+                for r in alice.handle(msg)]
+
+    with pytest.raises(ProtocolViolationError, match="DISCLOSE|bits"):
         BobSession(cfg).run(open_in_process(from_alice))
 
 
