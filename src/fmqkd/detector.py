@@ -30,33 +30,25 @@ class GatedDetectorConfig:
             )
 
 
-def click_probability(mu_eff: float, cfg: GatedDetectorConfig) -> float:
-    """Probability that one gate fires on a weak coherent pulse.
+def click_probability(mu_eff, cfg: GatedDetectorConfig):
+    """Probability that one gate fires on a weak coherent pulse, or on each
+    entry of an array of intensities.
 
     Photon statistics are Poissonian and thinned by the quantum efficiency;
     a dark count fires the gate independently:
     p = 1 - (1 - p_dark) * exp(-eta * mu_eff).
     """
-    if not (math.isfinite(mu_eff) and mu_eff >= 0.0):
-        raise ValueError(f"mu_eff must be >= 0, got {mu_eff}")
+    if not (np.isfinite(mu_eff) & (mu_eff >= 0.0)).all():
+        raise ValueError(f"mu_eff must be finite and >= 0, got {mu_eff}")
     d = cfg.dark_prob_per_gate
-    return d + (1.0 - d) * -math.expm1(-cfg.efficiency * mu_eff)
-
-
-def click_probabilities(mu_effs: np.ndarray, cfg: GatedDetectorConfig) -> np.ndarray:
-    """Vectorized :func:`click_probability` over an array of intensities."""
-    mu_effs = np.asarray(mu_effs, dtype=float)
-    if not np.all(np.isfinite(mu_effs)) or np.any(mu_effs < 0.0):
-        raise ValueError("mu_effs must be finite and >= 0")
-    d = cfg.dark_prob_per_gate
-    return d + (1.0 - d) * -np.expm1(-cfg.efficiency * mu_effs)
+    return d + (1.0 - d) * -np.expm1(-cfg.efficiency * mu_eff)
 
 
 def gate_many(
     mu_effs: np.ndarray, cfg: GatedDetectorConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """One gate draw per intensity, consuming one uniform each, in order."""
-    p = click_probabilities(mu_effs, cfg)
+    p = click_probability(mu_effs, cfg)
     return rng.random(p.shape[0]) < p
 
 

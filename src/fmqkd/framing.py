@@ -163,6 +163,7 @@ class WireType:
         # Where the f64 fields sit, and where pol starts if the type has one.
         self.floats = tuple(i for i, value in enumerate(zeros) if isinstance(value, float))
         self.pol = len(zeros) - 4 if "pol" in cls._fields else None
+        self.n_values = len(zeros)
         self.least = self.fixed.size + least_tail
         self.most = min(self.fixed.size + most_tail, _U32_MAX)
 
@@ -186,7 +187,7 @@ class WireType:
 
     def fields(self, msg: Message) -> tuple:
         """``msg``'s fixed fields in wire order."""
-        return msg if self.pol is None else (*msg[:self.pol], *msg.pol)
+        return msg[:self.n_values] if self.pol is None else (*msg[:self.pol], *msg.pol)
 
     def message(self, values: tuple, *tail) -> Message:
         """The message of fixed ``values``, with any ``tail`` fields before pol."""
@@ -212,6 +213,7 @@ WIRE_TYPES = {
                    least_tail=_INDICES.itemsize),  # at least one end
 }
 _BY_CLASS = {wire.cls: (code, wire) for code, wire in WIRE_TYPES.items()}
+_OWN_FIELDS = {cls: wire for cls, (_, wire) in _BY_CLASS.items() if wire.most < _U32_MAX}
 
 
 def index_array(values, what: str) -> np.ndarray:
@@ -289,7 +291,7 @@ def _payload(wire: WireType, msg: Message) -> bytes:
     if wire.most == wire.fixed.size:
         return wire.pack(wire.fields(msg))
     if cls is SessionStart:
-        return wire.pack(msg[:3]) + msg.seeds_commitment
+        return wire.pack(wire.fields(msg)) + msg.seeds_commitment
     if cls is QFrameWindowBack:
         return wire.pack(wire.fields(msg)) + check_window_symbols(msg).tobytes()
     if cls is Bases:
@@ -306,6 +308,19 @@ def _payload(wire: WireType, msg: Message) -> bytes:
             raise ProtocolViolationError("DETECTIONS_BLOCK fields must be uint64 arrays")
     ends, indices = check_detections_block(msg.ends, msg.indices)
     return wire.pack((ends.size, indices.size)) + ends.tobytes() + indices.tobytes()
+
+
+def check_fields(msg: Message) -> Message:
+    """``msg``; ProtocolViolationError, as encoding raises, unless its fixed fields fit their
+    struct codes, as decoded ones do. In-process receivers call it. Count-prefixed types,
+    whose fixed fields count a tail with its own check, and non-messages pass."""
+    wire = _OWN_FIELDS.get(type(msg))
+    if wire is not None:
+        try:
+            wire.fixed.pack(*wire.fields(msg))
+        except (struct.error, TypeError) as exc:
+            raise ProtocolViolationError(f"{wire.name} field does not fit: {exc}") from None
+    return msg
 
 
 def encode_frame(msg: Message) -> bytes:

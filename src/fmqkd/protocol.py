@@ -64,11 +64,12 @@ from .framing import (
     SessionStart,
     Terminate,
     check_detections_block,
+    check_fields,
     check_window_symbols,
     disclose_records,
     index_array,
 )
-from .interferometer import SetupConfig, attenuator_setting, detection_mean, effective_visibility
+from .interferometer import SetupConfig, attenuator_setting, detection_mean
 from .keyfile import bit_array
 from .randomness import BitSource, UniformSampler, derive_rng
 
@@ -86,6 +87,8 @@ STREAM_GATES = 0
 # basis 0 only, so its alphabet is every other entry.
 PHASES = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
 _SYMBOL_OF_PHASE = {phase: symbol for symbol, phase in enumerate(PHASES)}
+# Phase difference of each (Alice, Bob) symbol pair, indexed 4 * alice + bob.
+_PHASE_DIFFS = np.subtract.outer(PHASES, PHASES).ravel()
 
 
 class ProtocolVariant(enum.Enum):
@@ -197,6 +200,12 @@ def seeds_commitment(cfg: SessionConfig) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
+def session_start(cfg: SessionConfig) -> SessionStart:
+    """The SESSION_START of ``cfg``: Bob sends it, and Alice takes only it."""
+    return SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
+                        seeds_commitment(cfg))
+
+
 def _sources(cfg: SessionConfig, key_files: Tuple[str, ...], seed: int,
              who: str) -> Tuple[BitSource, Optional[BitSource]]:
     """A party's bit source, checked to cover the session, and its bases
@@ -250,25 +259,20 @@ class QuantumPhysics:
 
     Consumes returned frames in strict index order and reduces each to one
     click decision. The click probability of every (Alice, Bob) symbol pair
-    is computed once, with ``interferometer.detection_mean`` and
-    ``detector.click_probability``, into a 4 x 4 table that both the
-    per-pulse and the window path index. The window path compares each
-    pulse's gate uniform with the table's largest entry first and looks up
-    the pair's own probability only where it passes: u < p implies
-    u < max(p), so the clicks are the same, and at the reference rows about
-    0.1-0.2% of pulses reach the lookup.
+    is computed once, by one call each of ``interferometer.detection_mean``
+    and ``detector.click_probability`` over the 16 phase differences, into a
+    4 x 4 table that both the per-pulse and the window path index. The
+    window path compares each pulse's gate uniform with the table's largest
+    entry first and looks up the pair's own probability only where it
+    passes: u < p implies u < max(p), so the clicks are the same, and at the
+    reference rows about 0.1-0.2% of pulses reach the lookup.
     """
 
     def __init__(self, setup: SetupConfig, detector: GatedDetectorConfig,
                  rng: np.random.Generator):
         self._expected_index = 0
         self._half_mu = setup.mu_pair / 2.0
-        visibility = effective_visibility(setup)
-        # Indexed by 4 * alice_symbol + bob_symbol.
-        self._table = np.array([
-            click_probability(detection_mean(pa - pb, setup, visibility), detector)
-            for pa in PHASES for pb in PHASES
-        ])
+        self._table = click_probability(detection_mean(_PHASE_DIFFS, setup), detector)
         self._p_max = self._table.max()
         self._gates = UniformSampler(rng)
 
@@ -284,7 +288,7 @@ class QuantumPhysics:
             )
         p0, p1, p2, p3 = pol
         norm_sq = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
-        if abs(norm_sq - 1.0) > 1e-6:
+        if not abs(norm_sq - 1.0) <= 1e-6:  # NaN fails too
             raise ProtocolViolationError("returned polarization is not normalized")
 
     def observe(self, frame: QFrameBack, phase_b: float) -> bool:
@@ -330,7 +334,7 @@ class AliceSession:
         # Oracle mode discloses every sifted bit and draws nothing.
         self._disclose_rng = (derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
                               if cfg.disclosure_fraction != 0.0 else None)
-        self._commitment = seeds_commitment(cfg)
+        self._start = session_start(cfg)
         # Validates that the reference level can reach mu_pair / 2 at all.
         self.attenuation_db = attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
         self._half_mu = cfg.setup.mu_pair / 2.0
@@ -357,6 +361,7 @@ class AliceSession:
                 # Aborted sessions drop stragglers, like a closed socket would.
                 return []
             raise ProtocolViolationError("message received after session end")
+        check_fields(msg)
         if isinstance(msg, SessionStart):
             return self._on_start(msg)
         if not self._started:
@@ -386,14 +391,7 @@ class AliceSession:
     def _on_start(self, msg: SessionStart) -> List[Message]:
         if self._started:
             raise ProtocolViolationError("duplicate SESSION_START")
-        cfg = self.cfg
-        ok = (
-            msg.n_pulses == cfg.n_pulses
-            and msg.variant_code == cfg.variant.code
-            and msg.mu_pair == cfg.setup.mu_pair
-            and msg.seeds_commitment == self._commitment
-        )
-        if not ok:
+        if msg != self._start:
             self.done = True
             self.abort_reason = TERMINATE_CONFIG_MISMATCH
             return [Terminate(TERMINATE_CONFIG_MISMATCH)]
@@ -545,7 +543,7 @@ class BobSession:
         )
 
     def _expect(self, endpoint, kind):
-        msg = endpoint.recv()
+        msg = check_fields(endpoint.recv())
         if isinstance(msg, Terminate):
             if msg.reason == TERMINATE_CONFIG_MISMATCH:
                 raise ConfigError("peer rejected the session parameters")
@@ -557,11 +555,7 @@ class BobSession:
         return msg
 
     def _run(self, endpoint) -> SessionResult:
-        cfg = self.cfg
-        endpoint.send(
-            SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                         seeds_commitment(cfg))
-        )
+        endpoint.send(session_start(self.cfg))
         if (type(endpoint) in (InProcessEndpoint, SocketEndpoint)
                 and type(self._physics) is QuantumPhysics):
             self._block_loop(endpoint)
@@ -570,33 +564,21 @@ class BobSession:
         return self._sift(endpoint)
 
     def _pulse_loop(self, endpoint) -> None:
-        """Reference path: one QFRAME out and back per pulse."""
+        """Reference path: one QFRAME out and back per pulse; symbols drawn per block."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
-        bits, bases = self._bits, self._bases
         window_clicks: List[int] = []
-        observe = self._physics.observe
-        take_bit = self._bits_src.take_bit
-        take_basis = self._bases_src.take_bit if self._bases_src is not None else None
-        send = endpoint.send
-        expect = self._expect
-        for i in range(n):
-            bit = take_bit()
-            bits.append(bit)
-            if take_basis is not None:
-                basis = take_basis()
-                bases.append(basis)
-                phase_b = PHASES[2 * bit + basis]
-            else:
-                phase_b = PHASES[2 * bit]
-            send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
-            back = expect(endpoint, QFrameBack)
-            if observe(back, phase_b):
-                window_clicks.append(i)
-            if (i + 1) % window == 0 or i + 1 == n:
-                send(Detections(tuple(window_clicks)))
-                self._detected.append(np.array(window_clicks, np.uint64))
-                self._progress_pulses = i + 1
-                window_clicks.clear()
+        for start, end in _blocks(n, window):
+            symbols = _draw_symbols(end - start, self._bits_src, self._bases_src,
+                                    self._bits, self._bases)
+            for i, symbol in enumerate(symbols.tolist(), start):
+                endpoint.send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+                if self._physics.observe(self._expect(endpoint, QFrameBack), PHASES[symbol]):
+                    window_clicks.append(i)
+                if (i + 1) % window == 0 or i + 1 == n:
+                    endpoint.send(Detections(tuple(window_clicks)))
+                    self._detected.append(np.array(window_clicks, np.uint64))
+                    self._progress_pulses = i + 1
+                    window_clicks.clear()
 
     def _block_loop(self, endpoint) -> None:
         """Batched path: one window frame out and back per block of pulses."""

@@ -5,7 +5,6 @@ import pytest
 
 from fmqkd.detector import (
     GatedDetectorConfig,
-    click_probabilities,
     click_probability,
     er_det_analytic,
     gate_many,
@@ -46,13 +45,33 @@ def test_click_probability_monotone_and_bounded():
     for eta in (0.0, 0.1, 0.5, 1.0):
         for dark in (0.0, 7e-6, 0.01, 1.0):
             cfg = GatedDetectorConfig(efficiency=eta, dark_prob_per_gate=dark)
-            p = click_probabilities(mus, cfg)
+            p = click_probability(mus, cfg)
             assert np.all(np.diff(p) >= -1e-15)
             assert np.all((p >= 0.0) & (p <= 1.0))
     # Monotone in eta and dark as well.
     base = click_probability(0.5, GatedDetectorConfig(0.1, 1e-5))
     assert click_probability(0.5, GatedDetectorConfig(0.2, 1e-5)) > base
     assert click_probability(0.5, GatedDetectorConfig(0.1, 1e-4)) > base
+
+
+def test_click_probability_of_an_array_is_its_scalar_calls():
+    cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
+    mus = np.random.default_rng(5).uniform(0.0, 2.0, 1000)
+    p = click_probability(mus, cfg)
+    assert p.shape == mus.shape
+    assert p.tolist() == [click_probability(mu, cfg) for mu in mus.tolist()]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_click_probability_refuses_a_bad_entry_anywhere(bad, at):
+    cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
+    mus = np.full(10, 0.5)
+    mus[at] = bad
+    with pytest.raises(ValueError):
+        click_probability(mus, cfg)
+    with pytest.raises(ValueError):
+        click_probability(bad, cfg)
 
 
 def test_linear_regime_approximation():

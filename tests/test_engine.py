@@ -88,20 +88,22 @@ def with_key_files(cfg, tmp_path, entropy):
                                bob_key_files=tuple(paths["bob"]))
 
 
-def run_both(cfg):
-    """(result, Alice's view) of the batched and the per-pulse path."""
-    views = []
-    for wrap in (lambda e: e, PassThroughEndpoint):
-        alice = AliceSession(cfg)
-        seen = []
+def run_in_process(cfg, wrap=lambda endpoint: endpoint):
+    """(result, Alice, messages Alice received) of an in-process session, with
+    Bob's endpoint passed through ``wrap``; by default the batched path."""
+    alice = AliceSession(cfg)
+    seen = []
 
-        def responder(msg, alice=alice, seen=seen):
-            seen.append(msg)
-            return alice.handle(msg)
+    def responder(msg):
+        seen.append(msg)
+        return alice.handle(msg)
 
-        result = BobSession(cfg).run(wrap(open_in_process(responder)))
-        views.append((result, alice, seen))
-    return views
+    return BobSession(cfg).run(wrap(open_in_process(responder))), alice, seen
+
+
+def run_reference(cfg):
+    """``run_in_process`` on the per-pulse path."""
+    return run_in_process(cfg, PassThroughEndpoint)
 
 
 def block_windows(seen):
@@ -123,8 +125,10 @@ def detection_windows(seen, cfg):
             for k, m in enumerate(detections)]
 
 
-def assert_equivalent(cfg):
-    (batched, alice_b, seen_b), (reference, alice_r, seen_r) = run_both(cfg)
+def assert_equivalent(cfg, reference=None):
+    """The batched path equals ``reference``, the per-pulse path's run of ``cfg``."""
+    batched, alice_b, seen_b = run_in_process(cfg)
+    reference, alice_r, seen_r = reference or run_reference(cfg)
     # The batched path really ran, in blocks; the reference ran per pulse.
     assert any(isinstance(m, QFrameWindowOut) for m in seen_b)
     assert not any(isinstance(m, QFrameOut) for m in seen_b)
@@ -163,10 +167,18 @@ def test_batched_matches_per_pulse_across_blocks(monkeypatch, ack_window):
             assert_equivalent(noisy_config(1000, seeds, variant, ack_window, 0.5))
 
 
-def test_batched_matches_per_pulse_full_blocks():
+@pytest.fixture(scope="module")
+def full_blocks():
+    """Two full blocks and a short third, and their per-pulse reference, which
+    both engines' tests compare with, run once."""
     cfg = reference_session(0.2, 2 * protocol.BLOCK_PULSES + 1001, Seeds(5, 6, 7),
                             ProtocolVariant.BB84)
-    assert assert_equivalent(dataclasses.replace(cfg, ack_window=7)).clicks > 0
+    cfg = dataclasses.replace(cfg, ack_window=7)
+    return cfg, run_reference(cfg)
+
+
+def test_batched_matches_per_pulse_full_blocks(full_blocks):
+    assert assert_equivalent(*full_blocks).clicks > 0
 
 
 def test_block_boundaries():
@@ -427,9 +439,10 @@ def run_over_socket(cfg, serve=serve_once):
     return result, alice, seen
 
 
-def assert_socket_matches(cfg):
-    """The socket session runs in blocks and equals the per-pulse reference."""
-    _, (reference, alice_r, seen_r) = run_both(cfg)
+def assert_socket_matches(cfg, reference=None):
+    """The socket session runs in blocks and equals ``reference``, the
+    per-pulse path's run of ``cfg``."""
+    reference, alice_r, seen_r = reference or run_reference(cfg)
     result, alice, seen = run_over_socket(cfg)
     assert any(isinstance(m, QFrameWindowOut) for m in seen)
     assert not any(isinstance(m, QFrameOut) for m in seen)
@@ -465,10 +478,8 @@ def test_socket_matches_in_process_across_blocks(monkeypatch, ack_window):
         assert_socket_matches(noisy_config(1000, SEEDS[2], variant, ack_window, 0.5))
 
 
-def test_socket_matches_in_process_full_blocks():
-    cfg = reference_session(0.2, 2 * protocol.BLOCK_PULSES + 1001, Seeds(5, 6, 7),
-                            ProtocolVariant.BB84)
-    assert assert_socket_matches(dataclasses.replace(cfg, ack_window=7)).clicks > 0
+def test_socket_matches_in_process_full_blocks(full_blocks):
+    assert assert_socket_matches(*full_blocks).clicks > 0
 
 
 def serve_one_block(host, port, responder, is_done, on_listening):
@@ -498,7 +509,7 @@ def test_socket_disconnect_after_first_block_aborts_on_window_boundary(monkeypat
     assert partial.aborted
     assert partial.pulses_processed == first_block_end
     assert partial.pulses_processed % cfg.ack_window == 0
-    _, (reference, _, _) = run_both(cfg)
+    reference, _, _ = run_reference(cfg)
     assert partial.detected_indices == tuple(
         i for i in reference.detected_indices if i < first_block_end)
     assert partial.clicks == len(partial.detected_indices) > 0

@@ -10,7 +10,6 @@ from fmqkd.interferometer import (
     SetupConfig,
     attenuator_setting,
     detection_mean,
-    detection_means,
     effective_visibility,
     er_opt_from_visibility,
     er_opt_prediction,
@@ -95,16 +94,35 @@ def test_fringe_symmetry():
 
 def test_fringe_monotone_on_first_half_turn():
     setup = SetupConfig()
-    values = detection_means(np.linspace(0.0, math.pi, 64), setup)
+    values = detection_mean(np.linspace(0.0, math.pi, 64), setup)
     assert np.all(np.diff(values) < 0.0)
 
 
 def test_visibility_recovery_from_fringe():
     setup = SetupConfig()
     phis = np.linspace(0.0, 2.0 * math.pi, 4097)
-    values = detection_means(phis, setup)
+    values = detection_mean(phis, setup)
     vis = (values.max() - values.min()) / (values.max() + values.min())
     assert abs(vis - effective_visibility(setup)) < 1e-9
+
+
+def test_detection_mean_of_an_array_is_its_scalar_calls():
+    setup = SetupConfig()
+    phis = np.random.default_rng(6).uniform(-4.0 * math.pi, 4.0 * math.pi, 1000)
+    values = detection_mean(phis, setup)
+    assert values.shape == phis.shape
+    assert values.tolist() == [detection_mean(phi, setup) for phi in phis.tolist()]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_detection_mean_refuses_a_non_finite_entry_anywhere(bad, at):
+    phis = np.linspace(0.0, math.pi, 10)
+    phis[at] = bad
+    with pytest.raises(ValueError):
+        detection_mean(phis, SetupConfig())
+    with pytest.raises(ValueError):
+        detection_mean(bad, SetupConfig())
 
 
 def test_quarter_phase_is_fringe_midpoint():

@@ -87,3 +87,5 @@ def test_micro_benchmark_entry_points_exist(tracing):
     assert callable(micro.BitSource.from_bits([0, 1]).take_bit)
     assert callable(micro.UniformSampler(micro.derive_rng(7, 0)).next)
     assert callable(micro.QuantumPhysics.observe)
+    # The micro-benchmark's name for the fringe is the one formula, not a copy.
+    assert micro.detection_means is interferometer.detection_mean

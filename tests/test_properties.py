@@ -5,7 +5,8 @@
 - Alice's state machine answers any message sequence, block
   acknowledgements included, with replies or ``ProtocolViolationError``,
   nothing else, and rejects every window frame that overlaps, leaves a gap,
-  is empty or runs past the session.
+  is empty or runs past the session, and every message with a fixed field
+  that does not fit its wire type.
 - Framing is canonical: any byte string either fails to decode with
   ``ProtocolViolationError`` or decodes to a message that encodes back to
   exactly those bytes, and any message with one malformed field either
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from field_inputs import TO_ALICE, honest_message
 from fmqkd import protocol
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
@@ -264,6 +266,16 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
     sent = acked = 0
     symbols = []  # symbol Alice reflected for each frame, in index order
     for k in range(data.draw(st.integers(1, 40))):
+        if k and data.draw(st.integers(0, 9)) == 0:
+            # One message in ten has a fixed field that does not fit.
+            kind, fields = TO_ALICE[data.draw(st.sampled_from(sorted(TO_ALICE)))]
+            msg = honest_message(kind, cfg, sent)._replace(**fields)
+            if alice.done and alice.abort_reason is not None:
+                assert alice.handle(msg) == []  # an aborted session drops stragglers
+            else:
+                with pytest.raises(ProtocolViolationError):
+                    alice.handle(msg)
+            continue
         if k == 0 and data.draw(MOSTLY):
             msg = valid_start
         else:

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from bit_inputs import DISCLOSE_REFUSED, REFUSED
+from field_inputs import TO_ALICE, TO_BOB, honest_message
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
@@ -18,7 +20,9 @@ from fmqkd.framing import (
     Detections,
     DetectionsBlock,
     Disclose,
+    QFrameBack,
     QFrameOut,
+    QFrameWindowBack,
     QFrameWindowOut,
     SessionStart,
 )
@@ -37,6 +41,7 @@ from fmqkd.protocol import (
     SessionConfig,
     run_session,
     seeds_commitment,
+    session_start,
 )
 from fmqkd.presets import reference_session
 from fmqkd.randomness import BitSource, derive_rng
@@ -399,6 +404,40 @@ def test_in_process_disclose_is_checked_before_it_is_read(what):
 
     with pytest.raises(ProtocolViolationError, match="DISCLOSE|bits"):
         BobSession(cfg).run(open_in_process(from_alice))
+
+
+@pytest.mark.parametrize("what", sorted(TO_ALICE))
+def test_alice_refuses_fields_that_do_not_fit(what):
+    cfg = noiseless_config(100)
+    kind, fields = TO_ALICE[what]
+    alice = AliceSession(cfg)
+    if kind != "start":
+        assert alice.handle(session_start(cfg)) == []
+    with pytest.raises(ProtocolViolationError, match="does not fit"):
+        alice.handle(honest_message(kind, cfg)._replace(**fields))
+    # The refused message changed nothing: the valid one is still taken.
+    replies = alice.handle(honest_message(kind, cfg))
+    assert len(replies) == (kind in ("pulse", "window"))
+    assert alice.done == (kind == "terminate")
+
+
+@pytest.mark.parametrize("what, per_pulse", [
+    (what, per_pulse) for what, fields in sorted(TO_BOB.items()) for per_pulse in (False, True)
+    if set(fields) <= set((QFrameBack if per_pulse else QFrameWindowBack)._fields)])
+def test_bob_refuses_returned_fields_that_do_not_fit(what, per_pulse):
+    cfg = noiseless_config(1000)
+    alice = AliceSession(cfg)
+    frame = QFrameBack if per_pulse else QFrameWindowBack
+
+    def from_alice(msg):  # the first returned frame only
+        return [r._replace(**TO_BOB[what]) if isinstance(r, frame) and r[0] == 0 else r
+                for r in alice.handle(msg)]
+
+    endpoint = open_in_process(from_alice)
+    if per_pulse:  # any other endpoint type runs the per-pulse engine
+        endpoint = types.SimpleNamespace(send=endpoint.send, recv=endpoint.recv)
+    with pytest.raises(ProtocolViolationError):
+        BobSession(cfg).run(endpoint)
 
 
 def test_bb84_sift_fraction_near_half():
