@@ -315,7 +315,8 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-# The Haar draw peaks at about 290 B per sample, so about 2.9 GB at the cap.
+# visibility_samples peaks at 256 B per sample, and the command, which holds
+# the first mirror's result during the second, at about 270 B: 2.7 GB at the cap.
 FM_CHECK_MAX_SAMPLES = 10_000_000
 
 

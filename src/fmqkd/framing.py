@@ -61,6 +61,7 @@ HEADER = struct.Struct("<BBI")
 BLOCK_PULSES = 65536
 # Window symbols are 2 * bit + basis.
 _SYMBOLS = 4
+_COMMITMENT_BYTES = 32
 
 TERMINATE_NORMAL = 0
 TERMINATE_CONFIG_MISMATCH = 1
@@ -199,7 +200,8 @@ class WireType:
 # Every wire type, by its code. The count-prefixed types are bounded only by
 # the u32 length field, so receivers read them in chunks.
 WIRE_TYPES = {
-    0x01: WireType("SESSION_START", SessionStart, "QBd", most_tail=32, least_tail=32),
+    0x01: WireType("SESSION_START", SessionStart, "QBd", most_tail=_COMMITMENT_BYTES,
+                   least_tail=_COMMITMENT_BYTES),
     0x02: WireType("QFRAME_OUT", QFrameOut, "Qd4d"),
     0x03: WireType("QFRAME_BACK", QFrameBack, "Qdd4d"),
     0x04: WireType("DETECTIONS", Detections, "I", most_tail=_U32_MAX),
@@ -285,13 +287,22 @@ def disclose_records(items) -> np.ndarray:
     return items
 
 
+def _commitment(msg: SessionStart) -> bytes:
+    """``msg``'s seeds commitment; ProtocolViolationError unless it is 32 bytes."""
+    commitment = msg.seeds_commitment
+    if not (isinstance(commitment, bytes) and len(commitment) == _COMMITMENT_BYTES):
+        raise ProtocolViolationError("SESSION_START field does not fit: "
+                                     "the seeds commitment must be 32 bytes")
+    return commitment
+
+
 def _payload(wire: WireType, msg: Message) -> bytes:
     """``msg``'s fixed fields, then its array tail if its type has one."""
     cls = wire.cls
     if wire.most == wire.fixed.size:
         return wire.pack(wire.fields(msg))
     if cls is SessionStart:
-        return wire.pack(wire.fields(msg)) + msg.seeds_commitment
+        return wire.pack(wire.fields(msg)) + _commitment(msg)
     if cls is QFrameWindowBack:
         return wire.pack(wire.fields(msg)) + check_window_symbols(msg).tobytes()
     if cls is Bases:
@@ -312,14 +323,17 @@ def _payload(wire: WireType, msg: Message) -> bytes:
 
 def check_fields(msg: Message) -> Message:
     """``msg``; ProtocolViolationError, as encoding raises, unless its fixed fields fit their
-    struct codes, as decoded ones do. In-process receivers call it. Count-prefixed types,
-    whose fixed fields count a tail with its own check, and non-messages pass."""
+    struct codes and a SESSION_START's commitment is 32 bytes, as decoded ones do.
+    In-process receivers call it. Count-prefixed types, whose fixed fields count a tail
+    with its own check, and non-messages pass."""
     wire = _OWN_FIELDS.get(type(msg))
     if wire is not None:
         try:
             wire.fixed.pack(*wire.fields(msg))
         except (struct.error, TypeError) as exc:
             raise ProtocolViolationError(f"{wire.name} field does not fit: {exc}") from None
+        if wire.cls is SessionStart:
+            _commitment(msg)
     return msg
 
 

@@ -26,6 +26,7 @@ rotation R(90). Two consequences used throughout:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -38,7 +39,14 @@ HORIZONTAL.flags.writeable = False
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return bool(np.abs(u @ np.swapaxes(u, -1, -2).conj() - np.eye(2)).max() <= tol)
+    """Whether U·Uᴴ is within ``tol`` of I, entry by entry, for ``u`` or each matrix of a stack."""
+    u = np.asarray(u)
+    square = np.abs(u) ** 2
+    # NaN fails this test, and rows that pass keep the cross term's entries finite.
+    if not np.abs(square[..., 0] + square[..., 1] - 1.0).max() <= tol:
+        return False
+    product = u[..., 0, :] * u[..., 1, :].conj()
+    return bool(np.abs(product[..., 0] + product[..., 1]).max() <= tol)
 
 
 def rotator(angle_rad: float) -> np.ndarray:
@@ -74,7 +82,16 @@ def faraday_mirror() -> np.ndarray:
     in the same sense, so the composite is R(90), the antisymmetric matrix
     [[0, -1], [1, 0]].
     """
-    return rotator(math.pi / 4.0) @ rotator(math.pi / 4.0)
+    return _faraday_mirror().copy()
+
+
+@functools.cache
+def _faraday_mirror() -> np.ndarray:
+    # Built once, as it takes about 8 us, and on first use: a matmul at import
+    # would set up OpenBLAS in every process that imports the package.
+    fm = rotator(math.pi / 4.0) @ rotator(math.pi / 4.0)
+    fm.flags.writeable = False
+    return fm
 
 
 def _require_unitary(u: np.ndarray) -> None:
@@ -91,7 +108,7 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     """
     _require_unitary(u)
     # Copy the transpose: a strided view takes another matmul kernel, rounding otherwise.
-    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ faraday_mirror() @ u
+    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ _faraday_mirror() @ u
 
 
 def ordinary_mirror_round_trip(u: np.ndarray) -> np.ndarray:
@@ -101,11 +118,22 @@ def ordinary_mirror_round_trip(u: np.ndarray) -> np.ndarray:
 
 
 def haar_random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stack of ``n`` Haar-uniform 2x2 unitaries, shape (n, 2, 2)."""
+    """Stack of ``n`` Haar-uniform 2x2 unitaries, shape (n, 2, 2).
+
+    Each is the Q of a complex Gaussian z = QR whose R has a real positive
+    diagonal (F. Mezzadri, Notices AMS 54, 592, 2007), in closed form: for z's
+    columns z0 and z1, Q's first column is u0 = z0 / |z0| and its second is
+    (-conj(u0[1]), conj(u0[0])) times the phase of t = u0[0] z1[1] - u0[1] z1[0].
+    """
     z = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    u = np.empty_like(z)
+    u[..., 0] = z[..., 0] / np.linalg.norm(z[..., 0], axis=-1, keepdims=True)
+    u00, u10 = u[:, 0, 0], u[:, 1, 0]
+    t = u00 * z[:, 1, 1] - u10 * z[:, 0, 1]
+    t /= np.abs(t)
+    u[:, 0, 1] = -u10.conj() * t
+    u[:, 1, 1] = u00.conj() * t
+    return u
 
 
 def interference_overlap(incoming: np.ndarray, returned: np.ndarray) -> complex:

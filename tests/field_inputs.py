@@ -1,14 +1,14 @@
 """The refusal matrix of the fixed-field check, ``framing.check_fields``.
 
 Frames decoded from the wire always carry fields that fit their struct
-codes; in-process peers may send anything. Each entry of ``TO_ALICE`` is a
+codes, and a 32-byte seeds commitment; in-process peers may send anything. Each entry of ``TO_ALICE`` is a
 message kind Alice receives and the fields that replace those of the honest
 message of that kind (``honest_message``); each entry of ``TO_BOB`` replaces
 fields of the frames Alice returns, on whichever engine has those fields.
 Both parties must refuse every entry with ``ProtocolViolationError``.
 Without the check, these escaped as ``TypeError``, ``IndexError`` or
 ``ValueError``, or were taken: an index 0.0 as 0, a NaN polarization as
-normalized.
+normalized, a commitment of 31 bytes as a config mismatch.
 """
 
 import numpy as np
@@ -20,6 +20,11 @@ NAN = float("nan")
 
 TO_ALICE = {
     "start n_pulses array": ("start", {"n_pulses": np.array([100, 100])}),
+    "start commitment array": ("start", {"seeds_commitment": np.zeros(32, np.uint8)}),
+    "start commitment of 31 bytes": ("start", {"seeds_commitment": bytes(31)}),
+    "start commitment of 33 bytes": ("start", {"seeds_commitment": bytes(33)}),
+    "start commitment text": ("start", {"seeds_commitment": "x" * 32}),
+    "start commitment None": ("start", {"seeds_commitment": None}),
     "pulse index 0.0": ("pulse", {"index": 0.0}),
     "pulse pol text": ("pulse", {"pol": "abcd"}),
     "window count 2.0": ("window", {"count": 2.0}),

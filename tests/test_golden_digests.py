@@ -1,9 +1,11 @@
-"""Every session input of the benchmark against its golden digest.
+"""Every input of the benchmark against its golden digest.
 
 ``perfbench/golden.json`` holds the ``SessionResult`` digest of every input
-set each session workload can generate. Running them here, in-process, makes
-a kernel change that alters any random stream fail the test suite, not only
-the benchmark. The benchmark files are imported read-only.
+set each session workload can generate, and the visibility digest of every
+``fm_check_haar`` input. Running them here, in-process, makes a kernel change
+that alters any random stream, or moves a Faraday-mirror visibility, fail the
+test suite, not only the benchmark. The benchmark files are imported
+read-only.
 """
 
 from pathlib import Path
@@ -34,3 +36,17 @@ def test_every_input_matches_its_golden_digest(perfbench, workload, tmp_path):
         made = inputs.make_inputs(spec, index, tmp_path)
         digests.append(runners.inproc_digest(inputs.session_config(spec, made)))
     assert digests == golden
+
+
+def test_every_fm_input_matches_its_golden_digest(perfbench, tmp_path):
+    inputs, runners = perfbench
+    spec = inputs.SPECS["fm_check_haar"]
+    golden = inputs.load_golden(spec)
+    assert len(golden) == inputs.GOLDEN_SEEDS
+    tally = runners.Tally()
+    for index in range(inputs.GOLDEN_SEEDS):
+        made = inputs.make_inputs(spec, index, tmp_path)
+        faraday, ordinary, _ = runners.fm_pair(made, spec.n_samples)
+        runners.check_fm(faraday, ordinary, golden[index], tally)
+    # Each input checks the Faraday bound, then its digest.
+    assert (tally.errors, tally.attempted) == ([], 2 * inputs.GOLDEN_SEEDS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ def test_stack_with_one_non_unitary_link_is_rejected(mirror):
         stack[k] = np.diag([1.0, 1.0 + 1e-6])
         with pytest.raises(ValueError):
             pulse_pair_overlap(stack, mirror)
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
+def test_visibility_samples_peak_memory_per_link(mirror):
+    # The draw and the overlap drop their temporaries as they go: 256 B per link.
+    n = 50_000
+    tracemalloc.start()
+    try:
+        visibility_samples(n, 30.0, np.random.default_rng(1), mirror)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 270
 
 
 def test_effective_visibility_geometric_pairing():

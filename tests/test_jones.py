@@ -166,3 +166,73 @@ def test_is_proportional_accepts_global_phase():
     u = haar_unitary(rng)
     assert phase_aligned_distance(np.exp(0.7j) * u, u) <= 1e-12
     assert phase_aligned_distance(u, rotator(0.3) @ u) > 1e-3
+
+
+def lapack_haar(rng, n):
+    """The Haar draw as a QR factorisation: Q times the phases of R's diagonal."""
+    z = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :], z
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("seed", [0, 5, 77, 2 ** 63])
+def test_closed_form_haar_matches_lapack_qr(seed, n):
+    want, _ = lapack_haar(np.random.default_rng(seed), n)
+    got = haar_random_unitaries(np.random.default_rng(seed), n)
+    assert got.shape == (n, 2, 2)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_haar_draw_is_the_q_factor_of_its_gaussian_matrix(n):
+    # R = U^H z is upper triangular with a real positive diagonal.
+    _, z = lapack_haar(np.random.default_rng(n), n)
+    u = haar_random_unitaries(np.random.default_rng(n), n)
+    r = np.swapaxes(u, -1, -2).conj() @ z
+    assert np.abs(r[:, 1, 0]).max() <= 1e-12
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.abs(diagonal.imag).max() <= 1e-12
+    assert diagonal.real.min() > 0.0
+
+
+def matmul_is_unitary(u, tol=1e-10):
+    return bool(np.abs(u @ np.swapaxes(u, -1, -2).conj() - np.eye(2)).max() <= tol)
+
+
+def test_is_unitary_agrees_with_the_matmul_check():
+    rng = np.random.default_rng(8)
+    haar = haar_random_unitaries(rng, 200)
+    gaussian = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    plates = [rotator(0.4), quarter_wave_plate(0.2), half_wave_plate(1.3), np.eye(2),
+              np.diag([1.0, 2.0]), np.zeros((2, 2))]
+    for stack in (haar, gaussian, haar * (1.0 + 1e-6), haar[:1]):
+        assert is_unitary(stack) == matmul_is_unitary(stack)
+        for u in stack[:20]:
+            assert is_unitary(u) == matmul_is_unitary(u)
+    for u in plates:
+        assert is_unitary(u) == matmul_is_unitary(u)
+    assert is_unitary(haar) and not is_unitary(gaussian)
+
+
+@pytest.mark.parametrize("position", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_is_unitary_finds_one_perturbed_link(position):
+    for k in (0, 3, 7):
+        stack = haar_random_unitaries(np.random.default_rng(k), 8)
+        stack[(k, *position)] += 1e-6
+        assert not is_unitary(stack)
+        assert is_unitary(stack) == matmul_is_unitary(stack)
+        assert is_unitary(np.delete(stack, k, axis=0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                 complex(math.inf, 0.0)])
+@pytest.mark.parametrize("position", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_is_unitary_refuses_a_non_finite_entry(bad, position):
+    single = np.eye(2, dtype=complex)
+    single[position] = bad
+    assert not is_unitary(single)
+    stack = haar_random_unitaries(np.random.default_rng(2), 5)
+    stack[(2, *position)] = bad
+    assert not is_unitary(stack)
