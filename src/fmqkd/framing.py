@@ -32,13 +32,15 @@ out as on the wire), each decoded in one numpy call, so a decoded frame
 costs little memory beyond its bytes or bits. Encoding also takes plain
 sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
 
-Encode and decode run from that one table and share each check, and either
-raises ProtocolViolationError: a float must be finite and exact (an int
-that float() rounds is refused), bits must pass ``keyfile.bit_array``, a
-field must fit its struct code and a payload its type's bounds, which
+``check_message`` is the one rule for a well-formed message, run from that
+one table: encode runs it and then only serialises, decode runs it on the
+message it reads, and every receiver runs it on what it is handed. It
+raises ProtocolViolationError unless a float is finite and exact (an int
+that float() rounds is refused), bits pass ``keyfile.bit_array``, every
+field fits its struct code and the payload its type's bounds, which
 ``decode_header`` checks before a receiver reads any payload. Encoding is
 canonical: each message has exactly one valid byte string, so encode is
-injective and decode(encode(m)) == m.
+injective and decode(encode(m)) equals check_message(m) field by field.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolViolationError
-from .keyfile import bit_array, pack_bits, unpack_bits
+from .keyfile import bit_array, unpack_bits
 
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBI")
@@ -174,16 +176,13 @@ class WireType:
                 f"{self.name} payload of {length} bytes, allowed {self.least}..{self.most}"
             )
 
-    def check_floats(self, values) -> None:
+    def pack(self, values) -> bytes:
+        packed = self.fixed.pack(*values)  # first: it refuses a wrong count or kind of value
         # An int that float() rounds (above 2**53) would share another message's frame.
         for i in self.floats:
             if not math.isfinite(values[i]) or float(values[i]) != values[i]:
-                raise ProtocolViolationError(
-                    f"{self.name} float {values[i]!r} is not finite or not exact")
-
-    def pack(self, values) -> bytes:
-        packed = self.fixed.pack(*values)  # first: it refuses a wrong count or kind of value
-        self.check_floats(values)
+                raise ProtocolViolationError(f"{self.name} field does not fit: float "
+                                             f"{values[i]!r} is not finite or not exact")
         return packed
 
     def fields(self, msg: Message) -> tuple:
@@ -215,7 +214,6 @@ WIRE_TYPES = {
                    least_tail=_INDICES.itemsize),  # at least one end
 }
 _BY_CLASS = {wire.cls: (code, wire) for code, wire in WIRE_TYPES.items()}
-_OWN_FIELDS = {cls: wire for cls, (_, wire) in _BY_CLASS.items() if wire.most < _U32_MAX}
 
 
 def index_array(values, what: str) -> np.ndarray:
@@ -234,41 +232,10 @@ def index_array(values, what: str) -> np.ndarray:
     return values
 
 
-def check_window_symbols(frame: QFrameWindowBack) -> np.ndarray:
-    """The frame's symbols; ProtocolViolationError unless they are ``count`` uint8
-    values 2 * bit + basis. Decoding checks this; in-process receivers call it."""
-    symbols = frame.symbols
-    if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
-            and symbols.shape == (frame.count,)):
-        raise ProtocolViolationError("window symbols must be count uint8 values")
-    if symbols.size and symbols.max() >= _SYMBOLS:
-        raise ProtocolViolationError("window symbol is outside the alphabet")
-    return symbols
-
-
-def check_detections_block(ends, indices) -> Tuple[np.ndarray, np.ndarray]:
-    """Both fields as uint64 arrays; ProtocolViolationError unless a valid block.
-
-    Decoding checks this; in-process receivers, whose messages skip the
-    wire and may carry any sequences, call it themselves.
-    """
-    ends = index_array(ends, "DETECTIONS_BLOCK ends")
-    indices = index_array(indices, "DETECTIONS_BLOCK indices")
-    if not 1 <= ends.size <= BLOCK_PULSES:
-        raise ProtocolViolationError(
-            f"DETECTIONS_BLOCK carries {ends.size} windows, allowed 1..{BLOCK_PULSES}"
-        )
-    if indices.size and indices[-1] >= ends[-1]:
-        raise ProtocolViolationError("DETECTIONS_BLOCK index at or past its last end")
-    return ends, indices
-
-
-def disclose_records(items) -> np.ndarray:
-    """Any sequence of DISCLOSE (index, bit) pairs as a ``DISCLOSE_RECORD`` array.
-
-    ProtocolViolationError unless the indices fit u64 and strictly increase
-    and every bit is 0 or 1. Decoding checks this; in-process receivers call it.
-    """
+def _disclose_records(items) -> np.ndarray:
+    """Any sequence of DISCLOSE (index, bit) pairs as a ``DISCLOSE_RECORD`` array;
+    ProtocolViolationError unless the indices fit u64 and strictly increase and
+    every bit is 0 or 1."""
     if not isinstance(items, np.ndarray):
         try:
             pairs = [(index, bit) for index, bit in items]
@@ -287,69 +254,84 @@ def disclose_records(items) -> np.ndarray:
     return items
 
 
-def _commitment(msg: SessionStart) -> bytes:
-    """``msg``'s seeds commitment; ProtocolViolationError unless it is 32 bytes."""
-    commitment = msg.seeds_commitment
-    if not (isinstance(commitment, bytes) and len(commitment) == _COMMITMENT_BYTES):
-        raise ProtocolViolationError("SESSION_START field does not fit: "
-                                     "the seeds commitment must be 32 bytes")
-    return commitment
-
-
-def _payload(wire: WireType, msg: Message) -> bytes:
-    """``msg``'s fixed fields, then its array tail if its type has one."""
+def _parts(wire: WireType, msg: Message) -> Tuple[Message, tuple, tuple]:
+    """``msg`` in its decoded form, its fixed field values in wire order and its
+    tail as arrays or views laid out as on the wire; ProtocolViolationError
+    unless the tail is one its type carries."""
     cls = wire.cls
     if wire.most == wire.fixed.size:
-        return wire.pack(wire.fields(msg))
+        return msg, wire.fields(msg), ()
     if cls is SessionStart:
-        return wire.pack(wire.fields(msg)) + _commitment(msg)
+        commitment = msg.seeds_commitment
+        if not (isinstance(commitment, bytes) and len(commitment) == _COMMITMENT_BYTES):
+            raise ProtocolViolationError("SESSION_START field does not fit: "
+                                         "the seeds commitment must be 32 bytes")
+        return msg, wire.fields(msg), (memoryview(commitment),)
     if cls is QFrameWindowBack:
-        return wire.pack(wire.fields(msg)) + check_window_symbols(msg).tobytes()
+        symbols = msg.symbols
+        if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
+                and symbols.shape == (msg.count,)):
+            raise ProtocolViolationError("window symbols must be count uint8 values")
+        if symbols.size and symbols.max() >= _SYMBOLS:
+            raise ProtocolViolationError("window symbol is outside the alphabet")
+        return msg, wire.fields(msg), (symbols,)
     if cls is Bases:
-        return wire.pack((len(msg.bits),)) + pack_bits(msg.bits, ProtocolViolationError)
+        bits = bit_array(msg.bits, ProtocolViolationError)
+        return Bases(bits), (bits.size,), (np.packbits(bits, bitorder="little"),)
     if cls is Disclose:
-        records = disclose_records(msg.items)
-        return wire.pack((records.size,)) + records.tobytes()
+        records = _disclose_records(msg.items)
+        return Disclose(records), (records.size,), (records,)
     if cls is Detections:
         indices = index_array(msg.indices, "DETECTIONS indices")
-        return wire.pack((indices.size,)) + indices.tobytes()
+        return Detections(tuple(indices.tolist())), (indices.size,), (indices,)
     for values in msg:
         if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
                 and values.ndim == 1):
             raise ProtocolViolationError("DETECTIONS_BLOCK fields must be uint64 arrays")
-    ends, indices = check_detections_block(msg.ends, msg.indices)
-    return wire.pack((ends.size, indices.size)) + ends.tobytes() + indices.tobytes()
+    ends = index_array(msg.ends, "DETECTIONS_BLOCK ends")
+    indices = index_array(msg.indices, "DETECTIONS_BLOCK indices")
+    if not 1 <= ends.size <= BLOCK_PULSES:
+        raise ProtocolViolationError(
+            f"DETECTIONS_BLOCK carries {ends.size} windows, allowed 1..{BLOCK_PULSES}"
+        )
+    if indices.size and indices[-1] >= ends[-1]:
+        raise ProtocolViolationError("DETECTIONS_BLOCK index at or past its last end")
+    return msg, (ends.size, indices.size), (ends, indices)
 
 
-def check_fields(msg: Message) -> Message:
-    """``msg``; ProtocolViolationError, as encoding raises, unless its fixed fields fit their
-    struct codes and a SESSION_START's commitment is 32 bytes, as decoded ones do.
-    In-process receivers call it. Count-prefixed types, whose fixed fields count a tail
-    with its own check, and non-messages pass."""
-    wire = _OWN_FIELDS.get(type(msg))
-    if wire is not None:
-        try:
-            wire.fixed.pack(*wire.fields(msg))
-        except (struct.error, TypeError) as exc:
-            raise ProtocolViolationError(f"{wire.name} field does not fit: {exc}") from None
-        if wire.cls is SessionStart:
-            _commitment(msg)
-    return msg
-
-
-def encode_frame(msg: Message) -> bytes:
-    """The frame of ``msg``; ProtocolViolationError for a message its type cannot carry."""
+def _checked(msg: Message) -> Tuple[int, Message, int, bytes, tuple]:
+    """``msg``'s type code, ``msg`` in its decoded form, and its payload's length,
+    packed fixed fields and array tail; ProtocolViolationError unless its type's
+    frame can carry it."""
     code, wire = _BY_CLASS.get(type(msg), (None, None))
     if wire is None:
         raise ProtocolViolationError(f"unknown message {msg!r}")
     try:
-        payload = _payload(wire, msg)
+        msg, values, tail = _parts(wire, msg)
+        fixed = wire.pack(values)
     except (struct.error, TypeError) as exc:
         # An int outside its field's range, a float where an int belongs, a
         # wrong number of pol values, or a value of no wire type at all.
         raise ProtocolViolationError(f"{wire.name} field does not fit: {exc}") from None
-    wire.check_length(len(payload))
-    return HEADER.pack(WIRE_VERSION, code, len(payload)) + payload
+    length = len(fixed)
+    for part in tail:
+        length += part.nbytes
+    wire.check_length(length)
+    return code, msg, length, fixed, tail
+
+
+def check_message(msg: Message) -> Message:
+    """``msg`` with its array fields in their decoded form (BASES bits as uint8,
+    DISCLOSE items as ``DISCLOSE_RECORD``s, DETECTIONS indices as a tuple of
+    ints); ProtocolViolationError unless its type's frame can carry it."""
+    return _checked(msg)[1]
+
+
+def encode_frame(msg: Message) -> bytes:
+    """The frame of ``msg``; ProtocolViolationError unless ``check_message`` takes it."""
+    code, _, length, fixed, tail = _checked(msg)
+    return b"".join([HEADER.pack(WIRE_VERSION, code, length), fixed]
+                    + [part.tobytes() for part in tail])
 
 
 def decode_header(header: bytes) -> Tuple[int, int]:
@@ -374,29 +356,28 @@ def _tail_array(wire: WireType, payload: bytes, dtype: np.dtype, count: int) -> 
 
 
 def decode_payload(msg_type: int, payload: bytes) -> Message:
-    """The message of a payload whose header ``decode_header`` accepted."""
+    """The message of a payload whose header ``decode_header`` accepted, as
+    ``check_message`` returns it."""
     wire = WIRE_TYPES[msg_type]
     values = wire.fixed.unpack_from(payload)
-    wire.check_floats(values)
-    if wire.most == wire.fixed.size:
-        return wire.message(values)
     cls, offset = wire.cls, wire.fixed.size
-    if cls is SessionStart:
-        return SessionStart(*values, payload[offset:])
-    if cls is QFrameWindowBack:
+    if wire.most == offset:
+        msg = wire.message(values)
+    elif cls is SessionStart:
+        msg = SessionStart(*values, payload[offset:])
+    elif cls is QFrameWindowBack:
         msg = wire.message(values, np.frombuffer(payload, np.uint8, offset=offset))
-        check_window_symbols(msg)
-        return msg
-    if cls is Bases:
-        return Bases(unpack_bits(payload[offset:], values[0], ProtocolViolationError))
-    if cls is Disclose:
-        return Disclose(disclose_records(_tail_array(wire, payload, DISCLOSE_RECORD, values[0])))
-    if cls is Detections:
-        indices = _tail_array(wire, payload, _INDICES, values[0])
-        return Detections(tuple(index_array(indices, "DETECTIONS indices").tolist()))
-    windows, clicks = values
-    both = _tail_array(wire, payload, _INDICES, windows + clicks)
-    return DetectionsBlock(*check_detections_block(both[:windows], both[windows:]))
+    elif cls is Bases:
+        msg = Bases(unpack_bits(payload[offset:], values[0], ProtocolViolationError))
+    elif cls is Disclose:
+        msg = Disclose(_tail_array(wire, payload, DISCLOSE_RECORD, values[0]))
+    elif cls is Detections:
+        msg = Detections(_tail_array(wire, payload, _INDICES, values[0]))
+    else:
+        windows, clicks = values
+        both = _tail_array(wire, payload, _INDICES, windows + clicks)
+        msg = DetectionsBlock(both[:windows], both[windows:])
+    return check_message(msg)
 
 
 def decode_frame(data: bytes) -> Message:

@@ -54,9 +54,9 @@ def bit_array(bits, error, size: Optional[int] = None) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def pack_bits(bits, error=KeyFileError) -> bytes:
-    """Any sequence of 0 and 1, packed LSB first; ``error`` unless ``bit_array`` takes it."""
-    return np.packbits(bit_array(bits, error), bitorder="little").tobytes()
+def pack_bits(bits) -> bytes:
+    """Any sequence of 0 and 1, packed LSB first; KeyFileError unless ``bit_array`` takes it."""
+    return np.packbits(bit_array(bits, KeyFileError), bitorder="little").tobytes()
 
 
 def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarray:

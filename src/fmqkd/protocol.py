@@ -16,8 +16,10 @@ however its requests are chunked, so both paths consume the same numbers
 and produce the same result bit for bit. Wrapped endpoints and custom
 physics run the per-pulse state machines, which remain the reference.
 
-Alice checks both acknowledgements with one rule set: a DETECTIONS is a
-DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
+Each party runs ``framing.check_message``, the check encode and decode
+run, once on every message it receives; the handlers keep only the session's
+rules. Alice checks both acknowledgements with one rule set: a DETECTIONS is
+a DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
 
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
@@ -63,14 +65,9 @@ from .framing import (
     QFrameWindowOut,
     SessionStart,
     Terminate,
-    check_detections_block,
-    check_fields,
-    check_window_symbols,
-    disclose_records,
-    index_array,
+    check_message,
 )
 from .interferometer import SetupConfig, attenuator_setting, detection_mean
-from .keyfile import bit_array
 from .randomness import BitSource, UniformSampler, derive_rng
 
 # Bright reference level of the outgoing pulses; the sender's attenuator
@@ -134,6 +131,13 @@ def _joined(parts: List[np.ndarray]) -> np.ndarray:
     if len(parts) > 1:
         parts[:] = [np.concatenate(parts)]
     return parts[0]
+
+
+def _peer_bases(detected: np.ndarray, msg: Bases) -> np.ndarray:
+    """The peer's bases; ProtocolViolationError unless one per detection."""
+    if msg.bits.size != detected.size:
+        raise ProtocolViolationError(f"{msg.bits.size} bits of bases for {detected.size} clicks")
+    return msg.bits
 
 
 def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
@@ -305,23 +309,14 @@ class QuantumPhysics:
     def observe_window(self, frame: QFrameWindowBack, bob_symbols: np.ndarray) -> np.ndarray:
         """Offsets in one returned window of the pulses that clicked, increasing, as intp."""
         self._check(frame.start, frame.mean_photons, frame.pol)
-        symbols = check_window_symbols(frame)
         if frame.count < 1 or frame.count != bob_symbols.size:
             raise ProtocolViolationError(
                 f"returned window carries {frame.count} symbols for {bob_symbols.size} pulses"
             )
         self._expected_index += frame.count
-        # Uniforms are drawn a refill's worth at a time, so a window holds at
-        # most that many of them; only the few under the table's maximum stay.
-        count, step = frame.count, self._gates._BLOCK
-        at, u_at = [], []
-        for lo in range(0, count, step):
-            u = self._gates.take(min(step, count - lo))
-            passed = (u < self._p_max).nonzero()[0]
-            u_at.append(u[passed])
-            at.append(passed + lo)
-        at, u = np.concatenate(at), np.concatenate(u_at)
-        return at[u < self._table[(symbols[at] << 2) + bob_symbols[at]]]
+        u = self._gates.take(frame.count)
+        at = (u < self._p_max).nonzero()[0]
+        return at[u[at] < self._table[(frame.symbols[at] << 2) + bob_symbols[at]]]
 
 
 class AliceSession:
@@ -361,7 +356,7 @@ class AliceSession:
                 # Aborted sessions drop stragglers, like a closed socket would.
                 return []
             raise ProtocolViolationError("message received after session end")
-        check_fields(msg)
+        msg = check_message(msg)
         if isinstance(msg, SessionStart):
             return self._on_start(msg)
         if not self._started:
@@ -372,8 +367,8 @@ class AliceSession:
             return self._on_qframe_window(msg)
         if isinstance(msg, Detections):
             # One window, ending at the frames reflected so far.
-            msg = DetectionsBlock(np.array([self._qframes], np.uint64),
-                                  index_array(msg.indices, "DETECTIONS indices"))
+            msg = check_message(DetectionsBlock(np.array([self._qframes], np.uint64),
+                                                np.array(msg.indices, np.uint64)))
         if isinstance(msg, DetectionsBlock):
             return self._on_detections_block(msg)
         if isinstance(msg, Bases):
@@ -445,7 +440,7 @@ class AliceSession:
         two-state variant sifts and discloses."""
         if self._finalized:
             raise ProtocolViolationError("acknowledgement after sifting finished")
-        ends, indices = check_detections_block(*msg)
+        ends, indices = msg
         first, last = int(ends[0]), int(ends[-1])
         if first <= self._acked or last > self._qframes:
             raise ProtocolViolationError(
@@ -468,9 +463,8 @@ class AliceSession:
         if self._finalized or self._acked != self.cfg.n_pulses:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
         detected = _joined(self._detected)
-        theirs = bit_array(msg.bits, ProtocolViolationError, detected.size)
         mine = _at(self._bases, detected)
-        return [Bases(mine), self._disclose(detected[mine == theirs])]
+        return [Bases(mine), self._disclose(detected[mine == _peer_bases(detected, msg)])]
 
     def _disclose(self, sifted: np.ndarray) -> Disclose:
         """Sifting is done: disclose every sifted bit, or a random part that
@@ -543,7 +537,7 @@ class BobSession:
         )
 
     def _expect(self, endpoint, kind):
-        msg = check_fields(endpoint.recv())
+        msg = check_message(endpoint.recv())
         if isinstance(msg, Terminate):
             if msg.reason == TERMINATE_CONFIG_MISMATCH:
                 raise ConfigError("peer rejected the session parameters")
@@ -617,10 +611,8 @@ class BobSession:
         if cfg.variant.uses_bases:
             bob_bases = _at(self._bases, detected)
             endpoint.send(Bases(bob_bases))
-            alice_bases = bit_array(self._expect(endpoint, Bases).bits, ProtocolViolationError,
-                                    detected.size)
-            matched = detected[bob_bases == alice_bases]
-        records = disclose_records(self._expect(endpoint, Disclose).items)
+            matched = detected[bob_bases == _peer_bases(detected, self._expect(endpoint, Bases))]
+        records = self._expect(endpoint, Disclose).items
         disclosed, alice_bits = records["index"], records["bit"]
         bob_bits = np.frombuffer(self._bits, np.uint8)
         sifted_bob = bob_bits[matched]

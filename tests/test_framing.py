@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bit_inputs import DISCLOSE_REFUSED, REFUSED
+from field_inputs import MALFORMED, TO_ALICE, TO_BOB, honest_message, honest_returns
 from fmqkd.errors import IncompleteFrameError, ProtocolViolationError
 from fmqkd.framing import (
     BLOCK_PULSES,
@@ -28,6 +28,8 @@ from fmqkd.framing import (
     encode_frame,
     index_array,
 )
+from fmqkd.presets import reference_session
+from fmqkd.protocol import Seeds
 
 
 def test_detections_golden_vector():
@@ -368,32 +370,35 @@ def test_fixed_size_header_with_wrong_length_rejected(msg_type, size):
         decode_frame(HEADER.pack(1, msg_type, size))
 
 
-POL = (1.0, 0.0, 0.0, 0.0)
-MALFORMED = {
-    "float index": QFrameOut(1.5, 1e6, POL),
-    "two pol values": QFrameOut(0, 1e6, (1.0, 0.0)),
-    "float window start": QFrameWindowOut(2.5, 3, 1e6, POL),
-    "float window-back start": QFrameWindowBack(0.5, 1, 0.5, np.zeros(1, np.uint8), POL),
-    "float n_pulses": SessionStart(10.5, 0, 0.1, bytes(32)),
-    "str commitment": SessionStart(10, 0, 0.1, "x" * 32),
-    "float reason": Terminate(1.5),
-    "str error rate": ErReport("0.1"),
-    # Ints that float() rounds: each would share its frame with 2**53.
-    "inexact error rate": ErReport(2 ** 53 + 1),
-    "inexact mean photons": QFrameWindowOut(0, 3, 2 ** 53 + 1, POL),
-    # A zero-copy view: the count must be refused before any bit is packed.
-    "2**32 bases": Bases(np.broadcast_to(np.uint8(0), (2 ** 32,))),
-    # Bits are checked as given: 2-D bits would pack into a frame that decodes
-    # to other bits, or to none.
-    **{f"bases {what}": Bases(bits) for what, bits in REFUSED.items()},
-    **{f"disclose {what}": Disclose(items) for what, items in DISCLOSE_REFUSED.items()},
-}
-
-
 @pytest.mark.parametrize("what", sorted(MALFORMED))
 def test_malformed_message_rejected_on_encode(what):
     with pytest.raises(ProtocolViolationError):
         encode_frame(MALFORMED[what])
+
+
+MATRIX_CONFIG = reference_session(0.1, 1000, Seeds(1, 2, 3))
+
+
+@pytest.mark.parametrize("what", sorted(TO_ALICE))
+def test_fields_alice_refuses_are_refused_on_encode(what):
+    kind, fields = TO_ALICE[what]
+    honest = honest_message(kind, MATRIX_CONFIG)
+    with pytest.raises(ProtocolViolationError, match="does not fit"):
+        encode_frame(honest._replace(**fields))
+    encode_frame(honest)
+
+
+@pytest.mark.parametrize("what", sorted(TO_BOB))
+def test_fields_bob_refuses_are_refused_on_encode(what):
+    fields = TO_BOB[what]
+    frames = [frame._replace(**fields) for frame in honest_returns(MATRIX_CONFIG)
+              if set(fields) <= set(frame._fields)]
+    assert frames
+    for frame in frames:
+        with pytest.raises(ProtocolViolationError):
+            encode_frame(frame)
+    for frame in honest_returns(MATRIX_CONFIG):
+        encode_frame(frame)
 
 
 def test_readme_wire_format_table_names_every_type():

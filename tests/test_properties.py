@@ -11,6 +11,8 @@
   ``ProtocolViolationError`` or decodes to a message that encodes back to
   exactly those bytes, and any message with one malformed field either
   fails to encode with ``ProtocolViolationError`` or decodes back to itself.
+  ``check_message`` refuses exactly the messages encoding refuses, and
+  returns what decoding their frames returns.
 - Bob's session, on either engine, ends against any peer whose replies the
   wire can carry in a ``SessionResult``, ``ProtocolViolationError``,
   ``ConfigError`` or ``SessionAborted``, nothing else.
@@ -48,6 +50,7 @@ from fmqkd.framing import (
     QFrameOut,
     SessionStart,
     Terminate,
+    check_message,
     decode_frame,
     encode_frame,
 )
@@ -421,6 +424,22 @@ def test_encode_either_rejects_or_round_trips(msg):
         # DETECTIONS indices encode from an array and decode to a tuple.
         arrays = isinstance(got, np.ndarray) or isinstance(sent, np.ndarray)
         assert np.array_equal(got, sent) if arrays else got == sent
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(msg=corrupted_messages())
+def test_check_message_refuses_exactly_what_encode_refuses(msg):
+    try:
+        checked = check_message(msg)
+    except ProtocolViolationError:
+        with pytest.raises(ProtocolViolationError):
+            encode_frame(msg)
+        return
+    back = decode_frame(encode_frame(msg))
+    assert type(back) is type(checked)
+    for got, want in zip(back, checked):
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 def decoded(frame):

@@ -1,12 +1,15 @@
+import ast
 import dataclasses
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bit_inputs import DISCLOSE_REFUSED, REFUSED
-from field_inputs import TO_ALICE, TO_BOB, honest_message
+from field_inputs import MALFORMED, TO_ALICE, TO_BOB, honest_message
+from fmqkd import protocol
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
@@ -440,6 +443,45 @@ def test_bob_refuses_returned_fields_that_do_not_fit(what, per_pulse):
         BobSession(cfg).run(endpoint)
 
 
+@pytest.mark.parametrize("what", sorted(MALFORMED))
+def test_in_process_receiver_refuses_every_malformed_message(what):
+    # Each message goes to the party that receives its type, where an honest
+    # message of that type would arrive: Bob gets it in place of Alice's reply.
+    msg = MALFORMED[what]
+    cfg = noiseless_config(1000, variant=ProtocolVariant.BB84)
+    alice = AliceSession(cfg)
+    if isinstance(msg, (QFrameBack, QFrameWindowBack, Disclose)):
+        endpoint = open_in_process(
+            lambda m: [msg if type(r) is type(msg) else r for r in alice.handle(m)])
+        if isinstance(msg, QFrameBack):  # any other endpoint type runs the per-pulse engine
+            endpoint = types.SimpleNamespace(send=endpoint.send, recv=endpoint.recv)
+        with pytest.raises(ProtocolViolationError):
+            BobSession(cfg).run(endpoint)
+        return
+    if not isinstance(msg, SessionStart):
+        alice.handle(session_start(cfg))
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(msg)
+    assert not alice.done
+
+
+def test_protocol_leaves_message_rules_to_check_message():
+    # The handlers keep session rules only; a frame rule called from
+    # protocol.py would be a second copy of what check_message runs.
+    imported = set()  # (module, name) pairs; a bare import has no name
+    for node in ast.walk(ast.parse(Path(protocol.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, "") for alias in node.names}
+    modules = {part for module, name in imported for part in (*module.split("."), name)}
+    assert "keyfile" not in modules
+    from_framing = {name for module, name in imported if module.split(".")[-1] == "framing"}
+    assert "check_message" in from_framing and ("", "framing") not in imported
+    assert {name for name in from_framing if name.startswith("check_")
+            or name.lstrip("_") in ("index_array", "disclose_records")} == {"check_message"}
+
+
 def test_bb84_sift_fraction_near_half():
     cfg = reference_session(0.2, 400_000, Seeds(11, 12, 13),
                             variant=ProtocolVariant.BB84)
@@ -595,17 +637,19 @@ def test_alice_rejects_bad_detections_blocks():
         alice.handle(ack([100]))
 
 
-def test_alice_takes_sequence_blocks_as_their_array_form():
-    # In-process peers skip the wire and may send plain sequences.
-    as_arrays = acknowledging_alice(ProtocolVariant.BB92, 100)
-    as_tuples = acknowledging_alice(ProtocolVariant.BB92, 100)
+def test_alice_refuses_sequence_blocks_but_takes_their_array_form():
+    # A DETECTIONS_BLOCK carries uint64 arrays in process as on the wire, so
+    # plain sequences are refused, as encoding refuses them, and change nothing.
+    alice = acknowledging_alice(ProtocolVariant.BB92, 100)
     for ends, indices in (((10, 20), (4, 15)), ((30,), ()), ((40, 100), (50, 60))):
-        want = as_arrays.handle(ack(ends, indices))
-        got = as_tuples.handle(DetectionsBlock(ends, indices))
-        assert [type(m) for m in got] == [type(m) for m in want]
-        for g, w in zip(got, want):
-            assert np.array_equal(g.items, w.items)
-    assert as_tuples.detected_indices == as_arrays.detected_indices == (4, 15, 50, 60)
+        for as_given in ((ends, indices), (ends, ack(ends, indices).indices),
+                         (ack(ends, indices).ends, indices)):
+            with pytest.raises(ProtocolViolationError, match="uint64 arrays"):
+                alice.handle(DetectionsBlock(*as_given))
+        replies = alice.handle(ack(ends, indices))
+    (disclose,) = replies
+    assert disclose.items["index"].tolist() == [4, 15, 50, 60]
+    assert alice.detected_indices == (4, 15, 50, 60)
 
 
 def test_alice_rejects_bad_sequence_blocks():
@@ -622,7 +666,24 @@ def test_alice_rejects_bad_sequence_blocks():
                 DetectionsBlock(None, ())):
         with pytest.raises(ProtocolViolationError):
             alice.handle(bad)
-    assert alice.handle(DetectionsBlock((10,), ())) == []
+    assert alice.handle(ack([10])) == []
+
+
+@pytest.mark.parametrize("acknowledgement", [Detections((3, 50)), ack([10], [3, 50])],
+                         ids=["DETECTIONS", "DETECTIONS_BLOCK"])
+def test_alice_refuses_a_click_past_the_frames_reflected(acknowledgement):
+    # A DETECTIONS acknowledges one window ending at the frames reflected so
+    # far, so it passes the block rule: no index at or past that end.
+    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3)), ack_window=10)
+    alice = AliceSession(cfg)
+    alice.handle(session_start(cfg))
+    for i in range(10):
+        alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+    with pytest.raises(ProtocolViolationError):
+        alice.handle(acknowledgement)
+    assert alice.detected_indices == ()
+    assert alice.handle(Detections((3,))) == []
+    assert alice.detected_indices == (3,)
 
 
 def test_alice_rejects_acknowledgement_of_frames_not_reflected():
