@@ -30,7 +30,7 @@ socket endpoints. Array payloads are numpy arrays (uint8 symbols and BASES
 bits, uint64 ends and indices, DISCLOSE items as ``DISCLOSE_RECORD``s laid
 out as on the wire), each decoded in one numpy call, so a decoded frame
 costs little memory beyond its bytes or bits. Encoding also takes plain
-sequences for BASES and DISCLOSE; DETECTIONS keeps a tuple of ints.
+sequences for DETECTIONS, BASES and DISCLOSE.
 
 ``check_message`` is the one rule for a well-formed message, run from that
 one table: encode runs it and then only serialises, decode runs it on the
@@ -111,7 +111,9 @@ class QFrameWindowBack(NamedTuple):
 
 
 class Detections(NamedTuple):
-    indices: Tuple[int, ...]
+    """The clicks of one ack window, as a uint64 array."""
+
+    indices: np.ndarray
 
 
 class DetectionsBlock(NamedTuple):
@@ -283,7 +285,7 @@ def _parts(wire: WireType, msg: Message) -> Tuple[Message, tuple, tuple]:
         return Disclose(records), (records.size,), (records,)
     if cls is Detections:
         indices = index_array(msg.indices, "DETECTIONS indices")
-        return Detections(tuple(indices.tolist())), (indices.size,), (indices,)
+        return Detections(indices), (indices.size,), (indices,)
     for values in msg:
         if not (isinstance(values, np.ndarray) and values.dtype == _INDICES
                 and values.ndim == 1):
@@ -321,9 +323,9 @@ def _checked(msg: Message) -> Tuple[int, Message, int, bytes, tuple]:
 
 
 def check_message(msg: Message) -> Message:
-    """``msg`` with its array fields in their decoded form (BASES bits as uint8,
-    DISCLOSE items as ``DISCLOSE_RECORD``s, DETECTIONS indices as a tuple of
-    ints); ProtocolViolationError unless its type's frame can carry it."""
+    """``msg`` with its array fields in their decoded form (DETECTIONS indices as
+    uint64, BASES bits as uint8, DISCLOSE items as ``DISCLOSE_RECORD``s);
+    ProtocolViolationError unless its type's frame can carry it."""
     return _checked(msg)[1]
 
 

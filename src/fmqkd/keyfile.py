@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,19 +36,19 @@ MAX_BITS = 2 ** 32 - 1  # the largest u32 bit count
 _HEADER = struct.Struct("<4sB3sI")
 
 
-def bit_array(bits, error, size: Optional[int] = None) -> np.ndarray:
+def bit_array(bits, error) -> np.ndarray:
     """``bits`` as a one-dimensional uint8 array, not copied when it already is one;
-    ``error`` unless it has ``size`` values (at most MAX_BITS if None), checked before
-    any is read, and each, as given, is a bool or an integer 0 or 1: a cast first would
-    wrap 256 to 0 and cut 0.5 to 0."""
+    ``error`` unless it has at most MAX_BITS values, checked before any is read, and
+    each, as given, is a bool or an integer 0 or 1: a cast first would wrap 256 to 0
+    and cut 0.5 to 0."""
     try:
         arr = np.asarray(bits)
     except ValueError:  # a ragged sequence
         raise error("bits must be one-dimensional") from None
     if arr.ndim != 1:
         raise error("bits must be one-dimensional")
-    if arr.size > MAX_BITS or size not in (None, arr.size):
-        raise error(f"{arr.size} bits, expected {f'at most {MAX_BITS}' if size is None else size}")
+    if arr.size > MAX_BITS:
+        raise error(f"{arr.size} bits, expected at most {MAX_BITS}")
     if arr.size and (arr.dtype.kind not in "biu" or arr.max() > 1 or arr.min() < 0):
         raise error("bits must be 0 or 1")
     return arr.astype(np.uint8, copy=False)

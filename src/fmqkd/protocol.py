@@ -1,20 +1,20 @@
 """Two-party key exchange over the pulse channel.
 
-The receiver (Bob) drives: he announces the session, sends one outgoing
-quantum frame per pulse, feeds each returned frame to his physics layer, and
-acknowledges windows of pulses with DETECTIONS messages. The sender (Alice)
-is purely reactive. Only the physics layer ever reads the returned frame's
-phase; the sifting layer sees pulse indices and click flags, nothing else.
+The receiver (Bob) drives and the sender (Alice) is purely reactive. Bob
+announces the session, then runs it a block of pulses at a time: one window
+frame out and back per block, one numpy pass of his physics layer over the
+block, and one DETECTIONS_BLOCK that acknowledges every ``ack_window`` the
+block closes. A block that closes no window sends no acknowledgement. Every
+CLI command and every timed benchmark session runs this batched engine,
+over a bare in-process or socket endpoint with the stock physics. Only the
+physics layer ever reads what Alice encoded on the returned pulses; the
+sifting layer sees pulse indices and clicks, nothing else.
 
-Over a bare in-process or socket endpoint with the stock physics, Bob runs
-the same exchange a block of pulses at a time: one window frame out and back
-per block, one numpy pass over the block, and one DETECTIONS_BLOCK that
-acknowledges every ``ack_window`` the block closes, with the same clicks per
-window as the per-pulse path's DETECTIONS. A block that closes no window
-sends no acknowledgement. Every random stream serves the same values
-however its requests are chunked, so both paths consume the same numbers
-and produce the same result bit for bit. Wrapped endpoints and custom
-physics run the per-pulse state machines, which remain the reference.
+The per-pulse engine, which Bob runs behind a wrapped endpoint or with
+custom physics, is the reference: one quantum frame out and back per pulse,
+and one DETECTIONS per ack window. Every random stream serves the same
+values however its requests are chunked, so both engines consume the same
+numbers and produce the same result bit for bit.
 
 Each party runs ``framing.check_message``, the check encode and decode
 run, once on every message it receives; the handlers keep only the session's
@@ -331,7 +331,7 @@ class AliceSession:
                               if cfg.disclosure_fraction != 0.0 else None)
         self._start = session_start(cfg)
         # Validates that the reference level can reach mu_pair / 2 at all.
-        self.attenuation_db = attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
+        attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
         self._half_mu = cfg.setup.mu_pair / 2.0
         self._uses_bases = cfg.variant.uses_bases
         # One byte per pulse sent so far, values 0 and 1.
@@ -368,7 +368,7 @@ class AliceSession:
         if isinstance(msg, Detections):
             # One window, ending at the frames reflected so far.
             msg = check_message(DetectionsBlock(np.array([self._qframes], np.uint64),
-                                                np.array(msg.indices, np.uint64)))
+                                                msg.indices))
         if isinstance(msg, DetectionsBlock):
             return self._on_detections_block(msg)
         if isinstance(msg, Bases):
@@ -569,8 +569,9 @@ class BobSession:
                 if self._physics.observe(self._expect(endpoint, QFrameBack), PHASES[symbol]):
                     window_clicks.append(i)
                 if (i + 1) % window == 0 or i + 1 == n:
-                    endpoint.send(Detections(tuple(window_clicks)))
-                    self._detected.append(np.array(window_clicks, np.uint64))
+                    clicks = np.array(window_clicks, np.uint64)
+                    endpoint.send(Detections(clicks))
+                    self._detected.append(clicks)
                     self._progress_pulses = i + 1
                     window_clicks.clear()
 
@@ -668,10 +669,7 @@ def _blocks(n: int, window: int) -> Iterator[Tuple[int, int]]:
             yield start, min(start + step, hi)
 
 
-def run_session(cfg: SessionConfig, endpoint=None) -> SessionResult:
-    """Run one session; without an endpoint, Alice runs in-process."""
-    if endpoint is None:
-        alice = AliceSession(cfg)
-        endpoint = open_in_process(alice.handle)
-    return BobSession(cfg).run(endpoint)
+def run_session(cfg: SessionConfig) -> SessionResult:
+    """Run one session, with Alice in process."""
+    return BobSession(cfg).run(open_in_process(AliceSession(cfg).handle))
 

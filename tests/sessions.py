@@ -1,0 +1,149 @@
+"""The session harness of the test suite.
+
+One forwarding endpoint, the in-process and loopback session runners, one
+scripted raw peer and ``free_port``, for every test that runs a session or
+talks to a socket. pytest does not collect this module; tests import it like
+``field_inputs``. Each thread started here is joined before the test that
+started it ends, and what the thread raised is raised in that test.
+"""
+
+import contextlib
+import queue
+import socket
+import threading
+
+from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
+from fmqkd.protocol import AliceSession, BobSession
+
+HOST = "127.0.0.1"
+
+
+class PassThroughEndpoint:
+    """Forwards every call to ``inner``. Its type hides the inner endpoint's,
+    so Bob takes the per-pulse path behind it; a subclass overrides only the
+    call it changes."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def send(self, msg):
+        self._inner.send(msg)
+
+    def recv(self):
+        return self._inner.recv()
+
+    def close(self):
+        self._inner.close()
+
+
+def free_port():
+    """A loopback port that nothing listens on, for a CLI config that needs
+    its port before anything listens. A test's own listener binds port 0."""
+    with socket.socket() as s:
+        s.bind((HOST, 0))
+        return s.getsockname()[1]
+
+
+@contextlib.contextmanager
+def in_thread(target, timeout=30):
+    """Runs ``target()`` in a thread for the ``with`` body, then joins it and
+    raises what it raised."""
+    errors = []
+
+    def run():
+        try:
+            target()
+        except Exception as exc:  # raised below, in the test that started it
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join(timeout)
+    assert not thread.is_alive(), "thread still running"
+    if errors:
+        raise errors[0]
+
+
+def _recording_alice(cfg):
+    """Alice of ``cfg``, her handler, and the list it appends each message she receives to."""
+    alice, seen = AliceSession(cfg), []
+
+    def responder(msg):
+        seen.append(msg)
+        return alice.handle(msg)
+
+    return alice, responder, seen
+
+
+def run_in_process(cfg, wrap=lambda endpoint: endpoint):
+    """(result, Alice, messages Alice received) of an in-process session, with
+    Bob's endpoint passed through ``wrap``; by default the batched path."""
+    alice, responder, seen = _recording_alice(cfg)
+    return BobSession(cfg).run(wrap(open_in_process(responder))), alice, seen
+
+
+@contextlib.contextmanager
+def serving(responder, is_done, serve=serve_once):
+    """A client endpoint of ``serve``, which has ``serve_once``'s signature and
+    runs in a thread on a loopback port it binds as port 0."""
+    ports = queue.Queue()
+    with in_thread(lambda: serve(HOST, 0, responder, is_done, on_listening=ports.put)):
+        endpoint = connect(HOST, ports.get(timeout=10))
+        try:
+            yield endpoint
+        finally:
+            endpoint.close()
+
+
+def run_over_socket(cfg, serve=serve_once):
+    """``run_in_process`` over loopback, with Alice behind ``serve``."""
+    alice, responder, seen = _recording_alice(cfg)
+    with serving(responder, lambda: alice.done, serve) as endpoint:
+        result = BobSession(cfg).run(endpoint)
+    return result, alice, seen
+
+
+class RawPeer:
+    """A loopback listener that scripts its one client's connection.
+
+    It accepts, reads ``reads`` frames into ``received``, sends ``data``, and
+    then closes the connection if ``close_after_send``. Otherwise it holds the
+    connection open until the ``with`` block ends, so a receiver that waits
+    for more bytes than were sent times out instead of seeing a clean close.
+    The block's end also closes every endpoint ``endpoint`` made.
+    """
+
+    def __init__(self, data=b"", reads=0, close_after_send=False):
+        self.received = []
+        self._stack = contextlib.ExitStack()
+        listener = self._stack.enter_context(socket.create_server((HOST, 0)))
+        self.port = listener.getsockname()[1]
+        release = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                endpoint = SocketEndpoint(conn)
+                self.received += [endpoint.recv() for _ in range(reads)]
+                conn.sendall(data)
+                if not close_after_send:
+                    release.wait(10)
+
+        self._stack.enter_context(in_thread(serve, timeout=10))
+        self._stack.callback(release.set)
+
+    def endpoint(self) -> SocketEndpoint:
+        # The endpoint's idle timeout turns a receiver that waits for a
+        # claimed payload into a ChannelError rather than a hang.
+        endpoint = connect(HOST, self.port)
+        self._stack.callback(endpoint.close)
+        return endpoint
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._stack.__exit__(*exc_info)

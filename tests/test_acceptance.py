@@ -6,17 +6,14 @@ the runs are deterministic, so the verdicts are stable.
 
 import math
 import os
-import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fmqkd
-from fmqkd.channel import connect, open_in_process, serve_once
 from fmqkd.detector import GatedDetectorConfig, er_det_analytic
 from fmqkd.framing import Detections, encode_frame
 from fmqkd.interferometer import (
@@ -34,14 +31,8 @@ from fmqkd.jones import (
 )
 from fmqkd.keyfile import read_key_file
 from fmqkd.presets import REFERENCE_ROWS, reference_session
-from fmqkd.protocol import (
-    AliceSession,
-    BobSession,
-    ProtocolVariant,
-    Seeds,
-    SessionConfig,
-    run_session,
-)
+from fmqkd.protocol import ProtocolVariant, Seeds, SessionConfig, run_session
+from sessions import PassThroughEndpoint, free_port, run_in_process, run_over_socket
 
 INF = float("inf")
 
@@ -159,29 +150,6 @@ def test_criterion_6_noiseless_correctness():
     report(6, ok, f"{result.clicks} clicks, zero mismatches, keys identical")
 
 
-class _CapturingEndpoint:
-    def __init__(self, inner):
-        self._inner = inner
-        self.detections = []
-
-    def send(self, msg):
-        if isinstance(msg, Detections):
-            self.detections.append(msg)
-        self._inner.send(msg)
-
-    def recv(self):
-        return self._inner.recv()
-
-    def close(self):
-        self._inner.close()
-
-
-def _free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_criterion_7_mode_equivalence(tmp_path):
     golden = bytes.fromhex(
         "0104" + "14000000" + "02000000" + "0300000000000000" + "1100000000000000"
@@ -189,41 +157,30 @@ def test_criterion_7_mode_equivalence(tmp_path):
     ok_golden = encode_frame(Detections((3, 17))) == golden
 
     cfg = reference_session(0.2, 20_000, Seeds(42, 43, 44))
-    alice = AliceSession(cfg)
-    capture = _CapturingEndpoint(open_in_process(alice.handle))
-    in_process = BobSession(cfg).run(capture)
+    # Per pulse in process, with every message Alice received captured.
+    in_process, _, seen = run_in_process(cfg, PassThroughEndpoint)
+    captured = [m for m in seen if isinstance(m, Detections)]
 
     # Thread-served socket session with the same seeds.
-    port = _free_port()
-    alice2 = AliceSession(cfg)
-    server = threading.Thread(
-        target=serve_once,
-        args=("127.0.0.1", port, alice2.handle, lambda: alice2.done),
-        daemon=True,
-    )
-    server.start()
-    endpoint = connect("127.0.0.1", port)
-    over_socket = BobSession(cfg).run(endpoint)
-    endpoint.close()
-    server.join(timeout=30)
+    over_socket, _, _ = run_over_socket(cfg)
     ok_socket = over_socket == in_process
 
     # The captured window frames re-encode to the same canonical bytes that
     # the socket mode put on the wire (same messages, canonical encoding).
-    expected_frames = []
+    expected_windows = []
     detected = list(in_process.detected_indices)
     for start in range(0, cfg.n_pulses, cfg.ack_window):
         end = start + cfg.ack_window
-        expected_frames.append(
-            Detections(tuple(i for i in detected if start <= i < end))
+        expected_windows.append(
+            [i for i in detected if start <= i < end]
         )
-    ok_frames = capture.detections == expected_frames and all(
-        encode_frame(a) == encode_frame(b)
-        for a, b in zip(capture.detections, expected_frames)
+    ok_frames = [m.indices.tolist() for m in captured] == expected_windows and all(
+        encode_frame(m) == encode_frame(Detections(tuple(window)))
+        for m, window in zip(captured, expected_windows)
     )
 
     # Full two-process check through the CLI.
-    port2 = _free_port()
+    port2 = free_port()
     cfg_text = (
         "variant = BB92\nn_pulses = 20000\nmu_pair = 0.2\nseeds = 42,43,44\n"
         f"channel = socket\nhost = 127.0.0.1\nport = {port2}\n"

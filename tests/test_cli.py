@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import re
-import socket
 import threading
 import time
 from pathlib import Path
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from fmqkd import channel, cli
-from fmqkd.channel import SocketEndpoint, connect
+from fmqkd.channel import connect
 from fmqkd.cli import (
     EXIT_CHANNEL,
     EXIT_CONFIG,
@@ -34,6 +33,7 @@ from fmqkd.framing import (
 from fmqkd.keyfile import MAX_BITS, read_key_file
 from fmqkd.protocol import ProtocolVariant
 from fmqkd.randomness import BitSource
+from sessions import RawPeer, free_port
 
 
 BASE_CONFIG = """\
@@ -53,12 +53,6 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
 
 def log_entries(out):
     return [json.loads(line) for line in (out / "session.log").read_text().splitlines()]
-
-
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def test_parse_run_config_defaults_and_overrides(tmp_path):
@@ -315,32 +309,14 @@ def malformed_window_back():
 
 
 def test_simulate_bob_protocol_violation_exits_5_and_logs(tmp_path, capsys):
-    listener = socket.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    received = []
-
-    def peer():
-        conn, _ = listener.accept()
-        endpoint = SocketEndpoint(conn)
-        with conn:
-            received.append(endpoint.recv())  # SESSION_START
-            received.append(endpoint.recv())  # the first window
-            conn.sendall(malformed_window_back())
-            while conn.recv(4096):  # until Bob hangs up
-                pass
-
-    thread = threading.Thread(target=peer, daemon=True)
-    thread.start()
-    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
-    out = tmp_path / "bob"
-    try:
+    # The peer reads SESSION_START and the first window, then answers that window.
+    with RawPeer(malformed_window_back(), reads=2) as peer:
+        cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {peer.port}\n")
+        out = tmp_path / "bob"
         code = main(["simulate", "--config", str(cfg), "--out", str(out), "--role", "bob"])
-    finally:
-        thread.join(10)
-        listener.close()
     assert code == EXIT_PROTOCOL
     assert "protocol error" in capsys.readouterr().err
-    assert [type(m) for m in received] == [SessionStart, QFrameWindowOut]
+    assert [type(m) for m in peer.received] == [SessionStart, QFrameWindowOut]
     (line,) = (out / "session.log").read_text().splitlines()
     entry = json.loads(line)
     assert entry["role"] == "bob" and entry["error"].startswith("ProtocolViolationError")
@@ -348,26 +324,11 @@ def test_simulate_bob_protocol_violation_exits_5_and_logs(tmp_path, capsys):
 
 def test_simulate_bob_stalled_peer_exits_3_and_logs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", 0.2)
-    listener = socket.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    release = threading.Event()
-
-    def peer():  # accepts, then stays silent with the connection open
-        conn, _ = listener.accept()
-        with conn:
-            release.wait(10)
-
-    thread = threading.Thread(target=peer, daemon=True)
-    thread.start()
-    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
-    out = tmp_path / "bob"
-    started = time.monotonic()
-    try:
+    with RawPeer() as peer:  # accepts, then stays silent with the connection open
+        cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {peer.port}\n")
+        out = tmp_path / "bob"
+        started = time.monotonic()
         code = main(["simulate", "--config", str(cfg), "--out", str(out), "--role", "bob"])
-    finally:
-        release.set()
-        thread.join(10)
-        listener.close()
     assert time.monotonic() - started < 5.0
     assert code == EXIT_CHANNEL
     (line,) = (out / "session.log").read_text().splitlines()
@@ -376,9 +337,7 @@ def test_simulate_bob_stalled_peer_exits_3_and_logs(tmp_path, capsys, monkeypatc
 
 
 def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys, monkeypatch):
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
+    port = free_port()
     cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
     out = tmp_path / "alice"
     codes = []

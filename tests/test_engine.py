@@ -6,15 +6,13 @@ the per-pulse path. All must agree on everything either party ends up with.
 """
 
 import dataclasses
-import queue
 import socket
-import threading
 
 import numpy as np
 import pytest
 
 from fmqkd import protocol
-from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
+from fmqkd.channel import SocketEndpoint, open_in_process
 from fmqkd.detector import GatedDetectorConfig, click_probability
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
 from fmqkd.framing import (
@@ -44,25 +42,10 @@ from fmqkd.protocol import (
     seeds_commitment,
 )
 from fmqkd.randomness import derive_rng
+from sessions import PassThroughEndpoint, run_in_process, run_over_socket
 
 SEEDS = [Seeds(1, 2, 3), Seeds(17, 4, 99), Seeds(2 ** 63, 5, 8), Seeds(40, 41, 42),
          Seeds(123456789, 987654321, 555)]
-
-
-class PassThroughEndpoint:
-    """Forwards every call; hides the endpoint type, forcing the per-pulse path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def send(self, msg):
-        self._inner.send(msg)
-
-    def recv(self):
-        return self._inner.recv()
-
-    def close(self):
-        self._inner.close()
 
 
 def noisy_config(n_pulses, seeds, variant, ack_window, disclosure=0.0):
@@ -88,19 +71,6 @@ def with_key_files(cfg, tmp_path, entropy):
                                bob_key_files=tuple(paths["bob"]))
 
 
-def run_in_process(cfg, wrap=lambda endpoint: endpoint):
-    """(result, Alice, messages Alice received) of an in-process session, with
-    Bob's endpoint passed through ``wrap``; by default the batched path."""
-    alice = AliceSession(cfg)
-    seen = []
-
-    def responder(msg):
-        seen.append(msg)
-        return alice.handle(msg)
-
-    return BobSession(cfg).run(wrap(open_in_process(responder))), alice, seen
-
-
 def run_reference(cfg):
     """``run_in_process`` on the per-pulse path."""
     return run_in_process(cfg, PassThroughEndpoint)
@@ -121,7 +91,7 @@ def block_windows(seen):
 def detection_windows(seen, cfg):
     """(end, indices) of each per-pulse DETECTIONS; window k ends at min(k * w, n)."""
     detections = [m for m in seen if isinstance(m, Detections)]
-    return [(min((k + 1) * cfg.ack_window, cfg.n_pulses), m.indices)
+    return [(min((k + 1) * cfg.ack_window, cfg.n_pulses), tuple(m.indices.tolist()))
             for k, m in enumerate(detections)]
 
 
@@ -405,37 +375,6 @@ def test_alice_rejects_window_larger_than_a_block():
     (fresh,) = started_alice(cfg).handle(window(0, block))
     assert back.count == block
     assert np.array_equal(back.symbols, fresh.symbols)
-
-
-def run_over_socket(cfg, serve=serve_once):
-    """(result, Alice, messages Alice received) of a session over loopback.
-
-    Alice runs in a thread behind ``serve``, which has ``serve_once``'s
-    signature.
-    """
-    alice = AliceSession(cfg)
-    seen, errors, ports = [], [], queue.Queue()
-
-    def responder(msg):
-        seen.append(msg)
-        return alice.handle(msg)
-
-    def run():
-        try:
-            serve("127.0.0.1", 0, responder, lambda: alice.done, on_listening=ports.put)
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    server = threading.Thread(target=run, daemon=True)
-    server.start()
-    endpoint = connect("127.0.0.1", ports.get(timeout=10))
-    try:
-        result = BobSession(cfg).run(endpoint)
-    finally:
-        endpoint.close()
-        server.join(timeout=30)
-    assert not server.is_alive() and not errors, errors
-    return result, alice, seen
 
 
 def assert_socket_matches(cfg, reference=None):

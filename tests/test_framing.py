@@ -39,7 +39,7 @@ def test_detections_golden_vector():
         + "0300000000000000" + "1100000000000000"
     )
     assert frame == expected
-    assert decode_frame(expected) == Detections((3, 17))
+    assert same_message(decode_frame(expected), Detections(np.array([3, 17], np.uint64)))
 
 
 def test_empty_detections_golden_vector():
@@ -151,12 +151,13 @@ def test_detections_block_header_shorter_than_one_end_rejected():
 
 
 def test_detections_block_decode_memory_follows_bytes():
-    # Array payloads decode in place: a block of 2M clicks and a DISCLOSE of
-    # 2M records peak at 1.5x their frame bytes, a BASES of 2M bits at 1.5x
-    # its decoded uint8 array.
+    # Array payloads decode in place: a DETECTIONS or a block of 2M clicks and
+    # a DISCLOSE of 2M records peak at 1.5x their frame bytes, a BASES of 2M
+    # bits at 1.5x its decoded uint8 array.
     clicks = np.arange(0, 4_000_000, 2)
     bits = (clicks % 3 == 0).astype(np.uint8)
-    for msg, decoded_bytes in ((block([4_000_000, 5_000_000], clicks), None),
+    for msg, decoded_bytes in ((Detections(clicks.astype(np.uint64)), None),
+                               (block([4_000_000, 5_000_000], clicks), None),
                                (disclose(clicks, bits), None),
                                (Bases(bits), bits.size)):
         frame = encode_frame(msg)
@@ -190,7 +191,7 @@ def random_messages(rng):
                      float(rng.uniform(-10, 10)), pol)
     k = int(rng.integers(0, 6))
     indices = tuple(sorted(int(x) for x in rng.choice(1000, size=k, replace=False)))
-    yield Detections(indices)
+    yield Detections(np.array(indices, np.uint64))
     yield Bases(rng.integers(0, 2, size=int(rng.integers(0, 20))).astype(np.uint8))
     yield disclose(indices, rng.integers(0, 2, size=k))
     yield ErReport(float(rng.uniform(0, 1)))

@@ -73,6 +73,7 @@ from fmqkd.protocol import (
     seeds_commitment,
 )
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
+from sessions import PassThroughEndpoint, run_in_process
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 SMALL_BLOCK = 64
@@ -489,35 +490,11 @@ def edited(data, msg):
     return decoded(frame)
 
 
-class PassThrough:
-    """Endpoint wrapper; Bob runs the per-pulse engine behind any wrapper."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def send(self, msg):
-        self._inner.send(msg)
-
-    def recv(self):
-        return self._inner.recv()
-
-    def close(self):
-        self._inner.close()
-
-
 @functools.lru_cache(maxsize=None)
 def messages_bob_sends(variant, disclosure, per_pulse):
     """How many messages Bob sends in an honest session."""
     cfg = session_config(variant, disclosure)
-    alice = AliceSession(cfg)
-    sent = []
-
-    def responder(msg):
-        sent.append(msg)
-        return alice.handle(msg)
-
-    endpoint = open_in_process(responder)
-    BobSession(cfg).run(PassThrough(endpoint) if per_pulse else endpoint)
+    _, _, sent = run_in_process(cfg, PassThroughEndpoint) if per_pulse else run_in_process(cfg)
     return len(sent)
 
 
@@ -559,7 +536,7 @@ def test_bob_ends_in_result_or_documented_error(data, variant, disclosure, per_p
 
     endpoint = open_in_process(peer)
     try:
-        result = BobSession(cfg).run(PassThrough(endpoint) if per_pulse else endpoint)
+        result = BobSession(cfg).run(PassThroughEndpoint(endpoint) if per_pulse else endpoint)
     except (ProtocolViolationError, ConfigError, SessionAborted):
         result = None
     # The first frame shows which engine ran.
@@ -581,15 +558,9 @@ def test_block_acknowledgements_close_each_window_once(n, ack_window, block):
         detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
         seeds=Seeds(7, 8, 9), ack_window=ack_window,
     )
-    alice, seen = AliceSession(cfg), []
-
-    def responder(msg):
-        seen.append(msg)
-        return alice.handle(msg)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "BLOCK_PULSES", block)
-        result = BobSession(cfg).run(open_in_process(responder))
+        result, _, seen = run_in_process(cfg)
     # Each window frame, and the acknowledgements sent before the next one.
     blocks = []
     for msg in seen:

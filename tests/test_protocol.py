@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import math
-import types
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from fmqkd.protocol import (
 )
 from fmqkd.presets import reference_session
 from fmqkd.randomness import BitSource, derive_rng
+from sessions import PassThroughEndpoint
 
 INF = float("inf")
 
@@ -183,28 +183,22 @@ def test_measured_er_tracks_prediction():
     assert abs(result.measured_er - predicted) < 3.0 * sigma
 
 
-class DiscloseTamperingEndpoint:
+class DiscloseTamperingEndpoint(PassThroughEndpoint):
     """Flips Alice's disclosed bits at the given positions of her DISCLOSE;
     ``edit`` then rewrites the list of (index, bit) records."""
 
     def __init__(self, inner, flip=(), drop_last=False, edit=lambda items: items):
-        self._inner = inner
+        super().__init__(inner)
         self._flip = set(flip)
         self._drop_last = drop_last
         self._edit = edit
 
-    def send(self, msg):
-        self._inner.send(msg)
-
     def recv(self):
-        msg = self._inner.recv()
+        msg = super().recv()
         if isinstance(msg, Disclose):
             items = [(idx, bit ^ (k in self._flip)) for k, (idx, bit) in enumerate(msg.items)]
             return Disclose(tuple(self._edit(items[:-1] if self._drop_last else items)))
         return msg
-
-    def close(self):
-        self._inner.close()
 
 
 def test_estimate_identical_keys():
@@ -438,7 +432,7 @@ def test_bob_refuses_returned_fields_that_do_not_fit(what, per_pulse):
 
     endpoint = open_in_process(from_alice)
     if per_pulse:  # any other endpoint type runs the per-pulse engine
-        endpoint = types.SimpleNamespace(send=endpoint.send, recv=endpoint.recv)
+        endpoint = PassThroughEndpoint(endpoint)
     with pytest.raises(ProtocolViolationError):
         BobSession(cfg).run(endpoint)
 
@@ -454,7 +448,7 @@ def test_in_process_receiver_refuses_every_malformed_message(what):
         endpoint = open_in_process(
             lambda m: [msg if type(r) is type(msg) else r for r in alice.handle(m)])
         if isinstance(msg, QFrameBack):  # any other endpoint type runs the per-pulse engine
-            endpoint = types.SimpleNamespace(send=endpoint.send, recv=endpoint.recv)
+            endpoint = PassThroughEndpoint(endpoint)
         with pytest.raises(ProtocolViolationError):
             BobSession(cfg).run(endpoint)
         return
@@ -516,23 +510,14 @@ class RecordingPhysics:
         return clicked
 
 
-class PhaseMaskingEndpoint:
+class PhaseMaskingEndpoint(PassThroughEndpoint):
     """Scrambles phase_a on every returned frame after the channel."""
 
-    def __init__(self, inner):
-        self._inner = inner
-
-    def send(self, msg):
-        self._inner.send(msg)
-
     def recv(self):
-        msg = self._inner.recv()
+        msg = super().recv()
         if hasattr(msg, "phase_a"):
             return msg._replace(phase_a=123.456)
         return msg
-
-    def close(self):
-        self._inner.close()
 
 
 def test_sifting_layer_never_reads_phase():
@@ -551,22 +536,16 @@ def test_sifting_layer_never_reads_phase():
     assert masked == reference
 
 
-class FlakyEndpoint:
+class FlakyEndpoint(PassThroughEndpoint):
     def __init__(self, inner, fail_after_sends):
-        self._inner = inner
+        super().__init__(inner)
         self._left = fail_after_sends
 
     def send(self, msg):
         if self._left <= 0:
             raise ChannelError("connection reset")
         self._left -= 1
-        self._inner.send(msg)
-
-    def recv(self):
-        return self._inner.recv()
-
-    def close(self):
-        self._inner.close()
+        super().send(msg)
 
 
 def test_mid_session_disconnect_aborts_with_partial_stats():
@@ -741,24 +720,18 @@ def test_physics_rejects_out_of_order_and_bad_frames():
         physics.observe(QFrameBack(1, half, 0.0, (0.0, 0.0, 0.5, 0.0)), 0.0)
 
 
-class DroppingEndpoint:
+class DroppingEndpoint(PassThroughEndpoint):
     """Delivers the first ``n`` returned frames, then the channel dies."""
 
     def __init__(self, inner, deliver):
-        self._inner = inner
+        super().__init__(inner)
         self._left = deliver
-
-    def send(self, msg):
-        self._inner.send(msg)
 
     def recv(self):
         if self._left <= 0:
             raise ChannelError("returned frame lost")
         self._left -= 1
-        return self._inner.recv()
-
-    def close(self):
-        self._inner.close()
+        return super().recv()
 
 
 def test_dropped_return_frame_aborts_at_that_index():
