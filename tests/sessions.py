@@ -1,21 +1,96 @@
 """The session harness of the test suite.
 
-One forwarding endpoint, the in-process and loopback session runners, one
-scripted raw peer and ``free_port``, for every test that runs a session or
-talks to a socket. pytest does not collect this module; tests import it like
-``field_inputs``. Each thread started here is joined before the test that
-started it ends, and what the thread raised is raised in that test.
+The link configs, key files and started parties that tests feed a session;
+one forwarding endpoint, the in-process and loopback session runners, one
+scripted raw peer, ``free_port`` and ``traced_peak``, the memory probe. pytest
+does not collect this module; tests import it like ``field_inputs``. Each
+thread started here is joined before the test that started it ends, and what
+the thread raised is raised in that test.
 """
 
 import contextlib
+import dataclasses
 import queue
 import socket
 import threading
+import tracemalloc
+import types
 
+import numpy as np
+
+from field_inputs import window_out
 from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
-from fmqkd.protocol import AliceSession, BobSession
+from fmqkd.detector import GatedDetectorConfig
+from fmqkd.interferometer import SetupConfig
+from fmqkd.keyfile import write_key_file
+from fmqkd.protocol import (
+    AliceSession,
+    BobSession,
+    ProtocolVariant,
+    Seeds,
+    SessionConfig,
+    session_start,
+)
 
 HOST = "127.0.0.1"
+INF = float("inf")
+
+
+def ideal_setup(mu_pair=0.1):
+    """No loss and no extinction error."""
+    return SetupConfig(
+        mu_pair=mu_pair, line_loss_db=0.0, c1_tap_db=0.0,
+        alice_extinction_db=INF, bob_extinction_db=INF,
+    )
+
+
+def noiseless_config(n_pulses, seeds=Seeds(1, 2, 3), variant=ProtocolVariant.BB92,
+                     mu_pair=40.0):
+    """The ideal setup and a perfect detector: keys without errors."""
+    detector = GatedDetectorConfig(efficiency=1.0, dark_prob_per_gate=0.0)
+    return SessionConfig(n_pulses=n_pulses, variant=variant, setup=ideal_setup(mu_pair),
+                         detector=detector, seeds=seeds)
+
+
+def noisy_config(n_pulses, seeds, variant, ack_window, disclosure=0.0):
+    """About 5% clicks with dark counts, so keys carry errors at every window size."""
+    return SessionConfig(
+        n_pulses=n_pulses, variant=variant, setup=SetupConfig(mu_pair=2.0),
+        detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
+        seeds=seeds, disclosure_fraction=disclosure, ack_window=ack_window,
+    )
+
+
+def dark_count_config(n_pulses, seeds, disclosure=0.0):
+    """A BB92 link at mu 0.2 whose detector's dark counts put errors in the key."""
+    return SessionConfig(
+        n_pulses=n_pulses, variant=ProtocolVariant.BB92,
+        setup=SetupConfig(mu_pair=0.2),
+        detector=GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=5e-4),
+        seeds=seeds, disclosure_fraction=disclosure,
+    )
+
+
+def with_key_files(cfg, tmp_path, entropy):
+    """``cfg`` with both parties' bits read from two generated key files each."""
+    rng = np.random.default_rng(entropy)
+    files = {}
+    for party in ("alice", "bob"):
+        paths = tuple(str(tmp_path / f"{party}_{entropy}_{k}.qkdr") for k in range(2))
+        for p in paths:
+            write_key_file(p, rng.integers(0, 2, size=cfg.n_pulses // 2 + 1).astype(np.uint8))
+        files[f"{party}_key_files"] = paths
+    return dataclasses.replace(cfg, **files)
+
+
+def started_alice(cfg, reflected=0):
+    """Alice of ``cfg`` after SESSION_START, who has reflected the first
+    ``reflected`` frames in one window."""
+    alice = AliceSession(cfg)
+    assert alice.handle(session_start(cfg)) == []
+    if reflected:
+        alice.handle(window_out(0, reflected))
+    return alice
 
 
 class PassThroughEndpoint:
@@ -42,6 +117,19 @@ def free_port():
     with socket.socket() as s:
         s.bind((HOST, 0))
         return s.getsockname()[1]
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Traces the ``with`` body's allocations; at its end, ``.peak`` holds the
+    most bytes the body held at once."""
+    traced = types.SimpleNamespace()
+    tracemalloc.start()
+    try:
+        yield traced
+    finally:
+        traced.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager

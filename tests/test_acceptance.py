@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import fmqkd
 from fmqkd.detector import GatedDetectorConfig, er_det_analytic
@@ -31,10 +30,14 @@ from fmqkd.jones import (
 )
 from fmqkd.keyfile import read_key_file
 from fmqkd.presets import REFERENCE_ROWS, reference_session
-from fmqkd.protocol import ProtocolVariant, Seeds, SessionConfig, run_session
-from sessions import PassThroughEndpoint, free_port, run_in_process, run_over_socket
-
-INF = float("inf")
+from fmqkd.protocol import ProtocolVariant, Seeds, run_session
+from sessions import (
+    PassThroughEndpoint,
+    free_port,
+    noiseless_config,
+    run_in_process,
+    run_over_socket,
+)
 
 
 def _cli_env() -> dict:
@@ -132,16 +135,7 @@ def test_criterion_5_table_row_mu02():
 
 
 def test_criterion_6_noiseless_correctness():
-    setup = SetupConfig(
-        mu_pair=40.0, line_loss_db=0.0, c1_tap_db=0.0,
-        alice_extinction_db=INF, bob_extinction_db=INF,
-    )
-    cfg = SessionConfig(
-        n_pulses=210_000, variant=ProtocolVariant.BB92, setup=setup,
-        detector=GatedDetectorConfig(efficiency=1.0, dark_prob_per_gate=0.0),
-        seeds=Seeds(61, 62, 63),
-    )
-    result = run_session(cfg)
+    result = run_session(noiseless_config(210_000, Seeds(61, 62, 63)))
     ok = (
         result.clicks >= 100_000
         and result.sifted_key_alice == result.sifted_key_bob
@@ -227,14 +221,7 @@ def test_criterion_8_bb84_variant():
     sigma = math.sqrt(0.25 / result.clicks)
     ok_frac = abs(frac - 0.5) <= 3.0 * sigma
 
-    noiseless = SessionConfig(
-        n_pulses=6000, variant=ProtocolVariant.BB84,
-        setup=SetupConfig(mu_pair=40.0, line_loss_db=0.0, c1_tap_db=0.0,
-                          alice_extinction_db=INF, bob_extinction_db=INF),
-        detector=GatedDetectorConfig(efficiency=1.0, dark_prob_per_gate=0.0),
-        seeds=Seeds(84, 85, 86),
-    )
-    clean = run_session(noiseless)
+    clean = run_session(noiseless_config(6000, Seeds(84, 85, 86), ProtocolVariant.BB84))
     ok_clean = clean.measured_er == 0.0 and clean.sifted_key_alice == clean.sifted_key_bob
     ok = ok_mid and ok_frac and ok_clean
     report(8, ok, f"basis retention {frac:.4f} (0.5 +- {3*sigma:.4f}), "

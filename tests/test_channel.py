@@ -1,10 +1,10 @@
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from field_inputs import FIXED_SIZES, block_payload, window_back
 from fmqkd import channel
 from fmqkd.channel import connect, open_in_process
 from fmqkd.errors import (
@@ -19,14 +19,13 @@ from fmqkd.framing import (
     Detections,
     DetectionsBlock,
     ErReport,
-    QFrameWindowBack,
     QFrameWindowOut,
     Terminate,
     encode_frame,
 )
 from fmqkd.protocol import BobSession, Seeds, run_session
 from fmqkd.presets import reference_session
-from sessions import RawPeer, free_port, run_in_process, run_over_socket, serving
+from sessions import RawPeer, free_port, run_in_process, run_over_socket, serving, traced_peak
 
 
 def test_in_process_fifo_order():
@@ -117,11 +116,6 @@ def test_in_process_session_makes_one_round_trip_per_block():
     assert [m.ends.size for m in acks] == [64, 33, 1]
 
 
-FIXED_SIZES = {"SESSION_START": (0x01, 49), "QFRAME_OUT": (0x02, 48),
-               "QFRAME_BACK": (0x03, 56), "ER_REPORT": (0x07, 8), "TERMINATE": (0x08, 1),
-               "QFRAME_WINDOW_OUT": (0x09, 52)}
-
-
 @pytest.mark.parametrize("name", sorted(FIXED_SIZES))
 @pytest.mark.parametrize("claim", ["one_more", "four_gib"])
 def test_fixed_size_header_rejected_before_payload(name, claim):
@@ -140,7 +134,7 @@ def test_window_back_capped_at_one_block():
         with pytest.raises(ProtocolViolationError):
             ep.recv()
     symbols = np.arange(BLOCK_PULSES, dtype=np.uint8) % 4
-    full = QFrameWindowBack(7, BLOCK_PULSES, 0.05, symbols, (0.0, 0.0, 1.0, 0.0))
+    full = window_back(symbols, start=7, mean_photons=0.05)
     with RawPeer(encode_frame(full)) as peer:
         got = peer.endpoint().recv()
         assert got[:3] == full[:3] and got.pol == full.pol
@@ -154,20 +148,13 @@ def test_variable_payload_memory_follows_arrived_bytes(msg_type):
     data = HEADER.pack(1, msg_type, claimed) + bytes(sent)
     with RawPeer(data, close_after_send=True) as peer:
         ep = peer.endpoint()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ChannelError):
-                ep.recv()  # the peer closes long before the claimed payload is complete
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak < 4 * sent
+        with traced_peak() as traced, pytest.raises(ChannelError):
+            ep.recv()  # the peer closes long before the claimed payload is complete
+    assert traced.peak < 4 * sent
 
 
 def test_detections_block_capped_at_one_block_of_windows():
-    ends = np.arange(1, BLOCK_PULSES + 2, dtype="<u8")
-    payload = np.array([ends.size, 0], "<u4").tobytes() + ends.tobytes()
-    with RawPeer(HEADER.pack(1, 0x0B, len(payload)) + payload) as peer:
+    with RawPeer(block_payload(BLOCK_PULSES + 1, 0, range(1, BLOCK_PULSES + 2))) as peer:
         ep = peer.endpoint()
         with pytest.raises(ProtocolViolationError) as err:
             ep.recv()

@@ -1,19 +1,21 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import re
-import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from field_inputs import window_back, window_out
 from fmqkd import channel, cli
 from fmqkd.channel import connect
 from fmqkd.cli import (
     EXIT_CHANNEL,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PROTOCOL,
     FM_CHECK_MAX_SAMPLES,
@@ -24,7 +26,6 @@ from fmqkd.cli import (
 from fmqkd.errors import ConfigError
 from fmqkd.framing import (
     TERMINATE_CONFIG_MISMATCH,
-    QFrameWindowBack,
     QFrameWindowOut,
     SessionStart,
     Terminate,
@@ -33,7 +34,7 @@ from fmqkd.framing import (
 from fmqkd.keyfile import MAX_BITS, read_key_file
 from fmqkd.protocol import ProtocolVariant
 from fmqkd.randomness import BitSource
-from sessions import RawPeer, free_port
+from sessions import RawPeer, free_port, in_thread
 
 
 BASE_CONFIG = """\
@@ -232,6 +233,14 @@ def test_keygen_rejects_bit_counts_beyond_the_key_file_format(tmp_path, monkeypa
     assert not out.exists()
 
 
+def test_keygen_into_a_missing_directory_exits_4(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.qkdr"
+    assert main(["keygen", "--out", str(out), "--bits", "8"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 2] No such file or directory") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_table_command_structure(tmp_path, capsys, monkeypatch):
     # Shrink the reference rows so the command runs in well under a second.
     import dataclasses
@@ -302,8 +311,7 @@ def test_fm_check_rejects_sample_counts_outside_the_cap(monkeypatch, capsys):
 
 def malformed_window_back():
     """A returned window whose second symbol (4) lies outside the alphabet."""
-    frame = bytearray(encode_frame(QFrameWindowBack(
-        0, 3, 0.1, np.zeros(3, np.uint8), (0.0, 0.0, 1.0, 0.0))))
+    frame = bytearray(encode_frame(window_back(np.zeros(3, np.uint8), mean_photons=0.1)))
     frame[-2] = 4
     return bytes(frame)
 
@@ -317,8 +325,7 @@ def test_simulate_bob_protocol_violation_exits_5_and_logs(tmp_path, capsys):
     assert code == EXIT_PROTOCOL
     assert "protocol error" in capsys.readouterr().err
     assert [type(m) for m in peer.received] == [SessionStart, QFrameWindowOut]
-    (line,) = (out / "session.log").read_text().splitlines()
-    entry = json.loads(line)
+    (entry,) = log_entries(out)
     assert entry["role"] == "bob" and entry["error"].startswith("ProtocolViolationError")
 
 
@@ -331,52 +338,44 @@ def test_simulate_bob_stalled_peer_exits_3_and_logs(tmp_path, capsys, monkeypatc
         code = main(["simulate", "--config", str(cfg), "--out", str(out), "--role", "bob"])
     assert time.monotonic() - started < 5.0
     assert code == EXIT_CHANNEL
-    (line,) = (out / "session.log").read_text().splitlines()
-    entry = json.loads(line)
+    (entry,) = log_entries(out)
     assert entry["role"] == "bob" and "timed out" in entry["error"]
 
 
-def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys, monkeypatch):
+@contextlib.contextmanager
+def cli_alice(tmp_path, out, monkeypatch):
+    """A client endpoint of ``simulate --role alice`` on ``BASE_CONFIG``, run in a
+    thread that writes to ``out``, and the list it appends its exit code to."""
     port = free_port()
     cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
-    out = tmp_path / "alice"
     codes = []
-    thread = threading.Thread(target=lambda: codes.append(main(
-        ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
-        daemon=True)
-    thread.start()
+    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"]
     monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.05)
-    endpoint = connect("127.0.0.1", port)
-    try:
+    with in_thread(lambda: codes.append(main(argv)), timeout=10):
+        endpoint = connect("127.0.0.1", port)
+        try:
+            yield endpoint, codes
+        finally:
+            endpoint.close()
+
+
+def test_simulate_alice_protocol_violation_exits_5_and_logs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "alice"
+    with cli_alice(tmp_path, out, monkeypatch) as (endpoint, codes):
         # A window before SESSION_START.
-        endpoint.send(QFrameWindowOut(0, 3, 1e6, (1.0, 0.0, 0.0, 0.0)))
-        thread.join(10)
-    finally:
-        endpoint.close()
+        endpoint.send(window_out(0, 3))
     assert codes == [EXIT_PROTOCOL]
     assert "protocol error" in capsys.readouterr().err
-    (line,) = (out / "session.log").read_text().splitlines()
-    assert json.loads(line)["error"].startswith("ProtocolViolationError")
+    (entry,) = log_entries(out)
+    assert entry["error"].startswith("ProtocolViolationError")
 
 
 def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys, monkeypatch):
-    port = free_port()
-    cfg = write_config(tmp_path, BASE_CONFIG + f"channel = socket\nport = {port}\n")
     out = tmp_path / "alice"
-    codes = []
-    thread = threading.Thread(target=lambda: codes.append(main(
-        ["simulate", "--config", str(cfg), "--out", str(out), "--role", "alice"])),
-        daemon=True)
-    thread.start()
-    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.05)
-    endpoint = connect("127.0.0.1", port)
-    try:
+    with cli_alice(tmp_path, out, monkeypatch) as (endpoint, codes):
         # The session Alice expects, but committed to other seeds.
         endpoint.send(SessionStart(20000, ProtocolVariant.BB92.code, 0.2, bytes(32)))
         reply = endpoint.recv()
-        thread.join(10)
-    finally:
-        endpoint.close()
     assert reply == Terminate(TERMINATE_CONFIG_MISMATCH)
     assert codes == [EXIT_CONFIG]
     assert "config error" in capsys.readouterr().err

@@ -6,11 +6,13 @@ the per-pulse path. All must agree on everything either party ends up with.
 """
 
 import dataclasses
+import functools
 import socket
 
 import numpy as np
 import pytest
 
+from field_inputs import pulse_out, window_back, window_out
 from fmqkd import protocol
 from fmqkd.channel import SocketEndpoint, open_in_process
 from fmqkd.detector import GatedDetectorConfig, click_probability
@@ -20,16 +22,12 @@ from fmqkd.framing import (
     DetectionsBlock,
     QFrameBack,
     QFrameOut,
-    SessionStart,
     decode_frame,
     encode_frame,
 )
 from fmqkd.interferometer import SetupConfig, detection_mean
-from fmqkd.keyfile import write_key_file
 from fmqkd.presets import reference_detector, reference_session, reference_setup
 from fmqkd.protocol import (
-    OUTGOING_REFERENCE_PHOTONS,
-    POL_HORIZONTAL,
     AliceSession,
     BobSession,
     ProtocolVariant,
@@ -37,38 +35,20 @@ from fmqkd.protocol import (
     QFrameWindowOut,
     QuantumPhysics,
     Seeds,
-    SessionConfig,
     SessionResult,
-    seeds_commitment,
 )
 from fmqkd.randomness import derive_rng
-from sessions import PassThroughEndpoint, run_in_process, run_over_socket
+from sessions import (
+    PassThroughEndpoint,
+    noisy_config,
+    run_in_process,
+    run_over_socket,
+    started_alice,
+    with_key_files,
+)
 
 SEEDS = [Seeds(1, 2, 3), Seeds(17, 4, 99), Seeds(2 ** 63, 5, 8), Seeds(40, 41, 42),
          Seeds(123456789, 987654321, 555)]
-
-
-def noisy_config(n_pulses, seeds, variant, ack_window, disclosure=0.0):
-    """About 5% clicks with dark counts, so keys carry errors at every window size."""
-    return SessionConfig(
-        n_pulses=n_pulses, variant=variant, setup=SetupConfig(mu_pair=2.0),
-        detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
-        seeds=seeds, disclosure_fraction=disclosure, ack_window=ack_window,
-    )
-
-
-def with_key_files(cfg, tmp_path, entropy):
-    """``cfg`` with both parties' bits read from generated key files."""
-    rng = np.random.default_rng(entropy)
-    paths = {}
-    for party in ("alice", "bob"):
-        paths[party] = []
-        for k in range(2):
-            p = tmp_path / f"{party}_{entropy}_{k}.qkdr"
-            write_key_file(p, rng.integers(0, 2, size=cfg.n_pulses // 2 + 1).astype(np.uint8))
-            paths[party].append(str(p))
-    return dataclasses.replace(cfg, alice_key_files=tuple(paths["alice"]),
-                               bob_key_files=tuple(paths["bob"]))
 
 
 def run_reference(cfg):
@@ -95,9 +75,10 @@ def detection_windows(seen, cfg):
             for k, m in enumerate(detections)]
 
 
-def assert_equivalent(cfg, reference=None):
-    """The batched path equals ``reference``, the per-pulse path's run of ``cfg``."""
-    batched, alice_b, seen_b = run_in_process(cfg)
+def assert_equivalent(cfg, reference=None, run=run_in_process):
+    """The batched path, in ``run``'s session of ``cfg``, equals ``reference``,
+    the per-pulse path's run of ``cfg``."""
+    batched, alice_b, seen_b = run(cfg)
     reference, alice_r, seen_r = reference or run_reference(cfg)
     # The batched path really ran, in blocks; the reference ran per pulse.
     assert any(isinstance(m, QFrameWindowOut) for m in seen_b)
@@ -110,6 +91,7 @@ def assert_equivalent(cfg, reference=None):
     windows = block_windows(seen_b)
     assert windows == detection_windows(seen_r, cfg)
     assert len(windows) == -(-cfg.n_pulses // cfg.ack_window)
+    assert_python_types(batched)
     return batched
 
 
@@ -230,64 +212,49 @@ def test_batched_abort_keeps_acknowledged_windows(monkeypatch):
     assert_python_types(partial)
 
 
-def started_alice(cfg):
-    alice = AliceSession(cfg)
-    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                              seeds_commitment(cfg)))
-    return alice
-
-
-def window(start, count, level=OUTGOING_REFERENCE_PHOTONS):
-    return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
-
-
 def test_alice_rejects_bad_windows():
     cfg = noisy_config(100, SEEDS[0], ProtocolVariant.BB84, 10)
     alice = started_alice(cfg)
-    (back,) = alice.handle(window(0, 40))
+    (back,) = alice.handle(window_out(0, 40))
     assert isinstance(back, QFrameWindowBack) and back.count == 40
-    for bad in (window(0, 10),      # overlaps frames already reflected
-                window(39, 5),      # overlaps
-                window(41, 5),      # leaves a gap
-                window(40, 0),      # empty
-                window(40, -3),     # empty
-                window(40, 61),     # runs past n_pulses
-                window(40, 10, 1.0)):  # wrong pulse level
+    for bad in (window_out(0, 10),      # overlaps frames already reflected
+                window_out(39, 5),      # overlaps
+                window_out(41, 5),      # leaves a gap
+                window_out(40, 0),      # empty
+                window_out(40, -3),     # empty
+                window_out(40, 61),     # runs past n_pulses
+                window_out(40, 10, 1.0)):  # wrong pulse level
         with pytest.raises(ProtocolViolationError):
             alice.handle(bad)
-    assert isinstance(alice.handle(window(40, 60))[0], QFrameWindowBack)
+    assert isinstance(alice.handle(window_out(40, 60))[0], QFrameWindowBack)
     with pytest.raises(ProtocolViolationError):
-        alice.handle(QFrameOut(100, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+        alice.handle(pulse_out(100))
 
 
 def test_alice_rejects_window_before_start():
     alice = AliceSession(noisy_config(100, SEEDS[0], ProtocolVariant.BB92, 10))
     with pytest.raises(ProtocolViolationError):
-        alice.handle(window(0, 10))
+        alice.handle(window_out(0, 10))
 
 
 def test_physics_window_checks():
     cfg = noisy_config(100, SEEDS[0], ProtocolVariant.BB84, 10)
     half = cfg.setup.mu_pair / 2.0
-    pol = (0.0, 0.0, 1.0, 0.0)
     bob = np.zeros(10, dtype=np.uint8)
-
-    def back(start, symbols, level=half, p=pol):
-        return QFrameWindowBack(start, len(symbols), level, np.asarray(symbols, np.uint8), p)
-
+    back = functools.partial(window_back, mean_photons=half)
     physics = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(3, 0))
-    good = back(0, [0, 1, 2, 3] * 2 + [0, 0])
+    good = back([0, 1, 2, 3] * 2 + [0, 0])
     dense = (derive_rng(3, 0).random(10)
              < dense_click_table(cfg.setup, cfg.detector)[(good.symbols << 2) + bob])
     offsets = physics.observe_window(good, bob)
     assert offsets.dtype == np.intp and np.array_equal(offsets, np.flatnonzero(dense))
-    for bad, bob_symbols in ((back(5, [0] * 10), bob),          # out of order
-                             (back(10, [0] * 10, half * 3), bob),  # wrong level
-                             (back(10, [0] * 10, p=(0.5, 0, 0, 0)), bob),
-                             (back(10, [0] * 9), bob)):          # short window
+    for bad, bob_symbols in ((back([0] * 10, start=5), bob),  # out of order
+                             (back([0] * 10, start=10, mean_photons=half * 3), bob),  # too bright
+                             (back([0] * 10, start=10, pol=(0.5, 0, 0, 0)), bob),
+                             (back([0] * 9, start=10), bob)):  # short window
         with pytest.raises(ProtocolViolationError):
             physics.observe_window(bad, bob_symbols)
-    physics.observe_window(back(10, [0] * 10), bob)
+    physics.observe_window(back([0] * 10, start=10), bob)
 
 
 def test_observe_rejects_phase_outside_alphabet():
@@ -310,7 +277,7 @@ def test_window_and_pulse_paths_share_one_click_table():
     pol = (0.0, 0.0, 1.0, 0.0)
     half = cfg.setup.mu_pair / 2.0
     batched = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(9, 0)).observe_window(
-        QFrameWindowBack(0, 5000, half, a, pol), b)
+        window_back(a, mean_photons=half), b)
     scalar = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(9, 0))
     per_pulse = [scalar.observe(QFrameBack(i, half, protocol.PHASES[a[i]], pol),
                                 protocol.PHASES[b[i]]) for i in range(5000)]
@@ -349,10 +316,9 @@ def test_window_gate_matches_dense_lookup(variant, case):
         a, b = 2 * rng.integers(0, 2, (2, n), dtype=np.uint8)
     assert set(a.tolist()) == ({0, 1, 2, 3} if variant.uses_bases else {0, 2})
     physics = QuantumPhysics(setup, detector, derive_rng(5, 0))
-    pol = (0.0, 0.0, 1.0, 0.0)
     clicks = np.concatenate([
-        start + physics.observe_window(QFrameWindowBack(start, block, setup.mu_pair / 2.0,
-                                                        a[start:start + block], pol),
+        start + physics.observe_window(window_back(a[start:start + block], start=start,
+                                                   mean_photons=setup.mu_pair / 2.0),
                                        b[start:start + block])
         for start in range(0, n, block)])
     dense = derive_rng(5, 0).random(n) < table[(a << 2) + b]
@@ -365,34 +331,16 @@ def test_alice_rejects_window_larger_than_a_block():
     block = protocol.BLOCK_PULSES
     cfg = noisy_config(3 * block, SEEDS[0], ProtocolVariant.BB84, 1024)
     alice = started_alice(cfg)
-    big = window(0, block + 1)
+    big = window_out(0, block + 1)
     with pytest.raises(ProtocolViolationError):
         alice.handle(big)
     with pytest.raises(ProtocolViolationError):
         alice.handle(decode_frame(encode_frame(big)))
     # The rejected windows drew nothing: the next window starts the streams.
-    (back,) = alice.handle(window(0, block))
-    (fresh,) = started_alice(cfg).handle(window(0, block))
+    (back,) = alice.handle(window_out(0, block))
+    (fresh,) = started_alice(cfg).handle(window_out(0, block))
     assert back.count == block
     assert np.array_equal(back.symbols, fresh.symbols)
-
-
-def assert_socket_matches(cfg, reference=None):
-    """The socket session runs in blocks and equals ``reference``, the
-    per-pulse path's run of ``cfg``."""
-    reference, alice_r, seen_r = reference or run_reference(cfg)
-    result, alice, seen = run_over_socket(cfg)
-    assert any(isinstance(m, QFrameWindowOut) for m in seen)
-    assert not any(isinstance(m, QFrameOut) for m in seen)
-    assert result == reference
-    assert alice.sifted_key == alice_r.sifted_key
-    assert alice.final_key == alice_r.final_key
-    assert alice.measured_er == alice_r.measured_er
-    windows = block_windows(seen)
-    assert windows == detection_windows(seen_r, cfg)
-    assert len(windows) == -(-cfg.n_pulses // cfg.ack_window)
-    assert_python_types(result)
-    return result
 
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
@@ -404,7 +352,7 @@ def test_socket_matches_in_process(tmp_path, variant, ack_window, key_files, dis
         cfg = noisy_config(1000, seeds, variant, ack_window, disclosure)
         if key_files:
             cfg = with_key_files(cfg, tmp_path, k)
-        assert assert_socket_matches(cfg).clicks > 20
+        assert assert_equivalent(cfg, run=run_over_socket).clicks > 20
 
 
 @pytest.mark.parametrize("ack_window", [7, 100])
@@ -413,11 +361,12 @@ def test_socket_matches_in_process_across_blocks(monkeypatch, ack_window):
     # that span two blocks.
     monkeypatch.setattr(protocol, "BLOCK_PULSES", 64)
     for variant in ProtocolVariant:
-        assert_socket_matches(noisy_config(1000, SEEDS[2], variant, ack_window, 0.5))
+        assert_equivalent(noisy_config(1000, SEEDS[2], variant, ack_window, 0.5),
+                          run=run_over_socket)
 
 
 def test_socket_matches_in_process_full_blocks(full_blocks):
-    assert assert_socket_matches(*full_blocks).clicks > 0
+    assert assert_equivalent(*full_blocks, run=run_over_socket).clicks > 0
 
 
 def serve_one_block(host, port, responder, is_done, on_listening):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,16 +25,10 @@ from fmqkd.jones import (
     ordinary_mirror_round_trip,
     round_trip,
 )
+from sessions import ideal_setup, traced_peak
 
 INF = float("inf")
 MIRRORS = ("faraday", "ordinary")
-
-
-def ideal_setup(mu_pair=0.1):
-    return SetupConfig(
-        mu_pair=mu_pair, line_loss_db=0.0, c1_tap_db=0.0,
-        alice_extinction_db=INF, bob_extinction_db=INF,
-    )
 
 
 def test_visibility_reference_points():
@@ -235,13 +228,9 @@ def test_stack_with_one_non_unitary_link_is_rejected(mirror):
 def test_visibility_samples_peak_memory_per_link(mirror):
     # The draw and the overlap drop their temporaries as they go: 256 B per link.
     n = 50_000
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         visibility_samples(n, 30.0, np.random.default_rng(1), mirror)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / n <= 270
+    assert traced.peak / n <= 270
 
 
 def test_effective_visibility_geometric_pairing():

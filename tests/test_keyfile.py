@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from bit_inputs import REFUSED, TAKEN
+from field_inputs import REFUSED, TAKEN
 from fmqkd.errors import KeyFileError
 from fmqkd.keyfile import (
     HEADER_SIZE,
@@ -15,6 +13,7 @@ from fmqkd.keyfile import (
     read_key_file,
     write_key_file,
 )
+from sessions import traced_peak
 
 
 def test_native_block_round_trip(tmp_path):
@@ -80,13 +79,9 @@ def test_bit_values_validated(tmp_path):
 def test_pack_bits_needs_no_temporary_per_bit():
     # The check reads the bits in place: the peak is the packed bytes, twice.
     bits = np.random.default_rng(1).integers(0, 2, 2 ** 22, dtype=np.uint8)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         pack_bits(bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.3 * bits.size
+    assert traced.peak <= 0.3 * bits.size
 
 
 def test_bit_count_beyond_u32_rejected():

@@ -28,7 +28,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from field_inputs import TO_ALICE, honest_message
+from field_inputs import (
+    BIT,
+    FINITE,
+    MESSAGES,
+    POLS,
+    TO_ALICE,
+    detections_block,
+    honest_message,
+    pulse_out,
+    same_message,
+    window_out,
+)
 from fmqkd import protocol
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
@@ -45,10 +56,8 @@ from fmqkd.framing import (
     Detections,
     DetectionsBlock,
     Disclose,
-    ErReport,
     QFrameBack,
     QFrameOut,
-    SessionStart,
     Terminate,
     check_message,
     decode_frame,
@@ -58,7 +67,6 @@ from fmqkd.interferometer import SetupConfig
 from fmqkd.protocol import (
     OUTGOING_REFERENCE_PHOTONS,
     PHASES,
-    POL_HORIZONTAL,
     STREAM_BASES,
     STREAM_BITS,
     AliceSession,
@@ -70,10 +78,10 @@ from fmqkd.protocol import (
     SessionConfig,
     SessionResult,
     run_session,
-    seeds_commitment,
+    session_start,
 )
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
-from sessions import PassThroughEndpoint, run_in_process
+from sessions import PassThroughEndpoint, noisy_config, run_in_process
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 SMALL_BLOCK = 64
@@ -177,7 +185,6 @@ MOSTLY = st.sampled_from([True, True, True, False])
 ANY_INDEX = st.integers(-1, N_PULSES + 1)
 LEVELS = st.sampled_from([OUTGOING_REFERENCE_PHOTONS, OUTGOING_REFERENCE_PHOTONS, 1.0])
 SMALL = st.integers(0, 6)
-BIT = st.integers(0, 1)
 # Values no bit field holds, by dtype: out of range, negative, fractional or NaN.
 OUT_OF_RANGE = {np.uint8: [2, 255], np.int64: [256, -1], np.float64: [0.5, float("nan")]}
 
@@ -201,10 +208,6 @@ def picks(data, pool, count):
     return [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)] if pool else []
 
 
-def detections_block(ends, indices):
-    return DetectionsBlock(np.array(ends, np.uint64), np.array(indices, np.uint64))
-
-
 def draw_message(data, valid_start, alice, sent, acked):
     """One message, biased towards ones that advance the session.
 
@@ -221,20 +224,17 @@ def draw_message(data, valid_start, alice, sent, acked):
         start = sent if plausible else data.draw(ANY_INDEX)
         level = data.draw(LEVELS)
         if kind == "qframe":
-            return QFrameOut(start, level, POL_HORIZONTAL)
+            return pulse_out(start, level)
         left = N_PULSES - sent
         # Often all the frames left, so that sessions reach BASES and disclosure.
         count = (data.draw(st.one_of(st.just(left), st.integers(1, left))) if plausible and left
                  else data.draw(ANY_INDEX))
-        return QFrameWindowOut(start, count, level, POL_HORIZONTAL)
+        return window_out(start, count, level)
     if kind == "detections":
         count = data.draw(SMALL)
         if plausible:
             # Like Bob's: clicks in the window since the last acknowledgement.
-            pool = range(acked, sent)
-            return Detections(tuple(sorted(set(
-                pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(count)
-            ))) if pool else ())
+            return Detections(tuple(sorted(set(picks(data, range(acked, sent), count)))))
         return Detections(tuple(data.draw(ANY_INDEX) for _ in range(count)))
     if kind == "block":
         if plausible and sent > acked:
@@ -264,8 +264,7 @@ def draw_message(data, valid_start, alice, sent, acked):
 def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, disclosure):
     cfg = session_config(variant, disclosure)
     alice = AliceSession(cfg)
-    valid_start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                               seeds_commitment(cfg))
+    valid_start = session_start(cfg)
     started = False
     sent = acked = 0
     symbols = []  # symbol Alice reflected for each frame, in index order
@@ -327,36 +326,6 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
     if variant.uses_bases:
         expected += BitSource.from_seed(cfg.seeds.alice, STREAM_BASES).take(sent)
     assert symbols == expected.tolist()
-
-
-U64 = st.integers(0, 2 ** 64 - 1)
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-POL = st.tuples(FINITE, FINITE, FINITE, FINITE)
-INDICES = st.lists(st.integers(0, 2 ** 64 - 1), max_size=6, unique=True).map(sorted)
-
-
-def window_back(start, mean_photons, pol, symbols):
-    return QFrameWindowBack(start, len(symbols), mean_photons,
-                            np.array(symbols, dtype=np.uint8), pol)
-
-
-MESSAGES = st.one_of(
-    st.builds(SessionStart, U64, st.integers(0, 255), FINITE,
-              st.binary(min_size=32, max_size=32)),
-    st.builds(QFrameOut, U64, FINITE, POL),
-    st.builds(QFrameBack, U64, FINITE, FINITE, POL),
-    st.builds(Detections, INDICES.map(tuple)),
-    st.builds(Bases, st.lists(BIT, max_size=20).map(lambda bits: np.array(bits, np.uint8))),
-    INDICES.flatmap(lambda idx: st.lists(BIT, min_size=len(idx), max_size=len(idx)).map(
-        lambda bits: Disclose(np.array(list(zip(idx, bits)), DISCLOSE_RECORD)))),
-    st.builds(ErReport, FINITE),
-    st.builds(Terminate, st.integers(0, 255)),
-    st.builds(QFrameWindowOut, U64, st.integers(0, 2 ** 32 - 1), FINITE, POL),
-    st.builds(window_back, U64, FINITE, POL, st.lists(st.integers(0, 3), max_size=20)),
-    st.lists(st.integers(1, 2 ** 64 - 1), min_size=1, max_size=6, unique=True).map(sorted)
-    .flatmap(lambda ends: st.lists(st.integers(0, ends[-1] - 1), max_size=6, unique=True)
-             .map(lambda indices: detections_block(ends, sorted(indices)))),
-)
 
 
 @st.composite
@@ -422,7 +391,7 @@ def test_encode_either_rejects_or_round_trips(msg):
     back = decode_frame(frame)
     assert type(back) is type(msg)
     for got, sent in zip(back, msg):
-        # DETECTIONS indices encode from an array and decode to a tuple.
+        # Array fields decode to arrays, also where a sequence was encoded.
         arrays = isinstance(got, np.ndarray) or isinstance(sent, np.ndarray)
         assert np.array_equal(got, sent) if arrays else got == sent
 
@@ -437,10 +406,8 @@ def test_check_message_refuses_exactly_what_encode_refuses(msg):
             encode_frame(msg)
         return
     back = decode_frame(encode_frame(msg))
-    assert type(back) is type(checked)
-    for got, want in zip(back, checked):
-        assert type(got) is type(want)
-        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+    assert [type(got) for got in back] == [type(want) for want in checked]
+    assert same_message(back, checked)
 
 
 def decoded(frame):
@@ -469,7 +436,7 @@ def edited(data, msg):
         new = data.draw(st.one_of(st.sampled_from([0.0, value / 2, 2 * value, value + 1.5]),
                                   FINITE))
     elif len(value) == 4 and all(isinstance(x, float) for x in value):
-        new = data.draw(POL)
+        new = data.draw(POLS)
     else:  # BASES bits or DISCLOSE records: one short, one long, or one bit flipped
         edit = data.draw(st.sampled_from(["short", "long", "flip"]))
         records = value.dtype == DISCLOSE_RECORD
@@ -553,11 +520,7 @@ def test_bob_ends_in_result_or_documented_error(data, variant, disclosure, per_p
 @example(n=5, ack_window=8, block=64)  # one short window, one block
 @given(n=st.integers(1, 400), ack_window=st.integers(1, 150), block=st.integers(1, 64))
 def test_block_acknowledgements_close_each_window_once(n, ack_window, block):
-    cfg = SessionConfig(
-        n_pulses=n, variant=ProtocolVariant.BB92, setup=SetupConfig(mu_pair=2.0),
-        detector=GatedDetectorConfig(efficiency=0.5, dark_prob_per_gate=0.01),
-        seeds=Seeds(7, 8, 9), ack_window=ack_window,
-    )
+    cfg = noisy_config(n, Seeds(7, 8, 9), ProtocolVariant.BB92, ack_window)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "BLOCK_PULSES", block)
         result, _, seen = run_in_process(cfg)

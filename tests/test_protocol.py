@@ -1,13 +1,22 @@
 import ast
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bit_inputs import DISCLOSE_REFUSED, REFUSED
-from field_inputs import MALFORMED, TO_ALICE, TO_BOB, honest_message
+from field_inputs import (
+    DISCLOSE_REFUSED,
+    MALFORMED,
+    REFUSED,
+    TO_ALICE,
+    TO_BOB,
+    detections_block,
+    honest_message,
+    pulse_out,
+)
 from fmqkd import protocol
 from fmqkd.channel import open_in_process
 from fmqkd.detector import GatedDetectorConfig
@@ -23,65 +32,45 @@ from fmqkd.framing import (
     DetectionsBlock,
     Disclose,
     QFrameBack,
-    QFrameOut,
     QFrameWindowBack,
-    QFrameWindowOut,
     SessionStart,
 )
-from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
-    OUTGOING_REFERENCE_PHOTONS,
     PHASES,
-    POL_HORIZONTAL,
     STREAM_BITS,
     AliceSession,
     BobSession,
     ProtocolVariant,
     QuantumPhysics,
     Seeds,
-    SessionConfig,
     run_session,
     seeds_commitment,
-    session_start,
 )
 from fmqkd.presets import reference_session
 from fmqkd.randomness import BitSource, derive_rng
-from sessions import PassThroughEndpoint
+from sessions import (
+    PassThroughEndpoint,
+    dark_count_config,
+    noiseless_config,
+    run_in_process,
+    started_alice,
+)
 
-INF = float("inf")
 
-
-def noiseless_config(n_pulses, seeds=Seeds(1, 2, 3), variant=ProtocolVariant.BB92,
-                     mu_pair=40.0):
-    setup = SetupConfig(
-        mu_pair=mu_pair, line_loss_db=0.0, c1_tap_db=0.0,
-        alice_extinction_db=INF, bob_extinction_db=INF,
-    )
-    detector = GatedDetectorConfig(efficiency=1.0, dark_prob_per_gate=0.0)
-    return SessionConfig(n_pulses=n_pulses, variant=variant, setup=setup,
-                         detector=detector, seeds=seeds)
+def windowed_config(variant=ProtocolVariant.BB92):
+    """A 100-pulse reference session acknowledged in windows of 10."""
+    return dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3), variant),
+                               ack_window=10)
 
 
 def alice_phases(cfg):
     """Phases Alice returns on the per-pulse path, and the same session's
     window symbols, for every pulse of ``cfg``."""
-    from fmqkd.framing import QFrameOut, QFrameWindowOut, SessionStart
-    from fmqkd.protocol import OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL
-
-    start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                         seeds_commitment(cfg))
-    alice = AliceSession(cfg)
-    alice.handle(start)
-    phases = [
-        alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))[0].phase_a
-        for i in range(cfg.n_pulses)
-    ]
-    windowed = AliceSession(cfg)
-    windowed.handle(start)
-    (back,) = windowed.handle(
-        QFrameWindowOut(0, cfg.n_pulses, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
-    )
+    alice = started_alice(cfg)
+    phases = [alice.handle(honest_message("pulse", cfg, i))[0].phase_a
+              for i in range(cfg.n_pulses)]
+    (back,) = started_alice(cfg).handle(honest_message("window", cfg))
     return alice, phases, back.symbols
 
 
@@ -151,12 +140,7 @@ def test_index_integrity():
 def test_errors_only_on_differing_bits():
     # Noisy detector so destructive-fringe clicks certainly occur.
     seeds = Seeds(7, 8, 9)
-    cfg = SessionConfig(
-        n_pulses=50_000, variant=ProtocolVariant.BB92,
-        setup=SetupConfig(mu_pair=0.2),
-        detector=GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=5e-4),
-        seeds=seeds,
-    )
+    cfg = dark_count_config(50_000, seeds)
     result = run_session(cfg)
     n = result.n_pulses
     alice_bits = BitSource.from_seed(seeds.alice, STREAM_BITS).take(n)
@@ -213,9 +197,7 @@ def test_estimate_identical_keys():
 def test_estimate_planted_mismatches_exact():
     cfg = noiseless_config(4000)
     planted = (3, 141, 468, 700, 999)
-    alice = AliceSession(cfg)
-    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), flip=planted)
-    result = BobSession(cfg).run(endpoint)
+    result, _, _ = run_in_process(cfg, functools.partial(DiscloseTamperingEndpoint, flip=planted))
     assert result.compared_bits == len(result.sifted_key_bob) > 1000
     assert result.mismatches == 5
     assert result.measured_er == 5 / result.compared_bits
@@ -227,12 +209,7 @@ def test_estimate_planted_mismatches_exact():
 def test_estimate_disclosure_within_binomial_band():
     # Noisy detector, so the sifted key carries real errors.
     seeds = Seeds(1, 2, 3)
-    cfg = SessionConfig(
-        n_pulses=1_000_000, variant=ProtocolVariant.BB92,
-        setup=SetupConfig(mu_pair=0.2),
-        detector=GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=5e-4),
-        seeds=seeds, disclosure_fraction=0.5,
-    )
+    cfg = dark_count_config(1_000_000, seeds, disclosure=0.5)
     result = run_session(cfg)
     n = result.n_pulses
     alice_bits = BitSource.from_seed(seeds.alice, STREAM_BITS).take(n)
@@ -260,10 +237,8 @@ def test_estimate_empty_key_undefined():
 
 def test_oracle_mode_requires_full_disclosure():
     cfg = noiseless_config(2000)
-    alice = AliceSession(cfg)
-    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), drop_last=True)
     with pytest.raises(ProtocolViolationError):
-        BobSession(cfg).run(endpoint)
+        run_in_process(cfg, functools.partial(DiscloseTamperingEndpoint, drop_last=True))
 
 
 def omit_a_middle_index(items):
@@ -286,10 +261,8 @@ def swap_in_an_index_past_the_session(items):
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 def test_oracle_mode_refuses_a_disclosure_that_is_not_the_sifted_key(edit, variant):
     cfg = noiseless_config(2000, variant=variant)
-    alice = AliceSession(cfg)
-    endpoint = DiscloseTamperingEndpoint(open_in_process(alice.handle), edit=edit)
     with pytest.raises(ProtocolViolationError):
-        BobSession(cfg).run(endpoint)
+        run_in_process(cfg, functools.partial(DiscloseTamperingEndpoint, edit=edit))
 
 
 def test_disclosure_mode_session():
@@ -407,9 +380,7 @@ def test_in_process_disclose_is_checked_before_it_is_read(what):
 def test_alice_refuses_fields_that_do_not_fit(what):
     cfg = noiseless_config(100)
     kind, fields = TO_ALICE[what]
-    alice = AliceSession(cfg)
-    if kind != "start":
-        assert alice.handle(session_start(cfg)) == []
+    alice = AliceSession(cfg) if kind == "start" else started_alice(cfg)
     with pytest.raises(ProtocolViolationError, match="does not fit"):
         alice.handle(honest_message(kind, cfg)._replace(**fields))
     # The refused message changed nothing: the valid one is still taken.
@@ -443,8 +414,8 @@ def test_in_process_receiver_refuses_every_malformed_message(what):
     # message of that type would arrive: Bob gets it in place of Alice's reply.
     msg = MALFORMED[what]
     cfg = noiseless_config(1000, variant=ProtocolVariant.BB84)
-    alice = AliceSession(cfg)
     if isinstance(msg, (QFrameBack, QFrameWindowBack, Disclose)):
+        alice = AliceSession(cfg)
         endpoint = open_in_process(
             lambda m: [msg if type(r) is type(msg) else r for r in alice.handle(m)])
         if isinstance(msg, QFrameBack):  # any other endpoint type runs the per-pulse engine
@@ -452,8 +423,7 @@ def test_in_process_receiver_refuses_every_malformed_message(what):
         with pytest.raises(ProtocolViolationError):
             BobSession(cfg).run(endpoint)
         return
-    if not isinstance(msg, SessionStart):
-        alice.handle(session_start(cfg))
+    alice = AliceSession(cfg) if isinstance(msg, SessionStart) else started_alice(cfg)
     with pytest.raises(ProtocolViolationError):
         alice.handle(msg)
     assert not alice.done
@@ -550,10 +520,8 @@ class FlakyEndpoint(PassThroughEndpoint):
 
 def test_mid_session_disconnect_aborts_with_partial_stats():
     cfg = noiseless_config(5000)
-    alice = AliceSession(cfg)
-    endpoint = FlakyEndpoint(open_in_process(alice.handle), fail_after_sends=2050)
     with pytest.raises(SessionAborted) as err:
-        BobSession(cfg).run(endpoint)
+        run_in_process(cfg, functools.partial(FlakyEndpoint, fail_after_sends=2050))
     partial = err.value.partial
     assert partial.aborted
     assert 0 < partial.pulses_processed < 5000
@@ -563,76 +531,55 @@ def test_mid_session_disconnect_aborts_with_partial_stats():
 
 
 def test_alice_rejects_out_of_order_frames():
-    from fmqkd.framing import QFrameOut, SessionStart
-    from fmqkd.protocol import OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL
-
     cfg = noiseless_config(100)
-    alice = AliceSession(cfg)
-    start = SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                         seeds_commitment(cfg))
-    assert alice.handle(start) == []
+    alice = started_alice(cfg)
     with pytest.raises(ProtocolViolationError):
-        alice.handle(QFrameOut(5, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
-
-
-def acknowledging_alice(variant, reflected):
-    """Alice of a 100-pulse session who has reflected the first ``reflected`` frames."""
-    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3), variant),
-                              ack_window=10)
-    alice = AliceSession(cfg)
-    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                              seeds_commitment(cfg)))
-    alice.handle(QFrameWindowOut(0, reflected, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
-    return alice
-
-
-def ack(ends, indices=()):
-    return DetectionsBlock(np.array(ends, np.uint64), np.array(indices, np.uint64))
+        alice.handle(honest_message("pulse", cfg, 5))
 
 
 def test_alice_rejects_bad_detections_blocks():
-    alice = acknowledging_alice(ProtocolVariant.BB84, 100)
-    assert alice.handle(ack([10, 20], [4, 15])) == []
-    for bad in (ack([]),                   # no window
-                ack([40, 30]),             # ends decrease
-                ack([30, 30]),             # ends repeat
-                ack([20, 30]),             # end already acknowledged
-                ack([30, 101]),            # end past the frames reflected
-                ack([30], [25, 22]),       # indices decrease
-                ack([30], [22, 22]),       # indices repeat
-                ack([30], [15, 25]),       # index inside an acknowledged window
-                ack([30], [30])):          # index at the last end
+    alice = started_alice(windowed_config(ProtocolVariant.BB84), 100)
+    assert alice.handle(detections_block([10, 20], [4, 15])) == []
+    for bad in (detections_block([]),              # no window
+                detections_block([40, 30]),        # ends decrease
+                detections_block([30, 30]),        # ends repeat
+                detections_block([20, 30]),        # end already acknowledged
+                detections_block([30, 101]),       # end past the frames reflected
+                detections_block([30], [25, 22]),  # indices decrease
+                detections_block([30], [22, 22]),  # indices repeat
+                detections_block([30], [15, 25]),  # index inside an acknowledged window
+                detections_block([30], [30])):     # index at the last end
         with pytest.raises(ProtocolViolationError):
             alice.handle(bad)
     # BASES only after the final end; the rejected frames changed nothing.
-    assert alice.handle(ack([30, 90], [20, 89])) == []
+    assert alice.handle(detections_block([30, 90], [20, 89])) == []
     with pytest.raises(ProtocolViolationError):
         alice.handle(Bases((0,) * 4))
-    assert alice.handle(ack([100], [99])) == []
+    assert alice.handle(detections_block([100], [99])) == []
     assert alice.detected_indices == (4, 15, 20, 89, 99)
     replies = alice.handle(Bases((0,) * 5))
     assert [type(r).__name__ for r in replies] == ["Bases", "Disclose"]
     with pytest.raises(ProtocolViolationError):
-        alice.handle(ack([100]))
+        alice.handle(detections_block([100]))
 
 
 def test_alice_refuses_sequence_blocks_but_takes_their_array_form():
     # A DETECTIONS_BLOCK carries uint64 arrays in process as on the wire, so
     # plain sequences are refused, as encoding refuses them, and change nothing.
-    alice = acknowledging_alice(ProtocolVariant.BB92, 100)
+    alice = started_alice(windowed_config(ProtocolVariant.BB92), 100)
     for ends, indices in (((10, 20), (4, 15)), ((30,), ()), ((40, 100), (50, 60))):
-        for as_given in ((ends, indices), (ends, ack(ends, indices).indices),
-                         (ack(ends, indices).ends, indices)):
+        for as_given in ((ends, indices), (ends, detections_block(ends, indices).indices),
+                         (detections_block(ends, indices).ends, indices)):
             with pytest.raises(ProtocolViolationError, match="uint64 arrays"):
                 alice.handle(DetectionsBlock(*as_given))
-        replies = alice.handle(ack(ends, indices))
+        replies = alice.handle(detections_block(ends, indices))
     (disclose,) = replies
     assert disclose.items["index"].tolist() == [4, 15, 50, 60]
     assert alice.detected_indices == (4, 15, 50, 60)
 
 
 def test_alice_rejects_bad_sequence_blocks():
-    alice = acknowledging_alice(ProtocolVariant.BB84, 100)
+    alice = started_alice(windowed_config(ProtocolVariant.BB84), 100)
     for bad in (DetectionsBlock((), ()),          # no window
                 DetectionsBlock((20, 10), ()),    # ends decrease
                 DetectionsBlock((10,), (-1,)),    # index outside u64
@@ -645,19 +592,18 @@ def test_alice_rejects_bad_sequence_blocks():
                 DetectionsBlock(None, ())):
         with pytest.raises(ProtocolViolationError):
             alice.handle(bad)
-    assert alice.handle(ack([10])) == []
+    assert alice.handle(detections_block([10])) == []
 
 
-@pytest.mark.parametrize("acknowledgement", [Detections((3, 50)), ack([10], [3, 50])],
+@pytest.mark.parametrize("acknowledgement",
+                         [Detections((3, 50)), detections_block([10], [3, 50])],
                          ids=["DETECTIONS", "DETECTIONS_BLOCK"])
 def test_alice_refuses_a_click_past_the_frames_reflected(acknowledgement):
     # A DETECTIONS acknowledges one window ending at the frames reflected so
     # far, so it passes the block rule: no index at or past that end.
-    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3)), ack_window=10)
-    alice = AliceSession(cfg)
-    alice.handle(session_start(cfg))
+    alice = started_alice(windowed_config())
     for i in range(10):
-        alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+        alice.handle(pulse_out(i))
     with pytest.raises(ProtocolViolationError):
         alice.handle(acknowledgement)
     assert alice.detected_indices == ()
@@ -666,33 +612,30 @@ def test_alice_refuses_a_click_past_the_frames_reflected(acknowledgement):
 
 
 def test_alice_rejects_acknowledgement_of_frames_not_reflected():
-    alice = acknowledging_alice(ProtocolVariant.BB92, 40)
+    alice = started_alice(windowed_config(ProtocolVariant.BB92), 40)
     with pytest.raises(ProtocolViolationError):
-        alice.handle(ack([50]))
-    assert alice.handle(ack([10, 40], [39])) == []
+        alice.handle(detections_block([50]))
+    assert alice.handle(detections_block([10, 40], [39])) == []
 
 
 def test_alice_discloses_on_the_final_block_end():
-    alice = acknowledging_alice(ProtocolVariant.BB92, 100)
-    assert alice.handle(ack([10, 20, 30], [3])) == []
-    (disclose,) = alice.handle(ack([40, 100], [50, 60]))
+    alice = started_alice(windowed_config(ProtocolVariant.BB92), 100)
+    assert alice.handle(detections_block([10, 20, 30], [3])) == []
+    (disclose,) = alice.handle(detections_block([40, 100], [50, 60]))
     assert isinstance(disclose, Disclose)
     assert [i for i, _ in disclose.items] == [3, 50, 60]
     with pytest.raises(ProtocolViolationError):
-        alice.handle(ack([100]))
+        alice.handle(detections_block([100]))
 
 
 def test_alice_rejects_detection_in_a_window_reported_empty():
     # Per-pulse DETECTIONS follow the block rules: a window reported empty
     # stays empty.
-    cfg = dataclasses.replace(reference_session(0.2, 100, Seeds(1, 2, 3)), ack_window=10)
-    alice = AliceSession(cfg)
-    alice.handle(SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
-                              seeds_commitment(cfg)))
+    alice = started_alice(windowed_config())
 
     def reflect(frames):
         for i in frames:
-            alice.handle(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
+            alice.handle(pulse_out(i))
 
     reflect(range(10))
     assert alice.handle(Detections(())) == []
@@ -705,8 +648,6 @@ def test_alice_rejects_detection_in_a_window_reported_empty():
 
 
 def test_physics_rejects_out_of_order_and_bad_frames():
-    from fmqkd.framing import QFrameBack
-
     cfg = noiseless_config(100)
     physics = QuantumPhysics(cfg.setup, cfg.detector, derive_rng(3, 0))
     pol = (0.0, 0.0, 1.0, 0.0)
@@ -736,10 +677,8 @@ class DroppingEndpoint(PassThroughEndpoint):
 
 def test_dropped_return_frame_aborts_at_that_index():
     cfg = noiseless_config(5000)
-    alice = AliceSession(cfg)
-    endpoint = DroppingEndpoint(open_in_process(alice.handle), deliver=1234)
     with pytest.raises(SessionAborted) as err:
-        BobSession(cfg).run(endpoint)
+        run_in_process(cfg, functools.partial(DroppingEndpoint, deliver=1234))
     partial = err.value.partial
     assert partial.aborted
     assert partial.pulses_processed <= 1234

@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from bit_inputs import REFUSED, TAKEN
+from field_inputs import REFUSED, TAKEN
 from fmqkd.errors import BitSourceExhausted
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
+from sessions import traced_peak
 
 
 def test_take_is_chunk_independent():
@@ -164,14 +163,10 @@ def key_file_bits(n):
 ], ids=["prng_bits", "prng_bits_odd", "key_file_bits", "uniforms"])
 def test_large_take_needs_little_more_than_its_output(make, n):
     src = make(n)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         out = src.take(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert out.size == n
-    assert peak <= 1.1 * out.nbytes
+    assert traced.peak <= 1.1 * out.nbytes
 
 
 class WideBits(BitSource):
