@@ -56,7 +56,8 @@ class SocketEndpoint:
 
     ``recv`` checks each header's length against its type's bounds before it
     reads the payload, and reads the payload in chunks of at most RECV_CHUNK
-    bytes. Every send and recv gives up after IDLE_TIMEOUT_S seconds.
+    bytes; the receiving party checks the message. Every send and recv gives
+    up after IDLE_TIMEOUT_S seconds.
     """
 
     def __init__(self, sock: socket.socket):

@@ -26,7 +26,6 @@ from .errors import (
     BitSourceExhausted,
     ChannelError,
     ConfigError,
-    KeyFileError,
     ProtocolViolationError,
     SessionAborted,
 )
@@ -59,7 +58,6 @@ EXIT_PROTOCOL = 5
 _FAILURES = (
     ((ChannelError, SessionAborted), EXIT_CHANNEL, "channel error"),
     ((ProtocolViolationError, BitSourceExhausted), EXIT_PROTOCOL, "protocol error"),
-    ((KeyFileError,), EXIT_IO, "key file error"),
     ((ValueError,), EXIT_CONFIG, "config error"),  # ConfigError and module validation errors
     ((OSError,), EXIT_IO, "i/o error"),
 )

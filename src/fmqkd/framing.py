@@ -9,7 +9,6 @@ type once: its message class, its fixed fields as little-endian struct codes
 (``pol`` as 4 x f64, last) and the bytes its array tail may add. README's
 "Wire format" table lays out every payload; the tails are
 
-    0x01 SESSION_START       the 32-byte seeds commitment
     0x04 DETECTIONS          count x index u64, strictly increasing
     0x05 BASES               ceil(count/8) bytes, bit i = byte[i//8] >> (i%8),
                              unused high bits zero (the key-file bit packing)
@@ -33,11 +32,13 @@ costs little memory beyond its bytes or bits. Encoding also takes plain
 sequences for DETECTIONS, BASES and DISCLOSE.
 
 ``check_message`` is the one rule for a well-formed message, run from that
-one table: encode runs it and then only serialises, decode runs it on the
-message it reads, and every receiver runs it on what it is handed. It
-raises ProtocolViolationError unless a float is finite and exact (an int
-that float() rounds is refused), bits pass ``keyfile.bit_array``, every
-field fits its struct code and the payload its type's bounds, which
+one table: encode runs it and then only serialises, and every receiver runs
+it once on what it is handed. ``decode_payload`` only builds the message a
+payload holds, for its receiver to check; ``decode_frame``, the standalone
+codec, returns it checked. It raises ProtocolViolationError unless a float
+is finite and exact (an int that float() rounds is refused), bits pass
+``keyfile.bit_array``, every field fits its struct code (a byte string
+exactly its size) and the payload its type's bounds, which
 ``decode_header`` checks before a receiver reads any payload. Encoding is
 canonical: each message has exactly one valid byte string, so encode is
 injective and decode(encode(m)) equals check_message(m) field by field.
@@ -63,7 +64,6 @@ HEADER = struct.Struct("<BBI")
 BLOCK_PULSES = 65536
 # Window symbols are 2 * bit + basis.
 _SYMBOLS = 4
-_COMMITMENT_BYTES = 32
 
 TERMINATE_NORMAL = 0
 TERMINATE_CONFIG_MISMATCH = 1
@@ -165,8 +165,10 @@ class WireType:
                  least_tail: int = 0):
         self.name, self.cls, self.fixed = name, cls, struct.Struct("<" + fields)
         zeros = self.fixed.unpack(bytes(self.fixed.size))
-        # Where the f64 fields sit, and where pol starts if the type has one.
+        # Where the f64 fields and the byte strings (with their sizes) sit, and
+        # where pol starts if the type has one.
         self.floats = tuple(i for i, value in enumerate(zeros) if isinstance(value, float))
+        self.strings = tuple((i, len(v)) for i, v in enumerate(zeros) if isinstance(v, bytes))
         self.pol = len(zeros) - 4 if "pol" in cls._fields else None
         self.n_values = len(zeros)
         self.least = self.fixed.size + least_tail
@@ -185,6 +187,10 @@ class WireType:
             if not math.isfinite(values[i]) or float(values[i]) != values[i]:
                 raise ProtocolViolationError(f"{self.name} field does not fit: float "
                                              f"{values[i]!r} is not finite or not exact")
+        for i, size in self.strings:  # struct pads or cuts a byte string to its size
+            if not (isinstance(values[i], bytes) and len(values[i]) == size):
+                raise ProtocolViolationError(f"{self.name} field does not fit: {size} bytes "
+                                             f"expected, got {len(values[i])}")
         return packed
 
     def fields(self, msg: Message) -> tuple:
@@ -201,8 +207,7 @@ class WireType:
 # Every wire type, by its code. The count-prefixed types are bounded only by
 # the u32 length field, so receivers read them in chunks.
 WIRE_TYPES = {
-    0x01: WireType("SESSION_START", SessionStart, "QBd", most_tail=_COMMITMENT_BYTES,
-                   least_tail=_COMMITMENT_BYTES),
+    0x01: WireType("SESSION_START", SessionStart, "QBd32s"),
     0x02: WireType("QFRAME_OUT", QFrameOut, "Qd4d"),
     0x03: WireType("QFRAME_BACK", QFrameBack, "Qdd4d"),
     0x04: WireType("DETECTIONS", Detections, "I", most_tail=_U32_MAX),
@@ -263,12 +268,6 @@ def _parts(wire: WireType, msg: Message) -> Tuple[Message, tuple, tuple]:
     cls = wire.cls
     if wire.most == wire.fixed.size:
         return msg, wire.fields(msg), ()
-    if cls is SessionStart:
-        commitment = msg.seeds_commitment
-        if not (isinstance(commitment, bytes) and len(commitment) == _COMMITMENT_BYTES):
-            raise ProtocolViolationError("SESSION_START field does not fit: "
-                                         "the seeds commitment must be 32 bytes")
-        return msg, wire.fields(msg), (memoryview(commitment),)
     if cls is QFrameWindowBack:
         symbols = msg.symbols
         if not (isinstance(symbols, np.ndarray) and symbols.dtype == np.uint8
@@ -358,15 +357,13 @@ def _tail_array(wire: WireType, payload: bytes, dtype: np.dtype, count: int) -> 
 
 
 def decode_payload(msg_type: int, payload: bytes) -> Message:
-    """The message of a payload whose header ``decode_header`` accepted, as
-    ``check_message`` returns it."""
+    """The message of a payload whose header ``decode_header`` accepted, not
+    checked: its receiver runs ``check_message`` on it."""
     wire = WIRE_TYPES[msg_type]
     values = wire.fixed.unpack_from(payload)
     cls, offset = wire.cls, wire.fixed.size
     if wire.most == offset:
         msg = wire.message(values)
-    elif cls is SessionStart:
-        msg = SessionStart(*values, payload[offset:])
     elif cls is QFrameWindowBack:
         msg = wire.message(values, np.frombuffer(payload, np.uint8, offset=offset))
     elif cls is Bases:
@@ -379,11 +376,11 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
         windows, clicks = values
         both = _tail_array(wire, payload, _INDICES, windows + clicks)
         msg = DetectionsBlock(both[:windows], both[windows:])
-    return check_message(msg)
+    return msg
 
 
 def decode_frame(data: bytes) -> Message:
-    """Decode exactly one frame; trailing bytes are a protocol violation."""
+    """Decode and check exactly one frame; trailing bytes are a protocol violation."""
     if len(data) < HEADER.size:
         raise IncompleteFrameError(f"need {HEADER.size} header bytes, have {len(data)}")
     msg_type, length = decode_header(data[:HEADER.size])
@@ -392,4 +389,4 @@ def decode_frame(data: bytes) -> Message:
         raise IncompleteFrameError(f"need {end} bytes, have {len(data)}")
     if len(data) > end:
         raise ProtocolViolationError(f"{len(data) - end} trailing bytes after frame")
-    return decode_payload(msg_type, data[HEADER.size:end])
+    return check_message(decode_payload(msg_type, data[HEADER.size:end]))

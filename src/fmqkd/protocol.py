@@ -16,8 +16,10 @@ and one DETECTIONS per ack window. Every random stream serves the same
 values however its requests are chunked, so both engines consume the same
 numbers and produce the same result bit for bit.
 
-Each party runs ``framing.check_message``, the check encode and decode
-run, once on every message it receives; the handlers keep only the session's
+Both parties share one core, ``_Party``, which draws every pulse's symbol
+and keeps what both sift. Each party runs ``framing.check_message``, the
+check encode and ``decode_frame`` run, once on every message it receives (a
+socket's ``recv`` leaves it to them); the handlers keep only the session's
 rules. Alice checks both acknowledgements with one rule set: a DETECTIONS is
 a DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
 
@@ -103,23 +105,6 @@ class ProtocolVariant(enum.Enum):
         return self is ProtocolVariant.BB84
 
 
-def _draw_symbols(count: int, bits_src: BitSource, bases_src: Optional[BitSource],
-                  bits: bytearray, bases: bytearray) -> np.ndarray:
-    """Next ``count`` symbols 2 * bit + basis, as uint8.
-
-    The drawn bits and bases are appended to ``bits`` and ``bases``. Without
-    a bases source every basis is 0, as in the two-state variant.
-    """
-    drawn = bits_src.take(count)
-    bits += drawn.data
-    symbols = drawn + drawn
-    if bases_src is not None:
-        drawn_bases = bases_src.take(count)
-        bases += drawn_bases.data
-        symbols += drawn_bases
-    return symbols
-
-
 def _at(buffer: bytearray, indices: np.ndarray) -> np.ndarray:
     """The bytes of ``buffer`` at ``indices``, as uint8."""
     return np.frombuffer(buffer, np.uint8)[indices]
@@ -133,11 +118,12 @@ def _joined(parts: List[np.ndarray]) -> np.ndarray:
     return parts[0]
 
 
-def _peer_bases(detected: np.ndarray, msg: Bases) -> np.ndarray:
-    """The peer's bases; ProtocolViolationError unless one per detection."""
-    if msg.bits.size != detected.size:
-        raise ProtocolViolationError(f"{msg.bits.size} bits of bases for {detected.size} clicks")
-    return msg.bits
+def _matched(detected: np.ndarray, mine: np.ndarray, peer: Bases) -> np.ndarray:
+    """The detections whose bases ``mine`` and the peer's agree;
+    ProtocolViolationError unless the peer sent one basis per detection."""
+    if peer.bits.size != detected.size:
+        raise ProtocolViolationError(f"{peer.bits.size} bits of bases for {detected.size} clicks")
+    return detected[mine == peer.bits]
 
 
 def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
@@ -208,19 +194,6 @@ def session_start(cfg: SessionConfig) -> SessionStart:
     """The SESSION_START of ``cfg``: Bob sends it, and Alice takes only it."""
     return SessionStart(cfg.n_pulses, cfg.variant.code, cfg.setup.mu_pair,
                         seeds_commitment(cfg))
-
-
-def _sources(cfg: SessionConfig, key_files: Tuple[str, ...], seed: int,
-             who: str) -> Tuple[BitSource, Optional[BitSource]]:
-    """A party's bit source, checked to cover the session, and its bases
-    source, which the two-state variant does not have."""
-    bits = (BitSource.from_key_files(key_files) if key_files
-            else BitSource.from_seed(seed, STREAM_BITS))
-    left = bits.remaining()
-    if left is not None and left < cfg.n_pulses:
-        raise ConfigError(f"{who} bit source holds {left} bits, session needs {cfg.n_pulses}")
-    bases = BitSource.from_seed(seed, STREAM_BASES) if cfg.variant.uses_bases else None
-    return bits, bases
 
 
 @dataclass(frozen=True)
@@ -319,13 +292,44 @@ class QuantumPhysics:
         return at[u[at] < self._table[(frame.symbols[at] << 2) + bob_symbols[at]]]
 
 
-class AliceSession:
+class _Party:
+    """What both parties keep: the bit and basis applied to every pulse so
+    far, and the clicks of the acknowledged windows, which both sift."""
+
+    def __init__(self, cfg: SessionConfig, key_files: Tuple[str, ...], seed: int, who: str):
+        self.cfg = cfg
+        self._bits_src = (BitSource.from_key_files(key_files) if key_files
+                          else BitSource.from_seed(seed, STREAM_BITS))
+        left = self._bits_src.remaining()
+        if left is not None and left < cfg.n_pulses:
+            raise ConfigError(f"{who} bit source holds {left} bits, session needs {cfg.n_pulses}")
+        self._bases_src = (BitSource.from_seed(seed, STREAM_BASES)
+                           if cfg.variant.uses_bases else None)  # none in the two-state variant
+        # One byte per pulse sent so far, values 0 and 1; the end of the last acknowledged
+        # window, and the clicks below it, one array per acknowledgement until ``_joined``.
+        self._bits = bytearray()
+        self._bases = bytearray()
+        self._acked = 0
+        self._detected = [np.empty(0, np.uint64)]
+
+    def _draw_symbols(self, count: int) -> np.ndarray:
+        """Next ``count`` symbols 2 * bit + basis, as uint8, with the bits and bases
+        drawn recorded; without a bases source every basis is 0 (two-state variant)."""
+        drawn = self._bits_src.take(count)
+        self._bits += drawn.data
+        symbols = drawn + drawn
+        if self._bases_src is not None:
+            drawn_bases = self._bases_src.take(count)
+            self._bases += drawn_bases.data
+            symbols += drawn_bases
+        return symbols
+
+
+class AliceSession(_Party):
     """Reactive sender state machine: one reply list per incoming message."""
 
     def __init__(self, cfg: SessionConfig):
-        self.cfg = cfg
-        self._bits_src, self._bases_src = _sources(
-            cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
+        super().__init__(cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
         # Oracle mode discloses every sifted bit and draws nothing.
         self._disclose_rng = (derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
                               if cfg.disclosure_fraction != 0.0 else None)
@@ -333,16 +337,8 @@ class AliceSession:
         # Validates that the reference level can reach mu_pair / 2 at all.
         attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
         self._half_mu = cfg.setup.mu_pair / 2.0
-        self._uses_bases = cfg.variant.uses_bases
-        # One byte per pulse sent so far, values 0 and 1.
-        self._bits = bytearray()
-        self._bases = bytearray()
         self._started = False
         self._qframes = 0
-        # End of the last acknowledged window, and the detections below it,
-        # one array per acknowledgement until ``_joined``.
-        self._acked = 0
-        self._detected = [np.empty(0, np.uint64)]
         self._finalized = False
         # Sifted indices, and those of them the final key keeps.
         self._sifted = self._final = np.empty(0, np.uint64)
@@ -414,7 +410,7 @@ class AliceSession:
         self._check_outgoing(i, 1, msg.mean_photons)
         bit = self._bits_src.take_bit()
         self._bits.append(bit)
-        if self._uses_bases:
+        if self._bases_src is not None:
             basis = self._bases_src.take_bit()
             self._bases.append(basis)
             phase = PHASES[2 * bit + basis]
@@ -429,8 +425,7 @@ class AliceSession:
                 f"window of {msg.count} frames exceeds {BLOCK_PULSES}"
             )
         self._check_outgoing(msg.start, msg.count, msg.mean_photons)
-        symbols = _draw_symbols(msg.count, self._bits_src, self._bases_src,
-                                self._bits, self._bases)
+        symbols = self._draw_symbols(msg.count)
         self._qframes += msg.count
         return [QFrameWindowBack(msg.start, msg.count, self._half_mu, symbols,
                                  _reflect(msg.pol))]
@@ -453,7 +448,7 @@ class AliceSession:
             )
         self._detected.append(indices)
         self._acked = last
-        if last == self.cfg.n_pulses and not self._uses_bases:
+        if last == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
             return [self._disclose(_joined(self._detected))]
         return []
 
@@ -464,7 +459,7 @@ class AliceSession:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
         detected = _joined(self._detected)
         mine = _at(self._bases, detected)
-        return [Bases(mine), self._disclose(detected[mine == _peer_bases(detected, msg)])]
+        return [Bases(mine), self._disclose(_matched(detected, mine, msg))]
 
     def _disclose(self, sifted: np.ndarray) -> Disclose:
         """Sifting is done: disclose every sifted bit, or a random part that
@@ -496,23 +491,14 @@ class AliceSession:
         return tuple(_joined(self._detected).tolist())
 
 
-class BobSession:
+class BobSession(_Party):
     """Driving receiver state machine; produces the SessionResult."""
 
     def __init__(self, cfg: SessionConfig, physics: Optional[QuantumPhysics] = None):
-        self.cfg = cfg
-        self._bits_src, self._bases_src = _sources(
-            cfg, cfg.bob_key_files, cfg.seeds.bob, "bob")
+        super().__init__(cfg, cfg.bob_key_files, cfg.seeds.bob, "bob")
         self._physics = physics or QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
-        # Bits and bases sent so far, one byte per pulse, and the clicked
-        # indices of the acknowledged windows, which end at ``_progress_pulses``,
-        # one array per acknowledgement until ``_joined``.
-        self._bits = bytearray()
-        self._bases = bytearray()
-        self._detected = [np.empty(0, np.uint64)]
-        self._progress_pulses = 0
 
     def run(self, endpoint) -> SessionResult:
         try:
@@ -530,7 +516,7 @@ class BobSession:
             mu_pair=cfg.setup.mu_pair,
             disclosure_fraction=cfg.disclosure_fraction,
             seeds=cfg.seeds.as_tuple(),
-            pulses_processed=self._progress_pulses,
+            pulses_processed=self._acked,
             clicks=detected.size,
             detected_indices=tuple(detected.tolist()),
             **outcome,
@@ -562,8 +548,7 @@ class BobSession:
         n, window = self.cfg.n_pulses, self.cfg.ack_window
         window_clicks: List[int] = []
         for start, end in _blocks(n, window):
-            symbols = _draw_symbols(end - start, self._bits_src, self._bases_src,
-                                    self._bits, self._bases)
+            symbols = self._draw_symbols(end - start)
             for i, symbol in enumerate(symbols.tolist(), start):
                 endpoint.send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
                 if self._physics.observe(self._expect(endpoint, QFrameBack), PHASES[symbol]):
@@ -572,7 +557,7 @@ class BobSession:
                     clicks = np.array(window_clicks, np.uint64)
                     endpoint.send(Detections(clicks))
                     self._detected.append(clicks)
-                    self._progress_pulses = i + 1
+                    self._acked = i + 1
                     window_clicks.clear()
 
     def _block_loop(self, endpoint) -> None:
@@ -583,8 +568,7 @@ class BobSession:
         pending = np.empty(0, np.uint64)
         for start, end in _blocks(n, window):
             count = end - start
-            symbols = _draw_symbols(count, self._bits_src, self._bases_src,
-                                    self._bits, self._bases)
+            symbols = self._draw_symbols(count)
             endpoint.send(
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
             )
@@ -601,7 +585,7 @@ class BobSession:
                 k = clicks.searchsorted(ends[-1])
                 endpoint.send(DetectionsBlock(ends, clicks[:k]))
                 self._detected.append(clicks[:k])
-                self._progress_pulses = int(ends[-1])
+                self._acked = int(ends[-1])
                 clicks = clicks[k:]
             pending = clicks
 
@@ -612,7 +596,7 @@ class BobSession:
         if cfg.variant.uses_bases:
             bob_bases = _at(self._bases, detected)
             endpoint.send(Bases(bob_bases))
-            matched = detected[bob_bases == _peer_bases(detected, self._expect(endpoint, Bases))]
+            matched = _matched(detected, bob_bases, self._expect(endpoint, Bases))
         records = self._expect(endpoint, Disclose).items
         disclosed, alice_bits = records["index"], records["bit"]
         bob_bits = np.frombuffer(self._bits, np.uint8)

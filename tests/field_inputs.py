@@ -13,8 +13,9 @@ the same check on their bits, and the index check on their indices: each
 entry of ``DISCLOSE_REFUSED`` must be refused, where a cast into the record
 would take 0.5 as bit 0, 1.7 as bit 1 and 5.9 as index 5.
 
-The one message check, ``framing.check_message``: encode runs it, decode
-returns it, and Alice and Bob each run it on every message they receive, so
+The one message check, ``framing.check_message``: encode runs it,
+``decode_frame`` returns it, and Alice and Bob each run it once on every
+message they receive (a socket's ``recv`` leaves it to them), so
 ``encode_frame`` and the in-process receiver of each entry must both refuse
 it with ``ProtocolViolationError``. ``MALFORMED`` holds whole messages. Each
 entry of ``TO_ALICE`` is a message kind Alice receives and the fields that

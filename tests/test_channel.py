@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from field_inputs import FIXED_SIZES, block_payload, window_back
-from fmqkd import channel
+from fmqkd import channel, framing, protocol
 from fmqkd.channel import connect, open_in_process
 from fmqkd.errors import (
     ChannelError,
@@ -25,7 +25,15 @@ from fmqkd.framing import (
 )
 from fmqkd.protocol import BobSession, Seeds, run_session
 from fmqkd.presets import reference_session
-from sessions import RawPeer, free_port, run_in_process, run_over_socket, serving, traced_peak
+from sessions import (
+    RawPeer,
+    free_port,
+    run_in_process,
+    run_over_socket,
+    serving,
+    started_alice,
+    traced_peak,
+)
 
 
 def test_in_process_fifo_order():
@@ -105,6 +113,28 @@ def test_socket_session_sends_one_acknowledgement_per_block():
     assert acks[-1].ends[-1] == cfg.n_pulses
 
 
+def test_socket_session_checks_each_received_message_once(monkeypatch):
+    received, checked = [], []
+    recv, check = channel.SocketEndpoint.recv, framing.check_message
+
+    def counted_recv(endpoint):
+        received.append(recv(endpoint))
+        return received[-1]
+
+    def counted_check(msg):
+        checked.append(msg)
+        return check(msg)
+
+    monkeypatch.setattr(channel.SocketEndpoint, "recv", counted_recv)
+    for module in (framing, protocol):
+        monkeypatch.setattr(module, "check_message", counted_check)
+    result, _, _ = run_over_socket(reference_session(0.2, 20_000, Seeds(3, 4, 5)))
+    assert not result.aborted
+    # Bob receives two window frames and the DISCLOSE; Alice the other seven.
+    assert len(received) == 10
+    assert sorted(map(id, checked)) == sorted(map(id, received))
+
+
 def test_in_process_session_makes_one_round_trip_per_block():
     # 100k pulses in 1024-pulse windows: two blocks of 64 and 33 windows, then
     # the final short window.
@@ -154,10 +184,11 @@ def test_variable_payload_memory_follows_arrived_bytes(msg_type):
 
 
 def test_detections_block_capped_at_one_block_of_windows():
+    # The socket reads the whole frame; its receiver refuses the windows.
+    alice = started_alice(reference_session(0.2, 5000, Seeds(1, 2, 3)))
     with RawPeer(block_payload(BLOCK_PULSES + 1, 0, range(1, BLOCK_PULSES + 2))) as peer:
-        ep = peer.endpoint()
-        with pytest.raises(ProtocolViolationError) as err:
-            ep.recv()
+        with pytest.raises(ProtocolViolationError, match="windows") as err:
+            alice.handle(peer.endpoint().recv())
         assert not isinstance(err.value, IncompleteFrameError)
 
 
