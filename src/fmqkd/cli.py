@@ -313,8 +313,9 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-# visibility_samples peaks at 256 B per sample, and the command, which holds
-# the first mirror's result during the second, at about 270 B: 2.7 GB at the cap.
+# visibility_samples peaks at 224 B per sample (238 on a process's first call),
+# and the command, which holds the first mirror's result during the second, at
+# 232 B (246 on a first call): 2.5 GB at the cap.
 FM_CHECK_MAX_SAMPLES = 10_000_000
 
 

@@ -185,7 +185,7 @@ def attenuator_setting(setup: SetupConfig, incoming_mean_photons: float) -> floa
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def pulse_pair_overlap(link_unitary: np.ndarray,
@@ -207,16 +207,12 @@ def pulse_pair_overlap(link_unitary: np.ndarray,
     else:
         raise ValueError(f"alice_mirror must be 'faraday' or 'ordinary', got {alice_mirror!r}")
     delay_trip = jones.faraday_mirror()
-    # M @ HORIZONTAL is M[..., 0] bit for bit. The products stay BLAS matmuls,
-    # so a stack rounds as one link does. Each temporary stack is dropped once
-    # used, which holds the peak at 256 B per link.
-    leading = (delay_trip @ trip)[..., 0]
-    trailing = (trip @ delay_trip)[..., 0]
+    # Both pulses start horizontal, so only column 0 of each product is built.
+    leading = jones.apply(delay_trip, trip[..., 0])
+    trailing = jones.apply(trip, delay_trip[..., 0])
     del trip
-    # Norms and |vdot| by parts, rounded as np.linalg.norm and np.vdot round one
-    # link, on contiguous parts: on strided views each _dot took 10-40% longer
-    # (numpy 2.4, OpenBLAS, 2-core x86). numpy divides a complex array by a real
-    # one as a product with its inverse.
+    # Norms and |vdot| by parts. numpy divides a complex array by a real one as
+    # a product with its inverse.
     real = np.stack((leading.real, trailing.real))
     imag = np.stack((leading.imag, trailing.imag))
     del leading, trailing

@@ -2,7 +2,10 @@
 
 States are complex numpy arrays of shape (2,) holding the amplitudes on the
 two lab axes; operators are complex arrays of shape (2, 2), or stacks of
-them of shape (..., 2, 2), composed and applied with ``@``.
+them of shape (..., 2, 2). The round trips and the overlap compose and apply
+them with ``mul`` and ``apply``, which build each entry of a product over a
+whole stack at once (R. C. Jones, JOSA 31, 488, 1941), so a stack rounds
+exactly as its matrices do one at a time.
 
 Convention, fixed once for the whole package: states live in a right-handed
 lab frame; a backward-propagating state is written in the mirrored frame in
@@ -39,14 +42,39 @@ HORIZONTAL.flags.writeable = False
 
 
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Whether U·Uᴴ is within ``tol`` of I, entry by entry, for ``u`` or each matrix of a stack."""
+    """Whether ``u`` is 2x2 and U·Uᴴ is within ``tol`` of I, entry by entry, for
+    ``u`` or each matrix of a stack; an empty stack is unitary."""
     u = np.asarray(u)
+    if u.shape[-2:] != (2, 2):
+        return False
     square = np.abs(u) ** 2
     # NaN fails this test, and rows that pass keep the cross term's entries finite.
-    if not np.abs(square[..., 0] + square[..., 1] - 1.0).max() <= tol:
+    if not np.abs(square[..., 0] + square[..., 1] - 1.0).max(initial=0.0) <= tol:
         return False
     product = u[..., 0, :] * u[..., 1, :].conj()
-    return bool(np.abs(product[..., 0] + product[..., 1]).max() <= tol)
+    return bool(np.abs(product[..., 0] + product[..., 1]).max(initial=0.0) <= tol)
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product ``a @ b`` of 2x2 Jones matrices, or of stacks of them.
+
+    ``b`` may also be a stack of 2x1 columns. Each entry is
+    ``a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]``, one ufunc
+    call per term over the whole stack; a stacked ``@`` instead hands each
+    2x2 of the stack to BLAS on its own.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (2, b.shape[-1]),
+                   np.result_type(a, b))
+    for i in (0, 1):
+        for k in range(b.shape[-1]):
+            np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out[..., i, k])
+    return out
+
+
+def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The state ``m @ v``: Jones matrix ``m`` applied to state ``v``, or stacks of either."""
+    return mul(m, v[..., None])[..., 0]
 
 
 def rotator(angle_rad: float) -> np.ndarray:
@@ -96,7 +124,7 @@ def _faraday_mirror() -> np.ndarray:
 
 def _require_unitary(u: np.ndarray) -> None:
     if not is_unitary(u, PRODUCT_UNITARITY_TOL):
-        raise ValueError("expected a unitary Jones matrix")
+        raise ValueError("expected a unitary 2x2 Jones matrix or a stack of them")
 
 
 def round_trip(u: np.ndarray) -> np.ndarray:
@@ -107,14 +135,13 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     birefringence-compensation property the composite is built for.
     """
     _require_unitary(u)
-    # Copy the transpose: a strided view takes another matmul kernel, rounding otherwise.
-    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ _faraday_mirror() @ u
+    return mul(mul(np.swapaxes(u, -1, -2), _faraday_mirror()), u)
 
 
 def ordinary_mirror_round_trip(u: np.ndarray) -> np.ndarray:
     """Round trip as above but with a plain mirror; depends on ``u``."""
     _require_unitary(u)
-    return np.ascontiguousarray(np.swapaxes(u, -1, -2)) @ u
+    return mul(np.swapaxes(u, -1, -2), u)
 
 
 def haar_random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -184,6 +184,13 @@ def test_visibility_samples_modes():
         assert abs(v_max * eye - v_max) < 1e-12
 
 
+# The oracle composes with ``@``, norms with ``np.linalg.norm`` and pairs with
+# ``np.vdot``, which round otherwise than the entry-by-entry kernels: the
+# Faraday overlap still matches exactly, the ordinary one within a few ulp
+# (at most 2.5 eps seen over 50k links).
+ORACLE_TOL = {"faraday": 0.0, "ordinary": 8 * np.finfo(float).eps}
+
+
 def oracle_overlap(u, mirror):
     """One link's overlap, computed the plain per-link way."""
     trip = round_trip(u) if mirror == "faraday" else ordinary_mirror_round_trip(u)
@@ -201,7 +208,7 @@ def test_visibility_samples_match_per_link_oracle(mirror):
         got = visibility_samples(1000, 30.0, np.random.default_rng(seed), mirror)
         stack = haar_random_unitaries(np.random.default_rng(seed), 1000)
         want = np.array([v_max * oracle_overlap(u, mirror) for u in stack])
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= ORACLE_TOL[mirror]
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -211,7 +218,8 @@ def test_stacked_overlap_equals_per_link_calls(n, seed, mirror):
     got = pulse_pair_overlap(stack, mirror)
     assert got.shape == (n,)
     assert np.array_equal(got, [pulse_pair_overlap(u, mirror) for u in stack])
-    assert np.array_equal(got, [oracle_overlap(u, mirror) for u in stack])
+    want = np.array([oracle_overlap(u, mirror) for u in stack])
+    assert np.abs(got - want).max() <= ORACLE_TOL[mirror]
 
 
 @pytest.mark.parametrize("mirror", MIRRORS)
@@ -225,12 +233,29 @@ def test_stack_with_one_non_unitary_link_is_rejected(mirror):
 
 
 @pytest.mark.parametrize("mirror", MIRRORS)
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4), (2,)])
+def test_overlap_refuses_operands_that_are_not_2x2(shape, mirror):
+    u = np.eye(*shape, dtype=complex) if len(shape) > 1 else HORIZONTAL
+    with pytest.raises(ValueError, match="2x2"):
+        pulse_pair_overlap(u, mirror)
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
+def test_overlap_of_an_empty_stack_is_empty(mirror):
+    empty = haar_random_unitaries(np.random.default_rng(0), 0)
+    assert pulse_pair_overlap(empty, mirror).shape == (0,)
+    with pytest.raises(ValueError):
+        visibility_samples(0, 30.0, np.random.default_rng(0), mirror)
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
 def test_visibility_samples_peak_memory_per_link(mirror):
-    # The draw and the overlap drop their temporaries as they go: 256 B per link.
+    # The draw and the overlap drop their temporaries as they go: a cold call
+    # peaked at 238.1 B per link (Faraday) and 224.0 (ordinary), a warm one at 224.0.
     n = 50_000
     with traced_peak() as traced:
         visibility_samples(n, 30.0, np.random.default_rng(1), mirror)
-    assert traced.peak / n <= 270
+    assert traced.peak / n <= 250
 
 
 def test_effective_visibility_geometric_pairing():

@@ -5,11 +5,13 @@ import pytest
 
 from fmqkd.jones import (
     HORIZONTAL,
+    apply,
     faraday_mirror,
     haar_random_unitaries,
     half_wave_plate,
     interference_overlap,
     is_unitary,
+    mul,
     ordinary_mirror_round_trip,
     phase_aligned_distance,
     quarter_wave_plate,
@@ -17,6 +19,10 @@ from fmqkd.jones import (
     rotator,
     wave_plate,
 )
+
+
+EPS = np.finfo(float).eps
+ROUND_TRIPS = (round_trip, ordinary_mirror_round_trip)
 
 
 def random_state(rng):
@@ -236,3 +242,44 @@ def test_is_unitary_refuses_a_non_finite_entry(bad, position):
     stack = haar_random_unitaries(np.random.default_rng(2), 5)
     stack[(2, *position)] = bad
     assert not is_unitary(stack)
+
+
+def test_kernels_match_matmul_within_a_few_ulp():
+    rng = np.random.default_rng(12)
+    a, b = haar_random_unitaries(rng, 1000), haar_random_unitaries(rng, 1000)
+    v = haar_random_unitaries(rng, 1000)[..., 0]
+    cases = [(a, b), (a[0], b[0]), (a, b[0]), (a[0], b), (np.swapaxes(a, -1, -2), b),
+             (a, faraday_mirror()), (faraday_mirror(), np.eye(2))]
+    for x, y in cases:
+        got = mul(x, y)
+        assert got.shape == np.broadcast_shapes(x.shape, y.shape)
+        assert np.abs(got - x @ y).max() <= 4 * EPS
+    for m, w in ((a, v), (a[0], v[0]), (a, v[0]), (a[0], v), (faraday_mirror(), HORIZONTAL)):
+        got = apply(m, w)
+        assert got.shape == np.broadcast_shapes(m.shape[:-1], w.shape)
+        assert np.abs(got - (m @ w[..., None])[..., 0]).max() <= 4 * EPS
+
+
+def test_round_trip_of_a_large_stack_is_det_times_faraday_mirror():
+    stack = haar_random_unitaries(np.random.default_rng(13), 10_000)
+    want = np.linalg.det(stack)[:, None, None] * faraday_mirror()
+    assert np.abs(round_trip(stack) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4), (2,), (5, 2, 3)])
+def test_round_trips_refuse_operands_that_are_not_2x2(shape):
+    # Each holds the 2x2 identity as a block, or a unit state for shape (2,).
+    u = np.eye(*shape[-2:], dtype=complex) if len(shape) > 1 else HORIZONTAL
+    u = np.broadcast_to(u, shape)
+    assert not is_unitary(u)
+    for trip in ROUND_TRIPS:
+        with pytest.raises(ValueError, match="2x2"):
+            trip(u)
+
+
+def test_empty_stack_is_unitary_and_round_trips_to_an_empty_stack():
+    empty = haar_random_unitaries(np.random.default_rng(0), 0)
+    assert empty.shape == (0, 2, 2)
+    assert is_unitary(empty)
+    for trip in ROUND_TRIPS:
+        assert trip(empty).shape == (0, 2, 2)

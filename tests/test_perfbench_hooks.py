@@ -89,3 +89,18 @@ def test_micro_benchmark_entry_points_exist(tracing):
     assert callable(micro.QuantumPhysics.observe)
     # The micro-benchmark's name for the fringe is the one formula, not a copy.
     assert micro.detection_means is interferometer.detection_mean
+
+
+@pytest.mark.parametrize("mirror", ["faraday", "ordinary"])
+def test_one_visibility_call_reaches_each_metered_optics_entry_point(tracing, monkeypatch,
+                                                                     mirror):
+    # The traced run meters these two module attributes; a call that bypassed
+    # either would read as zero time, not fail.
+    meters = {}
+    for module, name in ((interferometer, "pulse_pair_overlap"),
+                         (jones, "haar_random_unitaries")):
+        meters[name] = tracing.Meter()
+        monkeypatch.setattr(module, name, tracing.metered(getattr(module, name), meters[name]))
+    interferometer.visibility_samples(100, 30.0, np.random.default_rng(1), mirror)
+    assert {name: meter.calls for name, meter in meters.items()} == {
+        "pulse_pair_overlap": 1, "haar_random_unitaries": 1}
