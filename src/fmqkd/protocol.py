@@ -577,10 +577,11 @@ class BobSession(_Party):
             clicks += start
             if pending.size:
                 clicks = np.concatenate((pending, clicks))
-            # Ends of the windows this block closes. The block that ends at n
-            # holds only the final window, which may be short.
-            ends = (np.array([n], np.uint64) if end == n else
-                    np.arange(start - start % window + window, end + 1, window, np.uint64))
+            # Ends of the windows this block closes; the last block also
+            # closes the final window, which may be short.
+            ends = np.arange(start - start % window + window, end + 1, window, np.uint64)
+            if end == n and n % window:
+                ends = np.append(ends, np.uint64(n))
             if ends.size:
                 k = clicks.searchsorted(ends[-1])
                 endpoint.send(DetectionsBlock(ends, clicks[:k]))
@@ -641,16 +642,13 @@ class BobSession(_Party):
 def _blocks(n: int, window: int) -> Iterator[Tuple[int, int]]:
     """(start, end) of each block of the batched path.
 
-    A block is the largest multiple of ``window`` that fits in BLOCK_PULSES
-    (65,536) pulses, or BLOCK_PULSES pulses of a longer window. The final window
-    starts a new block, so Alice has reflected every frame only when its
-    acknowledgement arrives, as on the per-pulse path.
+    Blocks tile the session in steps of the largest multiple of ``window``
+    that fits in BLOCK_PULSES (65,536) pulses, or of BLOCK_PULSES pulses for a
+    longer window; the final short window rides in the last block.
     """
     step = window * (BLOCK_PULSES // window) or BLOCK_PULSES
-    last = (n - 1) // window * window
-    for lo, hi in ((0, last), (last, n)):
-        for start in range(lo, hi, step):
-            yield start, min(start + step, hi)
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
 
 
 def run_session(cfg: SessionConfig) -> SessionResult:

@@ -102,14 +102,14 @@ def test_socket_session_matches_in_process():
 
 
 def test_socket_session_sends_one_acknowledgement_per_block():
-    # 20k pulses in 1024-pulse windows: one block of 19 windows, then the
+    # 20k pulses in 1024-pulse windows: one block of 19 windows and the
     # final short window.
     cfg = reference_session(0.2, 20_000, Seeds(42, 43, 44))
     result, _, seen = run_over_socket(cfg)
     assert result == run_session(cfg)
     assert not any(isinstance(m, Detections) for m in seen)
     acks = [m for m in seen if isinstance(m, DetectionsBlock)]
-    assert [m.ends.size for m in acks] == [19, 1]
+    assert [m.ends.size for m in acks] == [20]
     assert acks[-1].ends[-1] == cfg.n_pulses
 
 
@@ -130,20 +130,20 @@ def test_socket_session_checks_each_received_message_once(monkeypatch):
         monkeypatch.setattr(module, "check_message", counted_check)
     result, _, _ = run_over_socket(reference_session(0.2, 20_000, Seeds(3, 4, 5)))
     assert not result.aborted
-    # Bob receives two window frames and the DISCLOSE; Alice the other seven.
-    assert len(received) == 10
+    # Bob receives one window frame and the DISCLOSE; Alice the other five.
+    assert len(received) == 7
     assert sorted(map(id, checked)) == sorted(map(id, received))
 
 
 def test_in_process_session_makes_one_round_trip_per_block():
-    # 100k pulses in 1024-pulse windows: two blocks of 64 and 33 windows, then
-    # the final short window.
+    # 100k pulses in 1024-pulse windows: two blocks of 64 and 33 windows, the
+    # second with the final short window.
     cfg = reference_session(0.1, 100_000, Seeds(42, 43, 44))
     result, _, seen = run_in_process(cfg)
     assert result == run_session(cfg)
-    assert sum(isinstance(m, QFrameWindowOut) for m in seen) == 3
+    assert sum(isinstance(m, QFrameWindowOut) for m in seen) == 2
     acks = [m for m in seen if isinstance(m, DetectionsBlock)]
-    assert [m.ends.size for m in acks] == [64, 33, 1]
+    assert [m.ends.size for m in acks] == [64, 34]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_SIZES))

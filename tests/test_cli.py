@@ -267,6 +267,16 @@ def test_table_command_structure(tmp_path, capsys, monkeypatch):
     assert stdout.count("mu=") == 2
 
 
+def test_table1_outputs_are_pinned(tmp_path, capsys):
+    # Both reference rows at desk scale, 4M pulses each, batched in blocks.
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--out", str(out), "--seed", "27"]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8c3d3042d1dedc5ff8ee09e0b49977a4770952d91834d57a31553db67168c94a")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b36ddf56e9d739f16a214b92d4955cb9cd11cfd94941c2849e133189fb503b61")
+
+
 def test_analyze_outputs(capsys):
     assert main(["analyze", "--extinction-db", "30"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -91,6 +91,10 @@ def assert_equivalent(cfg, reference=None, run=run_in_process):
     windows = block_windows(seen_b)
     assert windows == detection_windows(seen_r, cfg)
     assert len(windows) == -(-cfg.n_pulses // cfg.ack_window)
+    # The fewest round trips: one window frame per block-sized step.
+    block = protocol.BLOCK_PULSES
+    step = cfg.ack_window * (block // cfg.ack_window) or block
+    assert sum(isinstance(m, QFrameWindowOut) for m in seen_b) == -(-cfg.n_pulses // step)
     assert_python_types(batched)
     return batched
 
@@ -134,13 +138,16 @@ def test_batched_matches_per_pulse_full_blocks(full_blocks):
 
 
 def test_block_boundaries():
-    assert list(protocol._blocks(10, 3)) == [(0, 9), (9, 10)]
-    assert list(protocol._blocks(9, 3)) == [(0, 6), (6, 9)]
+    # The final short window rides in the last block.
+    assert list(protocol._blocks(10, 3)) == [(0, 10)]
+    assert list(protocol._blocks(9, 3)) == [(0, 9)]
     assert list(protocol._blocks(5, 8)) == [(0, 5)]
     block = protocol.BLOCK_PULSES
     assert list(protocol._blocks(3 * block, 1024)) == [
-        (0, block), (block, 2 * block), (2 * block, 3 * block - 1024),
-        (3 * block - 1024, 3 * block)]
+        (0, block), (block, 2 * block), (2 * block, 3 * block)]
+    # No block grows past BLOCK_PULSES to take it.
+    assert list(protocol._blocks(2 * block + 1, 1024)) == [
+        (0, block), (block, 2 * block), (2 * block, 2 * block + 1)]
     # A window longer than a block travels in block-sized pieces.
     assert list(protocol._blocks(block + 10, block + 10)) == [
         (0, block), (block, block + 10)]
