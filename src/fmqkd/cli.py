@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channel import connect, open_in_process, serve_once
+from .claims import CLAIMS, REFERENCE_ROWS, er_predictions, judge, row_session
 from .detector import GatedDetectorConfig, er_det_analytic
 from .errors import (
     BitSourceExhausted,
@@ -31,12 +32,11 @@ from .errors import (
 )
 from .interferometer import (
     er_opt_from_visibility,
-    er_opt_prediction,
     visibility_from_extinction_db,
     visibility_samples,
 )
 from .keyfile import MAX_BITS, NATIVE_BLOCK_BITS, write_key_file
-from .presets import REFERENCE_ROWS, reference_session
+from .presets import reference_session
 from .protocol import (
     AliceSession,
     BobSession,
@@ -156,15 +156,10 @@ def parse_run_config(path: Path) -> RunSpec:
     return RunSpec(session, deploy["channel"], deploy["host"], int(port))
 
 
-def _predictions(cfg: SessionConfig) -> Tuple[float, float]:
-    er_det = er_det_analytic(cfg.setup.mu_pair, cfg.setup.post_alice_loss_db, cfg.detector)
-    return er_det, er_opt_prediction(cfg.setup)
-
-
 def write_report(path: Path, cfg: SessionConfig, result: SessionResult) -> None:
     if result.measured_er is None or not math.isfinite(result.measured_er):
         raise ConfigError("session produced no comparable bits; cannot report")
-    er_det, er_opt = _predictions(cfg)
+    er_det, er_opt = er_predictions(cfg)
     row = (
         _fmt(cfg.setup.mu_pair),
         _fmt(result.measured_er),
@@ -279,35 +274,32 @@ TABLE_COLUMNS = (
 def cmd_table1(args) -> int:
     out_rows: List[Tuple[str, ...]] = []
     for k, row in enumerate(REFERENCE_ROWS):
-        n_pulses = row.desk_scale_pulses * (10 if args.full_scale else 1)
-        seed = args.seed + 3 * k
-        cfg = reference_session(row.mu_pair, n_pulses, Seeds(seed, seed + 1, seed + 2))
+        cfg = row_session(row, args.seed + 3 * k, args.full_scale)
         result = run_session(cfg)
-        er_det, er_opt = _predictions(cfg)
-        predicted = er_det + er_opt
-        n_sifted = len(result.sifted_key_bob)
-        sigma = math.sqrt(predicted * (1.0 - predicted) / n_sifted) if n_sifted else 0.0
-        er_low, er_high = predicted - 3.0 * sigma, predicted + 3.0 * sigma
-        rate = result.sift_rate_per_1000
-        rate_low = row.sift_rate_per_1000 - row.sift_rate_tol
-        rate_high = row.sift_rate_per_1000 + row.sift_rate_tol
-        rate_pass = "pass" if rate_low <= rate <= rate_high else "FAIL"
-        er_pass = "pass" if er_low <= result.measured_er <= er_high else "FAIL"
+        mu = row.mu_pair
+        er_claim, er_det, er_opt = (CLAIMS[c, mu] for c in ("error rate", "er_det", "er_opt"))
+        rate, er = judge(CLAIMS["sift rate", mu], result), judge(er_claim, result)
+        rate_pass, er_pass = ("pass" if v.ok else "FAIL" for v in (rate, er))
         out_rows.append((
-            _fmt(row.mu_pair), str(n_pulses), str(n_sifted), _fmt(rate),
-            _fmt(rate_low), _fmt(rate_high), rate_pass,
-            _fmt(result.measured_er), _fmt(predicted),
-            _fmt(er_low), _fmt(er_high), er_pass,
-            _fmt(er_det), _fmt(row.er_det), _fmt(er_opt), _fmt(row.er_opt),
-            _fmt(row.measured_er), _fmt(row.bit_rate_hz),
+            _fmt(mu), str(cfg.n_pulses), str(len(result.sifted_key_bob)), _fmt(rate.value),
+            _fmt(rate.low), _fmt(rate.high), rate_pass,
+            _fmt(er.value), _fmt(er_claim.model), _fmt(er.low), _fmt(er.high), er_pass,
+            _fmt(er_det.model), _fmt(er_det.paper), _fmt(er_opt.model), _fmt(er_opt.paper),
+            _fmt(er_claim.paper), _fmt(row.bit_rate_hz),
         ))
         print(
-            f"mu={row.mu_pair}: sift rate {_fmt(rate)}/1000 "
-            f"(band {_fmt(rate_low)}..{_fmt(rate_high)}: {rate_pass}), "
-            f"measured ER {_fmt(result.measured_er)} "
-            f"(band {_fmt(er_low)}..{_fmt(er_high)}: {er_pass}), "
-            f"reference ER {_fmt(row.measured_er)}"
+            f"mu={mu}: sift rate {_fmt(rate.value)}/1000 "
+            f"(band {_fmt(rate.low)}..{_fmt(rate.high)}: {rate_pass}), "
+            f"measured ER {_fmt(er.value)} "
+            f"(band {_fmt(er.low)}..{_fmt(er.high)}: {er_pass}), "
+            f"reference ER {_fmt(er_claim.paper)}"
         )
+        key = CLAIMS.get(("key length", mu)) if args.full_scale else None
+        if key is not None:
+            v, n = judge(key, result), cfg.n_pulses
+            print(f"mu={mu}: key length {len(result.sifted_key_bob)} sifted bits from {n} pulses "
+                  f"(band {_fmt(v.low * n)}..{_fmt(v.high * n)} around {key.paper}: "
+                  f"{'pass' if v.ok else 'FAIL'})")
     text = ",".join(TABLE_COLUMNS) + "\n" + "\n".join(",".join(r) for r in out_rows) + "\n"
     Path(args.out).write_text(text)
     return EXIT_OK
@@ -397,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=27)
     p.add_argument("--full-scale", action="store_true",
-                   help="10x pulses per row for full-length keys")
+                   help="40M pulses per row; the mu 0.1 row also judges the paper's key length")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("fm-check", help="visibility with Faraday vs ordinary mirrors")

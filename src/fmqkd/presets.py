@@ -1,60 +1,17 @@
 """Reference operating points of the modeled link.
 
-Two benchmark rows: pair intensities 0.2 and 0.1 photons, both at 10%
-detector efficiency with 7e-6 dark counts per gate and 10 dB effective loss
-between the sender's attenuator and the detector (8.6 dB link plus 1.4 dB
-receiver tap and connectors), modulator extinctions 27 dB (sender) and
-30 dB (receiver).
+Two benchmark rows, declared with the paper's claims in ``claims``: pair
+intensities 0.2 and 0.1 photons, both at 10% detector efficiency with 7e-6
+dark counts per gate and 10 dB effective loss between the sender's
+attenuator and the detector (8.6 dB link plus 1.4 dB receiver tap and
+connectors), modulator extinctions 27 dB (sender) and 30 dB (receiver).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from .detector import GatedDetectorConfig
 from .interferometer import SetupConfig
 from .protocol import ProtocolVariant, Seeds, SessionConfig
-
-
-@dataclass(frozen=True)
-class ReferenceRow:
-    """Published values for one benchmark operating point."""
-
-    mu_pair: float
-    measured_er: float
-    measured_er_tol: float
-    er_det: float
-    er_det_tol: float
-    er_opt: float
-    er_opt_tol: float
-    key_bits: int
-    bit_rate_hz: float
-    desk_scale_pulses: int
-    sift_rate_per_1000: float
-    sift_rate_tol: float
-
-
-REFERENCE_ROWS: Tuple[ReferenceRow, ...] = (
-    ReferenceRow(
-        mu_pair=0.2,
-        measured_er=0.005, measured_er_tol=0.001,
-        er_det=0.004, er_det_tol=0.0007,
-        er_opt=0.0015, er_opt_tol=0.0003,
-        key_bits=2980, bit_rate_hz=0.9,
-        desk_scale_pulses=4_000_000,
-        sift_rate_per_1000=1.0, sift_rate_tol=0.1,
-    ),
-    ReferenceRow(
-        mu_pair=0.1,
-        measured_er=0.0135, measured_er_tol=0.0008,
-        er_det=0.0081, er_det_tol=0.0014,
-        er_opt=0.0015, er_opt_tol=0.0003,
-        key_bits=20142, bit_rate_hz=0.5,
-        desk_scale_pulses=4_000_000,
-        sift_rate_per_1000=0.5, sift_rate_tol=0.05,
-    ),
-)
 
 
 def reference_setup(mu_pair: float) -> SetupConfig:

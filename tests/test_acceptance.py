@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
-The two Monte-Carlo criteria pin their seeds; the bands are fixed here and
-the runs are deterministic, so the verdicts are stable.
+Criteria 1 and 3-5 assert the verdicts of ``fmqkd.claims.judge`` on the
+paper's claims; 4 and 5 judge the two sessions ``table1 --seed 27`` runs.
+The Monte-Carlo criteria pin their seeds and the runs are deterministic, so
+the verdicts are stable.
 """
 
 import math
@@ -13,14 +15,9 @@ from pathlib import Path
 import numpy as np
 
 import fmqkd
-from fmqkd.detector import GatedDetectorConfig, er_det_analytic
+from fmqkd.claims import CLAIMS, REFERENCE_ROWS, judge, row_session
 from fmqkd.framing import Detections, encode_frame
-from fmqkd.interferometer import (
-    SetupConfig,
-    detection_mean,
-    er_opt_from_visibility,
-    visibility_from_extinction_db,
-)
+from fmqkd.interferometer import SetupConfig, detection_mean
 from fmqkd.jones import (
     faraday_mirror,
     haar_random_unitaries,
@@ -29,7 +26,7 @@ from fmqkd.jones import (
     round_trip,
 )
 from fmqkd.keyfile import read_key_file
-from fmqkd.presets import REFERENCE_ROWS, reference_session
+from fmqkd.presets import reference_session
 from fmqkd.protocol import ProtocolVariant, Seeds, run_session
 from sessions import (
     PassThroughEndpoint,
@@ -53,19 +50,17 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def report_claims(criterion: int, keys, result=None) -> None:
+    """Report and assert the judge's verdict on each claim, keyed as in CLAIMS."""
+    verdicts = [(key, judge(CLAIMS[key], result)) for key in keys]
+    report(criterion, all(v.ok for _, v in verdicts), "; ".join(
+        f"{name} (mu={mu}): {v.value:.6g} in {v.low:.6g}..{v.high:.6g}, "
+        f"paper {CLAIMS[name, mu].paper}" for (name, mu), v in verdicts))
+
+
 def test_criterion_1_visibility_chain():
-    v30 = visibility_from_extinction_db(30.0)
-    v27 = visibility_from_extinction_db(27.0)
-    er30 = er_opt_from_visibility(v30)
-    er27 = er_opt_from_visibility(v27)
-    avg = (er30 + er27) / 2.0
-    ok = (
-        abs(v30 - 0.998) <= 5e-4
-        and abs(er30 - 0.001) <= 5e-5
-        and abs(er27 - 0.002) <= 5e-5
-        and abs(avg - 0.0015) <= 3e-4
-    )
-    report(1, ok, f"V(30dB)={v30:.6f}, er_opt 30dB={er30:.6f} 27dB={er27:.6f} avg={avg:.6f}")
+    report_claims(1, [("visibility at 30 dB", None), ("er_opt at 30 dB", None),
+                      ("er_opt at 27 dB", None), ("er_opt", 0.2), ("er_opt", 0.1)])
 
 
 def test_criterion_2_faraday_compensation():
@@ -86,52 +81,19 @@ def test_criterion_2_faraday_compensation():
 
 
 def test_criterion_3_detector_analytics():
-    cfg = GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=7e-6)
-    er01 = er_det_analytic(0.1, 10.0, cfg)
-    er02 = er_det_analytic(0.2, 10.0, cfg)
-    ok = (0.0072 - 0.0013 <= er01 <= 0.0072 + 0.0013) and (
-        0.004 - 0.0007 <= er02 <= 0.004 + 0.0007
-    )
-    report(3, ok, f"er_det(mu=0.1)={er01:.5f} in 0.0072+-0.0013, "
-                  f"er_det(mu=0.2)={er02:.5f} in 0.004+-0.0007")
+    report_claims(3, [("er_det", 0.1), ("er_det", 0.2)])
 
 
 def test_criterion_4_table_row_mu01():
-    row = next(r for r in REFERENCE_ROWS if r.mu_pair == 0.1)
-    cfg = reference_session(0.1, 4_000_000, Seeds(30, 31, 32))
-    result = run_session(cfg)
-    rate = result.sift_rate_per_1000
-    ok_rate = 0.45 <= rate <= 0.55
-    ok_er = 0.007 <= result.measured_er <= 0.011
-    report(
-        4,
-        ok_rate and ok_er,
-        f"mu=0.1, 4e6 pulses: sift rate {rate:.4f}/1000 (band 0.45..0.55), "
-        f"measured ER {result.measured_er:.5f} (band 0.007..0.011); "
-        f"reference measured ER {row.measured_er} exceeds its own prediction sum "
-        f"and is reported alongside, not asserted",
-    )
+    # The key length on 4M pulses is a proxy for table1 --full-scale's verdict.
+    result = run_session(row_session(REFERENCE_ROWS[1]))
+    report_claims(4, [("sift rate", 0.1), ("error rate", 0.1), ("error rate, fixed band", 0.1),
+                      ("key length", 0.1)], result)
 
 
 def test_criterion_5_table_row_mu02():
-    cfg = reference_session(0.2, 2_000_000, Seeds(27, 28, 29))
-    result = run_session(cfg)
-    rate = result.sift_rate_per_1000
-    ok_rate = 0.9 <= rate <= 1.1
-    predicted = er_det_analytic(
-        0.2, cfg.setup.post_alice_loss_db, cfg.detector
-    ) + (er_opt_from_visibility(visibility_from_extinction_db(27.0))
-         + er_opt_from_visibility(visibility_from_extinction_db(30.0))) / 2.0
-    n = len(result.sifted_key_bob)
-    sigma = math.sqrt(predicted * (1.0 - predicted) / n)
-    lo, hi = predicted - 3.0 * sigma, predicted + 3.0 * sigma
-    ok_er = lo <= result.measured_er <= hi
-    report(
-        5,
-        ok_rate and ok_er,
-        f"mu=0.2, 2e6 pulses: sift rate {rate:.4f}/1000 (band 0.9..1.1), "
-        f"measured ER {result.measured_er:.5f} (prediction band {lo:.5f}..{hi:.5f})",
-    )
+    result = run_session(row_session(REFERENCE_ROWS[0]))
+    report_claims(5, [("sift rate", 0.2), ("error rate", 0.2)], result)
 
 
 def test_criterion_6_noiseless_correctness():
@@ -217,14 +179,13 @@ def test_criterion_8_bb84_variant():
     cfg = reference_session(0.1, 1_000_000, Seeds(81, 82, 83),
                             variant=ProtocolVariant.BB84)
     result = run_session(cfg)
-    frac = result.basis_matched / result.clicks
-    sigma = math.sqrt(0.25 / result.clicks)
-    ok_frac = abs(frac - 0.5) <= 3.0 * sigma
+    retention = judge(CLAIMS["BB84 basis retention", 0.1], result)
 
     clean = run_session(noiseless_config(6000, Seeds(84, 85, 86), ProtocolVariant.BB84))
     ok_clean = clean.measured_er == 0.0 and clean.sifted_key_alice == clean.sifted_key_bob
-    ok = ok_mid and ok_frac and ok_clean
-    report(8, ok, f"basis retention {frac:.4f} (0.5 +- {3*sigma:.4f}), "
+    ok = ok_mid and retention.ok and ok_clean
+    report(8, ok, f"basis retention {retention.value:.4f} "
+                  f"(band {retention.low:.4f}..{retention.high:.4f}), "
                   f"noiseless ER {clean.measured_er}, fringe midpoint dev {abs(mid-ends):.1e}")
 
 

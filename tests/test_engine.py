@@ -7,6 +7,7 @@ the per-pulse path. All must agree on everything either party ends up with.
 
 import dataclasses
 import functools
+import math
 import socket
 
 import numpy as np
@@ -257,11 +258,15 @@ def test_physics_window_checks():
     assert offsets.dtype == np.intp and np.array_equal(offsets, np.flatnonzero(dense))
     for bad, bob_symbols in ((back([0] * 10, start=5), bob),  # out of order
                              (back([0] * 10, start=10, mean_photons=half * 3), bob),  # too bright
+                             (back([0] * 10, start=10, mean_photons=half / 3), bob),  # too dim
                              (back([0] * 10, start=10, pol=(0.5, 0, 0, 0)), bob),
+                             # |pol|^2 = 1 + 1e-5: outside the 1e-6 tolerance, inside 1e-2.
+                             (back([0] * 10, start=10, pol=(0, 0, math.sqrt(1 + 1e-5), 0)), bob),
                              (back([0] * 9, start=10), bob)):  # short window
         with pytest.raises(ProtocolViolationError):
             physics.observe_window(bad, bob_symbols)
     physics.observe_window(back([0] * 10, start=10), bob)
+    physics.observe_window(back([0] * 10, start=20, pol=(0, 0, math.sqrt(1 + 1e-7), 0)), bob)
 
 
 def test_observe_rejects_phase_outside_alphabet():
