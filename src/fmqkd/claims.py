@@ -1,7 +1,9 @@
 """The paper's claims, each declared once with the band that judges it: a
 fixed (low, high) interval, or k binomial standard deviations around the
 model's prediction. Only ``judge`` computes a band; ``table1`` prints its
-verdicts and the acceptance suite asserts them."""
+verdicts and the acceptance suite asserts them. A claim is keyed by its name
+and ``mu_pair``; only ``table1`` and criteria 4 and 5 judge it on the session
+``row_session`` builds for that row, other tests on sessions of their own."""
 
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ Verdict = namedtuple("Verdict", "value low high ok")
 @dataclass(frozen=True)
 class Claim:
     name: str
-    mu_pair: Optional[float]  # the row whose session is judged; None: closed form
+    mu_pair: Optional[float]  # keys the claim with its name; None: closed form
     paper: Optional[float]  # None where the repository records no published value
     model: Optional[float]  # a closed-form claim's value, a k-sigma band's centre
     band: Union[Tuple[float, float], float]  # (low, high), or k sigmas around model
@@ -84,7 +86,7 @@ CLAIMS = {(c.name, c.mu_pair): c for c in (
     Claim("er_opt at 27 dB", None, None, _LEAK[27.0], (0.00195, 0.00205)),
     Claim("sift rate", 0.2, 1.0, None, (0.9, 1.1), lambda r: (r.sift_rate_per_1000, 0)),
     Claim("error rate", 0.2, 0.005, sum(_ER02), 3.0, _error_rate),
-    # Model 0.00347915; band 0.004 +- 0.0007, as in test_detector.
+    # Model 0.00347915; band 0.004 +- 0.0007.
     Claim("er_det", 0.2, 0.004, _ER02[0], (0.0033, 0.0047)),
     Claim("er_opt", 0.2, 0.0015, _ER02[1], (0.0012, 0.0018)),
     Claim("sift rate", 0.1, 0.5, None, (0.45, 0.55), lambda r: (r.sift_rate_per_1000, 0)),
@@ -92,7 +94,7 @@ CLAIMS = {(c.name, c.mu_pair): c for c in (
     # counter drift, which is not modeled), so it is printed, not judged.
     Claim("error rate", 0.1, 0.0135, sum(_ER01), 3.0, _error_rate),
     Claim("error rate, fixed band", 0.1, 0.0135, sum(_ER01), (0.007, 0.011), _error_rate),
-    # Model 0.00690681; band 0.0072 +- 0.0013 (source not recorded), as in test_detector.
+    # Model 0.00690681; band 0.0072 +- 0.0013 (source not recorded).
     Claim("er_det", 0.1, 0.0081, _ER01[0], (0.0059, 0.0085)),
     Claim("er_opt", 0.1, 0.0015, _ER01[1], (0.0012, 0.0018)),
     # Sifted bits per pulse: the full-scale session sifts KEY_BITS on average.

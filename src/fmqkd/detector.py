@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedRateError
+from .errors import ConfigError, UndefinedRateError
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,9 @@ class GatedDetectorConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
+            raise ConfigError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if not (0.0 <= self.dark_prob_per_gate <= 1.0):
-            raise ValueError(
+            raise ConfigError(
                 f"dark_prob_per_gate must be in [0, 1], got {self.dark_prob_per_gate}"
             )
 

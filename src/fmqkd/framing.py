@@ -20,8 +20,8 @@ type once: its message class, its fixed fields as little-endian struct codes
                              every index below the last end
 
 QFRAME_OUT / QFRAME_BACK carry one pulse each, and DETECTIONS acknowledges
-one ack window; the per-pulse session engine (wrapped endpoints, custom
-physics) uses them. The window frames carry up to BLOCK_PULSES (65,536)
+one ack window; the per-pulse session engine (wrapped endpoints) uses
+them. The window frames carry up to BLOCK_PULSES (65,536)
 consecutive pulses each, and one DETECTIONS_BLOCK acknowledges every ack
 window a block closes: window k holds the indices from end k - 1 (or the
 previous frame's last end) up to end k. The batched engine uses them over both in-process and

@@ -103,18 +103,14 @@ def half_wave_plate(axis_angle_rad: float = 0.0) -> np.ndarray:
     return wave_plate(math.pi, axis_angle_rad)
 
 
+@functools.cache
 def faraday_mirror() -> np.ndarray:
     """45-degree Faraday rotator, mirror, and the same rotator on the way back.
 
     The ideal mirror is the identity in this convention. Both passes rotate
     in the same sense, so the composite is R(90), the antisymmetric matrix
-    [[0, -1], [1, 0]].
+    [[0, -1], [1, 0]]. Read-only, like ``HORIZONTAL``.
     """
-    return _faraday_mirror().copy()
-
-
-@functools.cache
-def _faraday_mirror() -> np.ndarray:
     # Built once, as it takes about 8 us, and on first use: a matmul at import
     # would set up OpenBLAS in every process that imports the package.
     fm = rotator(math.pi / 4.0) @ rotator(math.pi / 4.0)
@@ -135,7 +131,7 @@ def round_trip(u: np.ndarray) -> np.ndarray:
     birefringence-compensation property the composite is built for.
     """
     _require_unitary(u)
-    return mul(mul(np.swapaxes(u, -1, -2), _faraday_mirror()), u)
+    return mul(mul(np.swapaxes(u, -1, -2), faraday_mirror()), u)
 
 
 def ordinary_mirror_round_trip(u: np.ndarray) -> np.ndarray:

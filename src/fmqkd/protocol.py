@@ -5,16 +5,16 @@ announces the session, then runs it a block of pulses at a time: one window
 frame out and back per block, one numpy pass of his physics layer over the
 block, and one DETECTIONS_BLOCK that acknowledges every ``ack_window`` the
 block closes. A block that closes no window sends no acknowledgement. Every
-CLI command and every timed benchmark session runs this batched engine,
-over a bare in-process or socket endpoint with the stock physics. Only the
-physics layer ever reads what Alice encoded on the returned pulses; the
-sifting layer sees pulse indices and clicks, nothing else.
+CLI command and every timed benchmark session runs this batched engine.
+Only the physics layer ever reads what Alice encoded on the returned pulses;
+the sifting layer sees pulse indices and clicks, nothing else.
 
-The per-pulse engine, which Bob runs behind a wrapped endpoint or with
-custom physics, is the reference: one quantum frame out and back per pulse,
-and one DETECTIONS per ack window. Every random stream serves the same
-values however its requests are chunked, so both engines consume the same
-numbers and produce the same result bit for bit.
+One rule picks the engine: Bob runs the batched one over a bare in-process
+or socket endpoint, and the per-pulse reference over any other, wrapped
+endpoint. The reference sends one quantum frame out and back per pulse, and
+one DETECTIONS per ack window. Every random stream serves the same values
+however its requests are chunked, so both engines consume the same numbers
+and produce the same result bit for bit.
 
 Both parties share one core, ``_Party``, which draws every pulse's symbol
 and keeps what both sift. Each party runs ``framing.check_message``, the
@@ -494,9 +494,9 @@ class AliceSession(_Party):
 class BobSession(_Party):
     """Driving receiver state machine; produces the SessionResult."""
 
-    def __init__(self, cfg: SessionConfig, physics: Optional[QuantumPhysics] = None):
+    def __init__(self, cfg: SessionConfig):
         super().__init__(cfg, cfg.bob_key_files, cfg.seeds.bob, "bob")
-        self._physics = physics or QuantumPhysics(
+        self._physics = QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
 
@@ -536,8 +536,7 @@ class BobSession(_Party):
 
     def _run(self, endpoint) -> SessionResult:
         endpoint.send(session_start(self.cfg))
-        if (type(endpoint) in (InProcessEndpoint, SocketEndpoint)
-                and type(self._physics) is QuantumPhysics):
+        if type(endpoint) in (InProcessEndpoint, SocketEndpoint):
             self._block_loop(endpoint)
         else:
             self._pulse_loop(endpoint)

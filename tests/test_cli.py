@@ -2,7 +2,10 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -54,6 +57,18 @@ def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
 
 def log_entries(out):
     return [json.loads(line) for line in (out / "session.log").read_text().splitlines()]
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # The package under test first on the path, as for the CLI's children.
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import fmqkd, sys; print(fmqkd.__file__); "
+            "print(sorted(m for m in sys.modules if m.startswith('fmqkd.') or m == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == [str(Path(src) / "fmqkd" / "__init__.py"), "[]"]
 
 
 def test_parse_run_config_defaults_and_overrides(tmp_path):

@@ -9,7 +9,7 @@ from fmqkd.detector import (
     er_det_analytic,
     gate_many,
 )
-from fmqkd.errors import UndefinedRateError
+from fmqkd.errors import ConfigError, UndefinedRateError
 
 
 def closed_form(mu_eff, eta, dark):
@@ -105,9 +105,7 @@ def test_er_det_reference_values():
     p_sig = closed_form(0.1 * 0.1, 0.1, 7e-6)
     p_err = closed_form(0.0, 0.1, 7e-6)
     assert er_01 == pytest.approx(p_err / (p_sig + p_err), abs=1e-12)
-    assert 0.0059 <= er_01 <= 0.0085
     assert abs(er_01 - 0.0069068) < 1e-6
-    assert 0.0033 <= er_02 <= 0.0047
     assert abs(er_02 - 0.0034790) < 1e-6
 
 
@@ -138,7 +136,7 @@ def test_er_det_undefined_when_both_ports_dark():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GatedDetectorConfig(efficiency=1.5, dark_prob_per_gate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GatedDetectorConfig(efficiency=0.1, dark_prob_per_gate=-1e-9)

