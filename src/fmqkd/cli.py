@@ -305,9 +305,9 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-# visibility_samples peaks at 224 B per sample (238 on a process's first call),
-# and the command, which holds the first mirror's result during the second, at
-# 232 B (246 on a first call): 2.5 GB at the cap.
+# visibility_samples peaks at 224 B per sample, and the command, which holds the
+# first mirror's result during the second, at 232 B: 2.3 GB at the cap. A
+# process's first call adds a fixed 0.77 MB (246 B per sample at 50,000).
 FM_CHECK_MAX_SAMPLES = 10_000_000
 
 

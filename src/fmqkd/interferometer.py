@@ -184,10 +184,6 @@ def attenuator_setting(setup: SetupConfig, incoming_mean_photons: float) -> floa
     return 10.0 * math.log10(incoming_mean_photons / target)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
-
 def pulse_pair_overlap(link_unitary: np.ndarray,
                        alice_mirror: str = "faraday") -> float | np.ndarray:
     """Polarization overlap of the two interfering pulses at the coupler.
@@ -207,20 +203,33 @@ def pulse_pair_overlap(link_unitary: np.ndarray,
     else:
         raise ValueError(f"alice_mirror must be 'faraday' or 'ordinary', got {alice_mirror!r}")
     delay_trip = jones.faraday_mirror()
-    # Both pulses start horizontal, so only column 0 of each product is built.
-    leading = jones.apply(delay_trip, trip[..., 0])
-    trailing = jones.apply(trip, delay_trip[..., 0])
+    # Both pulses start horizontal, so only column 0 of each product is built,
+    # into states[pulse, component, *links]: leading pulse first, trailing second.
+    states = np.empty((2, 2) + trip.shape[:-2], complex)
+    for i in (0, 1):
+        jones._mul_entry(delay_trip, trip, i, 0, states[0, i, ...])
+        jones._mul_entry(trip, delay_trip, i, 0, states[1, i, ...])
     del trip
-    # Norms and |vdot| by parts. numpy divides a complex array by a real one as
-    # a product with its inverse.
-    real = np.stack((leading.real, trailing.real))
-    imag = np.stack((leading.imag, trailing.imag))
-    del leading, trailing
-    inverse = (1.0 / np.sqrt(_dot(real, real) + _dot(imag, imag)))[..., None]
-    real *= inverse
-    imag *= inverse
-    (lr, tr), (li, ti) = real, imag
-    return np.hypot(_dot(lr, tr) + _dot(li, ti), _dot(lr, ti) - _dot(li, tr))
+    # Norms and |vdot| by parts, parts[pulse, re/im, component, *links], summed
+    # in np.linalg.norm's and np.vdot's order; numpy divides a complex array by
+    # a real one as a product with its inverse. Each part of each pulse is one
+    # contiguous row of links, which the ufuncs run fastest.
+    parts = np.empty((2, 2) + states.shape[1:])
+    parts[:, 0] = states.real
+    parts[:, 1] = states.imag
+    del states
+    square = parts * parts
+    square = square[:, :, 0] + square[:, :, 1]
+    inverse = square[:, 0] + square[:, 1]
+    del square
+    np.divide(1.0, np.sqrt(inverse, out=inverse), out=inverse)
+    parts *= inverse[:, None, None]
+    del inverse
+    # sums[a, b, *links]: the sum over components of leading part a times trailing part b.
+    terms = parts[0][:, None] * parts[1]
+    sums = terms[:, :, 0] + terms[:, :, 1]
+    del terms
+    return np.hypot(sums[0, 0] + sums[1, 1], sums[0, 1] - sums[1, 0])
 
 
 def visibility_samples(n_samples: int, extinction_db: float,

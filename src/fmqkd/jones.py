@@ -2,10 +2,10 @@
 
 States are complex numpy arrays of shape (2,) holding the amplitudes on the
 two lab axes; operators are complex arrays of shape (2, 2), or stacks of
-them of shape (..., 2, 2). The round trips and the overlap compose and apply
-them with ``mul`` and ``apply``, which build each entry of a product over a
-whole stack at once (R. C. Jones, JOSA 31, 488, 1941), so a stack rounds
-exactly as its matrices do one at a time.
+them of shape (..., 2, 2). The round trips compose them with ``mul`` and the
+overlap builds its two states with ``mul``'s entry kernel; both build each
+entry of a product over a whole stack at once (R. C. Jones, JOSA 31, 488,
+1941), so a stack rounds exactly as its matrices do one at a time.
 
 Convention, fixed once for the whole package: states live in a right-handed
 lab frame; a backward-propagating state is written in the mirrored frame in
@@ -47,12 +47,18 @@ def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     u = np.asarray(u)
     if u.shape[-2:] != (2, 2):
         return False
-    square = np.abs(u) ** 2
+    # Squared moduli by parts: np.abs goes through hypot, and a complex product
+    # with an infinite entry would warn.
+    re, im = u.real, u.imag
+    square = re * re
+    square += im * im
     # NaN fails this test, and rows that pass keep the cross term's entries finite.
     if not np.abs(square[..., 0] + square[..., 1] - 1.0).max(initial=0.0) <= tol:
         return False
-    product = u[..., 0, :] * u[..., 1, :].conj()
-    return bool(np.abs(product[..., 0] + product[..., 1]).max(initial=0.0) <= tol)
+    uc = u.conj()
+    cross = u[..., 0, 0] * uc[..., 1, 0]
+    cross += u[..., 0, 1] * uc[..., 1, 1]
+    return bool(np.abs(cross).max(initial=0.0) <= tol)
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,8 +74,14 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                    np.result_type(a, b))
     for i in (0, 1):
         for k in range(b.shape[-1]):
-            np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out[..., i, k])
+            _mul_entry(a, b, i, k, out[..., i, k])
     return out
+
+
+def _mul_entry(a: np.ndarray, b: np.ndarray, i: int, k: int, out: np.ndarray) -> None:
+    """Entry (i, k) of ``mul(a, b)`` over the whole stack, written into ``out``:
+    an array, so for one link a 0-d slot such as ``out[i, k, ...]``."""
+    np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out)
 
 
 def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -148,15 +160,21 @@ def haar_random_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
     columns z0 and z1, Q's first column is u0 = z0 / |z0| and its second is
     (-conj(u0[1]), conj(u0[0])) times the phase of t = u0[0] z1[1] - u0[1] z1[0].
     """
-    z = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))) / math.sqrt(2.0)
-    u = np.empty_like(z)
-    u[..., 0] = z[..., 0] / np.linalg.norm(z[..., 0], axis=-1, keepdims=True)
-    u00, u10 = u[:, 0, 0], u[:, 1, 0]
+    # Built in place over z. numpy divides a complex array by a real scalar as a
+    # product with its inverse, so the parts are the normals times 1/sqrt(2).
+    z = np.empty((n, 2, 2), complex)
+    np.multiply(rng.standard_normal((n, 2, 2)), 1.0 / math.sqrt(2.0), out=z.real)
+    np.multiply(rng.standard_normal((n, 2, 2)), 1.0 / math.sqrt(2.0), out=z.imag)
+    # |z0| as np.linalg.norm computes it.
+    z0 = z[..., 0]
+    square = (z0.conj() * z0).real
+    z0 /= np.sqrt(square[:, 0] + square[:, 1])[:, None]
+    u00, u10 = z[:, 0, 0], z[:, 1, 0]
     t = u00 * z[:, 1, 1] - u10 * z[:, 0, 1]
     t /= np.abs(t)
-    u[:, 0, 1] = -u10.conj() * t
-    u[:, 1, 1] = u00.conj() * t
-    return u
+    np.multiply(-u10.conj(), t, out=z[:, 0, 1])
+    np.multiply(u00.conj(), t, out=z[:, 1, 1])
+    return z
 
 
 def interference_overlap(incoming: np.ndarray, returned: np.ndarray) -> complex:

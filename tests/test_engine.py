@@ -1,8 +1,9 @@
 """The batched engine against the per-pulse reference path.
 
-A bare in-process or socket endpoint with the stock physics takes the
-batched path; the same session through a pass-through endpoint wrapper takes
-the per-pulse path. All must agree on everything either party ends up with.
+The type of Bob's endpoint alone picks the engine: a bare in-process or
+socket endpoint takes the batched path; the same session through a
+pass-through endpoint wrapper takes the per-pulse path. All must agree on
+everything either party ends up with.
 """
 
 import dataclasses

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -231,6 +232,43 @@ def test_stack_with_one_non_unitary_link_is_rejected(mirror):
 
 
 @pytest.mark.parametrize("mirror", MIRRORS)
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(INF, 0.0), complex(-INF, 0.0),
+                                 complex(0.0, math.nan)])
+def test_stack_with_one_non_finite_entry_is_rejected(bad, at, mirror):
+    stack = haar_random_unitaries(np.random.default_rng(3), 8)
+    stack[5][at] = bad
+    with pytest.raises(ValueError):
+        pulse_pair_overlap(stack, mirror)
+
+
+# sha256 of the samples' and the draws' bytes: a faster kernel must round
+# every sample exactly as these did.
+SAMPLE_DIGESTS = {
+    "faraday": ("fe332724513a91b679eab6450d7020aa3339e7d6867825ce15dd3678316099de",
+                "ecf3c4211c901d552d7649ce11d38cf8bffbbaee66edd1642ea14bc6d9fb1f33",
+                "60e19006ad55027caacbcd964bed76602e83dc3dbdb8c85e123972ba3965e481"),
+    "ordinary": ("6671ac0f04f8973adab9974861c62d47178bb95c2c6fc7dbaf3b7ff1a5bb9265",
+                 "f5a76cd954cb5c92da3e2ef9fe76a65aa1f2b0ce0e2479aff954595bd46f3413",
+                 "e20a43a4c7be46612806bd96480b1894eb9b3de95a8504d1c351f102606fc394"),
+    "haar": ("fb911f53047816254f4ae3ee41e22ed41b2e7f6a83c508f9afe03023726da151",
+             "7cdf6554a563a6ab027b4a1ed58fbeb66fcc1e664d03d47ce1024d716dc46e1a",
+             "9cf5b478c03875c960a21195ddc91c3719f3976fa13399e734aa1ca320b2cf35"),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_samples_and_draws_are_pinned_bit_for_bit(seed):
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    for mirror in MIRRORS:
+        got = visibility_samples(1000, 30.0, np.random.default_rng(seed), mirror)
+        assert digest(got) == SAMPLE_DIGESTS[mirror][seed], mirror
+    assert digest(haar_random_unitaries(np.random.default_rng(seed), 1000)) == SAMPLE_DIGESTS["haar"][seed]
+
+
+@pytest.mark.parametrize("mirror", MIRRORS)
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4, 4), (2,)])
 def test_overlap_refuses_operands_that_are_not_2x2(shape, mirror):
     u = np.eye(*shape, dtype=complex) if len(shape) > 1 else HORIZONTAL
@@ -248,8 +286,9 @@ def test_overlap_of_an_empty_stack_is_empty(mirror):
 
 @pytest.mark.parametrize("mirror", MIRRORS)
 def test_visibility_samples_peak_memory_per_link(mirror):
-    # The draw and the overlap drop their temporaries as they go: a cold call
-    # peaked at 238.1 B per link (Faraday) and 224.0 (ordinary), a warm one at 224.0.
+    # The draw and the overlap drop their temporaries as they go: a warm call
+    # peaked at 224.1 B per link, a cold one at 239.4 (Faraday) and 224.1
+    # (ordinary); the cold extra is a fixed 0.77 MB.
     n = 50_000
     with traced_peak() as traced:
         visibility_samples(n, 30.0, np.random.default_rng(1), mirror)
