@@ -84,11 +84,6 @@ def _mul_entry(a: np.ndarray, b: np.ndarray, i: int, k: int, out: np.ndarray) ->
     np.add(a[..., i, 0] * b[..., 0, k], a[..., i, 1] * b[..., 1, k], out=out)
 
 
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The state ``m @ v``: Jones matrix ``m`` applied to state ``v``, or stacks of either."""
-    return mul(m, v[..., None])[..., 0]
-
-
 def rotator(angle_rad: float) -> np.ndarray:
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     return np.array([[c, -s], [s, c]], dtype=complex)

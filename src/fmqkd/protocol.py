@@ -252,6 +252,7 @@ class QuantumPhysics:
         self._table = click_probability(detection_mean(_PHASE_DIFFS, setup), detector)
         self._p_max = self._table.max()
         self._gates = UniformSampler(rng)
+        self.prefetch = self._gates.prefetch  # the next window's gate uniforms, by count
 
     def _check(self, index: int, mean_photons: float, pol) -> None:
         if index != self._expected_index:
@@ -562,11 +563,12 @@ class BobSession(_Party):
     def _block_loop(self, endpoint) -> None:
         """Batched path: one window frame out and back per block of pulses."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
-        observe_window = self._physics.observe_window
+        prefetch, observe_window = self._physics.prefetch, self._physics.observe_window
         # Clicks of the window still open, when a window spans several blocks.
         pending = np.empty(0, np.uint64)
         for start, end in _blocks(n, window):
             count = end - start
+            prefetch(count)  # Bob's gates, drawn while both parties draw their symbols
             symbols = self._draw_symbols(count)
             endpoint.send(
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)

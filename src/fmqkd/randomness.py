@@ -13,6 +13,9 @@ a fraction of its cost; an odd draw holds its last word's second bit.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +29,31 @@ def derive_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _helper():
+    """The helper thread's queue of draws; the first call starts the thread."""
+    import queue  # here, not at start-up: only a process that prefetches needs it
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(jobs,), name="fmqkd-draws", daemon=True).start()
+    return jobs
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child starts a helper of its own
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
 class _Stream:
     """Serves each value once, in order, from one held array: a finite
     ``values`` array, or what is left of the last draw from ``rng``."""
@@ -33,6 +61,8 @@ class _Stream:
     # Even: the scalar refill size, and the most bits one raw-word read makes.
     # No served value depends on it.
     _BLOCK = 16384
+    _PREFETCH_MIN = 32768  # fewest values worth waking the helper: a 20k-pulse block lost 10%
+    _job = _drawn = _lock = None  # a prefetch: (out, values held before it), result, lock
 
     def __init__(self, rng: Optional[np.random.Generator] = None,
                  values: Optional[np.ndarray] = None):
@@ -50,7 +80,7 @@ class _Stream:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         left = self._held.size - self._pos
-        if n <= left:
+        if n <= left and self._job is None:
             self._pos += n
             return self._held[self._pos - n:self._pos].copy()
         if self._rng is None:
@@ -63,11 +93,43 @@ class _Stream:
         if self._rng is None:
             raise BitSourceExhausted("requested 1 bit, 0 left")
         left = self._held.size - self._pos
-        out = np.empty(left + count, self._EMPTY.dtype)
+        if self._job is None:
+            out = np.empty(left + count, self._EMPTY.dtype)
+            held = self._draw(out[left:])
+        else:
+            out, at = self._job
+            if (at, out.size) != (left, left + count):
+                raise ValueError(f"take({left + count}) after prefetch({out.size})")
+            self._run_job(wait=True)
+            held, self._job, self._drawn = self._drawn, None, None
+            if isinstance(held, BaseException):
+                raise held
         if left:
             out[:left] = self._held[self._pos:]
-        self._held, self._pos = self._draw(out[left:]), 0
+        self._held, self._pos = held, 0
         return out
+
+    def prefetch(self, n: int) -> None:
+        """Start the next ``take(n)``'s draw on the helper thread: a large draw, on two CPUs."""
+        if n < self._PREFETCH_MIN or self._job or self._rng is None or _cpus() < 2:
+            return
+        left = self._held.size - self._pos
+        self._lock = self._lock or threading.Lock()  # one per stream, made before any job
+        self._job = (np.empty(n, self._EMPTY.dtype), left)  # _drawn is None with no job
+        _helper().put(self._run_job)
+
+    def _run_job(self, wait: bool = False) -> None:
+        """Run the pending draw once; without ``wait``, skip it while another thread runs it."""
+        if not self._lock.acquire(wait):
+            return
+        try:
+            if self._job is not None and self._drawn is None:
+                out, left = self._job
+                self._drawn = self._draw(out[left:])
+        except BaseException as exc:  # raised by the take that collects it
+            self._drawn = exc
+        finally:
+            self._lock.release()
 
     def _scalar(self):
         """Next single value as a Python scalar; same stream as :meth:`take`."""

@@ -9,13 +9,19 @@ everything either party ends up with.
 import dataclasses
 import functools
 import math
+import os
+import signal
 import socket
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from field_inputs import pulse_out, window_back, window_out
-from fmqkd import protocol
+from fmqkd import protocol, randomness
 from fmqkd.channel import SocketEndpoint, open_in_process
 from fmqkd.detector import GatedDetectorConfig, click_probability
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
@@ -38,6 +44,7 @@ from fmqkd.protocol import (
     QuantumPhysics,
     Seeds,
     SessionResult,
+    run_session,
 )
 from fmqkd.randomness import derive_rng
 from sessions import (
@@ -426,18 +433,89 @@ def advanced_state(seed, stream, words):
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 @pytest.mark.parametrize("ack_window", [1024, 7])
-def test_batched_session_draws_only_the_values_it_uses(variant, ack_window):
+def test_batched_session_draws_only_the_values_it_uses(monkeypatch, variant, ack_window):
     # Bits come two to a PCG64 word and gate uniforms one to a word, so each
-    # stream ends exactly where the session's own pulses leave it.
-    n = 20_001
-    cfg = dataclasses.replace(reference_session(0.2, n, SEEDS[1], variant),
-                              ack_window=ack_window)
-    alice, bob = AliceSession(cfg), BobSession(cfg)
-    bob.run(open_in_process(alice.handle))
-    for party, seed in ((alice, cfg.seeds.alice), (bob, cfg.seeds.bob)):
-        for stream, src in ((protocol.STREAM_BITS, party._bits_src),
-                            (protocol.STREAM_BASES, party._bases_src)):
-            if src is not None:
-                assert src._rng.bit_generator.state == advanced_state(seed, stream, -(-n // 2))
-    gates = bob._physics._gates._rng.bit_generator.state
-    assert gates == advanced_state(cfg.seeds.physics, protocol.STREAM_GATES, n)
+    # stream ends exactly where the session's own pulses leave it. Any runner
+    # counts as two CPUs: the two full blocks of the longer session have their
+    # gates drawn on the helper thread, the 20,001-pulse block is under the size rule.
+    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
+    handed = []
+    helper = randomness._helper
+    monkeypatch.setattr(randomness, "_helper", lambda: handed.append(1) or helper())
+    for n, prefetched in ((20_001, 0), (2 * protocol.BLOCK_PULSES + 1, 2)):
+        handed.clear()
+        cfg = dataclasses.replace(reference_session(0.2, n, SEEDS[1], variant),
+                                  ack_window=ack_window)
+        alice, bob = AliceSession(cfg), BobSession(cfg)
+        bob.run(open_in_process(alice.handle))
+        assert len(handed) == prefetched
+        for party, seed in ((alice, cfg.seeds.alice), (bob, cfg.seeds.bob)):
+            for stream, src in ((protocol.STREAM_BITS, party._bits_src),
+                                (protocol.STREAM_BASES, party._bases_src)):
+                if src is not None:
+                    assert src._rng.bit_generator.state == advanced_state(seed, stream, -(-n // 2))
+        gates = bob._physics._gates._rng.bit_generator.state
+        assert gates == advanced_state(cfg.seeds.physics, protocol.STREAM_GATES, n)
+
+
+def helper_serves():
+    """True when a job handed to the helper thread runs within 30 s."""
+    ran = threading.Event()
+    randomness._helper().put(ran.set)
+    return ran.wait(30)
+
+
+@pytest.mark.parametrize("breach, message", [
+    (lambda back: back._replace(mean_photons=0.3), "photons"),
+    (lambda back: back._replace(start=1), "index"),
+    (lambda back: back._replace(count=back.count - 1, symbols=back.symbols[1:]), "symbols for"),
+], ids=["brightness", "index", "count"])
+def test_rule_breaking_window_after_a_prefetch_leaves_the_helper_serving(
+        monkeypatch, breach, message):
+    # One 40,000-pulse block: its gates are handed to the helper before the
+    # window goes out, and the window that comes back breaks a rule.
+    cfg = reference_session(0.2, 40_000, SEEDS[2])
+    monkeypatch.setattr(randomness, "_cpus", lambda: 1)
+    fresh = run_session(cfg)
+    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
+    alice = AliceSession(cfg)
+
+    def responder(msg):
+        return [breach(r) if isinstance(r, QFrameWindowBack) else r for r in alice.handle(msg)]
+
+    bob = BobSession(cfg)
+    with pytest.raises(ProtocolViolationError, match=message):
+        bob.run(open_in_process(responder))
+    assert bob._physics._gates._job is not None  # handed over, never taken
+    assert helper_serves()
+    assert run_session(cfg) == fresh
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork: Linux only")
+def test_forked_child_runs_a_session_with_a_helper_of_its_own(monkeypatch):
+    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
+    cfg = reference_session(0.1, 100_000, SEEDS[0])
+    expected = run_session(cfg)  # the helper runs in this process from here on
+    assert helper_serves()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork in a process that has threads; the child
+        # calls only os._exit once its session is done.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if run_session(cfg) == expected and helper_serves() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's session did not end within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
