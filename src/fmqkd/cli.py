@@ -173,8 +173,8 @@ def write_report(path: Path, cfg: SessionConfig, result: SessionResult) -> None:
 
 def append_session_log(path: Path, role: str, mode: str, cfg: SessionConfig, outcome,
                        started: float, error: Optional[Exception] = None) -> None:
-    """Append one JSON line to ``path``; ``outcome`` is Bob's (partial)
-    SessionResult, Alice's finished AliceSession, or None."""
+    """Append one JSON line to ``path``; ``outcome`` is Bob's (partial) SessionResult,
+    Alice's finished AliceSession, or None, and ``started`` a ``time.monotonic()``."""
     payload = {
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "role": role,
@@ -183,7 +183,7 @@ def append_session_log(path: Path, role: str, mode: str, cfg: SessionConfig, out
         "n_pulses": cfg.n_pulses,
         "mu_pair": cfg.setup.mu_pair,
         "seeds": list(cfg.seeds.as_tuple()),
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.monotonic() - started, 3),
     }
     if isinstance(outcome, SessionResult):
         payload.update(
@@ -210,7 +210,7 @@ def cmd_simulate(args) -> int:
     mode = "in_process" if args.role == "both" else "socket"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.monotonic()
     result = None
     try:
         if spec.channel_mode != mode:

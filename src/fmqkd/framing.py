@@ -54,7 +54,7 @@ from typing import NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolViolationError
-from .keyfile import bit_array, unpack_bits
+from .keyfile import bit_array, packed_bits
 
 WIRE_VERSION = 1
 HEADER = struct.Struct("<BBI")
@@ -367,7 +367,8 @@ def decode_payload(msg_type: int, payload: bytes) -> Message:
     elif cls is QFrameWindowBack:
         msg = wire.message(values, np.frombuffer(payload, np.uint8, offset=offset))
     elif cls is Bases:
-        msg = Bases(unpack_bits(payload[offset:], values[0], ProtocolViolationError))
+        bits = packed_bits(payload[offset:], values[0], ProtocolViolationError)
+        msg = Bases(np.unpackbits(bits, count=values[0], bitorder="little"))
     elif cls is Disclose:
         msg = Disclose(_tail_array(wire, payload, DISCLOSE_RECORD, values[0]))
     elif cls is Detections:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -59,16 +59,14 @@ def pack_bits(bits) -> bytes:
     return np.packbits(bit_array(bits, KeyFileError), bitorder="little").tobytes()
 
 
-def unpack_bits(payload: bytes, bit_count: int, error=KeyFileError) -> np.ndarray:
-    """The ``bit_count`` bits packed in ``payload`` as uint8; ``error`` unless the
-    payload is exactly ceil(bit_count / 8) bytes with zero padding bits."""
+def packed_bits(payload, bit_count: int, error=KeyFileError) -> np.ndarray:
+    """``payload`` as uint8, not copied; ``error`` unless ceil(bit_count / 8) bytes, padding 0."""
     expected = (bit_count + 7) // 8
     if len(payload) != expected:
         raise error(f"payload is {len(payload)} bytes, {bit_count} bits take {expected}")
     if bit_count % 8 and payload[-1] >> (bit_count % 8):
         raise error("padding bits in the final byte must be zero")
-    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_count,
-                         bitorder="little")
+    return np.frombuffer(payload, np.uint8)
 
 
 def encode_key_block(bits: np.ndarray) -> bytes:
@@ -76,17 +74,23 @@ def encode_key_block(bits: np.ndarray) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, b"\x00\x00\x00", len(bits)) + payload
 
 
-def decode_key_block(data: bytes) -> np.ndarray:
+def packed_key_block(data: bytes) -> Tuple[np.ndarray, int]:
+    """A key file's payload, as uint8 sharing ``data``, and its bit count, or KeyFileError."""
     if len(data) < HEADER_SIZE:
         raise KeyFileError(f"file shorter than the {HEADER_SIZE}-byte header")
-    magic, version, reserved, bit_count = _HEADER.unpack(data[:HEADER_SIZE])
+    magic, version, reserved, bit_count = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise KeyFileError(f"bad magic {magic!r}")
     if version != VERSION:
         raise KeyFileError(f"unsupported version {version}")
     if reserved != b"\x00\x00\x00":
         raise KeyFileError("reserved header bytes must be zero")
-    return unpack_bits(data[HEADER_SIZE:], bit_count)
+    return packed_bits(memoryview(data)[HEADER_SIZE:], bit_count), bit_count
+
+
+def decode_key_block(data: bytes) -> np.ndarray:
+    payload, bit_count = packed_key_block(data)
+    return np.unpackbits(payload, count=bit_count, bitorder="little")
 
 
 def write_key_file(path: Union[str, Path], bits: np.ndarray) -> None:

@@ -27,8 +27,8 @@ Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
 estimation runs over the bits Alice discloses: everything in oracle mode
 (disclosure_fraction 0, exact error rate, keys kept), or a random subset
-that is then removed from both final keys. Both parties sift, disclose and
-build keys on uint64 index arrays into their bytes of bits and bases.
+that is then removed from both final keys. Alice builds keys on uint64 index
+arrays into her bytes of bits and bases, Bob from the symbols of his clicks.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def _joined(parts: List[np.ndarray]) -> np.ndarray:
     return parts[0]
 
 
-def _matched(detected: np.ndarray, mine: np.ndarray, peer: Bases) -> np.ndarray:
-    """The detections whose bases ``mine`` and the peer's agree;
+def _matched(mine: np.ndarray, peer: Bases) -> np.ndarray:
+    """Where the bases ``mine``, one per detection, and the peer's agree, as a mask;
     ProtocolViolationError unless the peer sent one basis per detection."""
-    if peer.bits.size != detected.size:
-        raise ProtocolViolationError(f"{peer.bits.size} bits of bases for {detected.size} clicks")
-    return detected[mine == peer.bits]
+    if peer.bits.size != mine.size:
+        raise ProtocolViolationError(f"{peer.bits.size} bits of bases for {mine.size} clicks")
+    return mine == peer.bits
 
 
 def _reflect(p: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
@@ -294,8 +294,8 @@ class QuantumPhysics:
 
 
 class _Party:
-    """What both parties keep: the bit and basis applied to every pulse so
-    far, and the clicks of the acknowledged windows, which both sift."""
+    """What both parties keep: their sources, and the clicks of the
+    acknowledged windows, which both sift."""
 
     def __init__(self, cfg: SessionConfig, key_files: Tuple[str, ...], seed: int, who: str):
         self.cfg = cfg
@@ -306,22 +306,22 @@ class _Party:
             raise ConfigError(f"{who} bit source holds {left} bits, session needs {cfg.n_pulses}")
         self._bases_src = (BitSource.from_seed(seed, STREAM_BASES)
                            if cfg.variant.uses_bases else None)  # none in the two-state variant
-        # One byte per pulse sent so far, values 0 and 1; the end of the last acknowledged
-        # window, and the clicks below it, one array per acknowledgement until ``_joined``.
-        self._bits = bytearray()
-        self._bases = bytearray()
+        self._bits = self._bases = None  # Alice's record of every pulse, which Bob does not keep
+        # The last acknowledged window's end, and the clicks below it, one array per ack.
         self._acked = 0
         self._detected = [np.empty(0, np.uint64)]
 
     def _draw_symbols(self, count: int) -> np.ndarray:
-        """Next ``count`` symbols 2 * bit + basis, as uint8, with the bits and bases
-        drawn recorded; without a bases source every basis is 0 (two-state variant)."""
-        drawn = self._bits_src.take(count)
-        self._bits += drawn.data
-        symbols = drawn + drawn
+        """Next ``count`` symbols 2 * bit + basis, as uint8, with Alice's bits and bases
+        recorded; without a bases source every basis is 0 (two-state variant)."""
+        symbols = self._bits_src.take(count)  # a new array, doubled in place once recorded
+        if self._bits is not None:
+            self._bits += symbols.data
+        symbols += symbols
         if self._bases_src is not None:
             drawn_bases = self._bases_src.take(count)
-            self._bases += drawn_bases.data
+            if self._bases is not None:
+                self._bases += drawn_bases.data
             symbols += drawn_bases
         return symbols
 
@@ -331,6 +331,7 @@ class AliceSession(_Party):
 
     def __init__(self, cfg: SessionConfig):
         super().__init__(cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
+        self._bits, self._bases = bytearray(), bytearray()  # a byte per pulse reflected, 0 or 1
         # Oracle mode discloses every sifted bit and draws nothing.
         self._disclose_rng = (derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
                               if cfg.disclosure_fraction != 0.0 else None)
@@ -460,7 +461,7 @@ class AliceSession(_Party):
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
         detected = _joined(self._detected)
         mine = _at(self._bases, detected)
-        return [Bases(mine), self._disclose(_matched(detected, mine, msg))]
+        return [Bases(mine), self._disclose(detected[_matched(mine, msg)])]
 
     def _disclose(self, sifted: np.ndarray) -> Disclose:
         """Sifting is done: disclose every sifted bit, or a random part that
@@ -474,7 +475,7 @@ class AliceSession(_Party):
                 self._disclose_rng.choice(sifted.size, size=int(f * sifted.size), replace=False)
             )
             chosen = sifted[picks]
-            self._final = np.delete(sifted, picks)
+            self._final = sifted[np.bincount(picks, minlength=sifted.size) == 0]  # the rest
         records = np.empty(chosen.size, DISCLOSE_RECORD)
         records["index"], records["bit"] = chosen, _at(self._bits, chosen)
         return Disclose(records)
@@ -500,6 +501,7 @@ class BobSession(_Party):
         self._physics = QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
+        self._click_symbols = [np.empty(0, np.uint8)]  # his symbol at each click, in order
 
     def run(self, endpoint) -> SessionResult:
         try:
@@ -547,18 +549,21 @@ class BobSession(_Party):
         """Reference path: one QFRAME out and back per pulse; symbols drawn per block."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
         window_clicks: List[int] = []
+        clicked: List[int] = []  # the symbol of each click
         for start, end in _blocks(n, window):
             symbols = self._draw_symbols(end - start)
             for i, symbol in enumerate(symbols.tolist(), start):
                 endpoint.send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
                 if self._physics.observe(self._expect(endpoint, QFrameBack), PHASES[symbol]):
                     window_clicks.append(i)
+                    clicked.append(symbol)
                 if (i + 1) % window == 0 or i + 1 == n:
                     clicks = np.array(window_clicks, np.uint64)
                     endpoint.send(Detections(clicks))
                     self._detected.append(clicks)
                     self._acked = i + 1
                     window_clicks.clear()
+        self._click_symbols.append(np.array(clicked, np.uint8))
 
     def _block_loop(self, endpoint) -> None:
         """Batched path: one window frame out and back per block of pulses."""
@@ -574,7 +579,9 @@ class BobSession(_Party):
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
             )
             back = self._expect(endpoint, QFrameWindowBack)
-            clicks = observe_window(back, symbols).astype(np.uint64)
+            at = observe_window(back, symbols)
+            self._click_symbols.append(symbols[at])
+            clicks = at.astype(np.uint64)
             clicks += start
             if pending.size:
                 clicks = np.concatenate((pending, clicks))
@@ -595,14 +602,15 @@ class BobSession(_Party):
         """Bases exchange, disclosure check and the result, after the last window."""
         cfg = self.cfg
         matched = detected = _joined(self._detected)
+        symbols = _joined(self._click_symbols)  # every window is acknowledged: one per click
+        sifted_bob = symbols >> 1
         if cfg.variant.uses_bases:
-            bob_bases = _at(self._bases, detected)
+            bob_bases = symbols & 1
             endpoint.send(Bases(bob_bases))
-            matched = _matched(detected, bob_bases, self._expect(endpoint, Bases))
+            keep = _matched(bob_bases, self._expect(endpoint, Bases))
+            matched, sifted_bob = detected[keep], sifted_bob[keep]
         records = self._expect(endpoint, Disclose).items
         disclosed, alice_bits = records["index"], records["bit"]
-        bob_bits = np.frombuffer(self._bits, np.uint8)
-        sifted_bob = bob_bits[matched]
         if cfg.disclosure_fraction == 0.0:
             if not np.array_equal(disclosed, matched):
                 raise ProtocolViolationError(
@@ -617,7 +625,8 @@ class BobSession(_Party):
             at = matched.searchsorted(disclosed)
             if at.size and (at[-1] == matched.size or np.count_nonzero(matched[at] != disclosed)):
                 raise ProtocolViolationError("peer disclosed an index that was not sifted")
-            bob_disclosed, final_bob = bob_bits[disclosed], bob_bits[np.delete(matched, at)]
+            rest = np.bincount(at, minlength=matched.size) == 0
+            bob_disclosed, final_bob = sifted_bob[at], sifted_bob[rest]
             sifted_alice = None
             removed = tuple(disclosed.tolist())
         compared = disclosed.size

@@ -1,8 +1,8 @@
 """Seeded random streams and the bit sources that feed the protocol.
 
 Every consumer gets its own derived generator so streams never interleave.
-A stream holds one array and a position in it: a key-file source all its
-bits, which it never adds to; a PRNG source what is left of its last draw.
+A PRNG stream holds what is left of its last draw; a finite bit source its
+bits packed, as key files hold them, unpacking only the bytes a take reads.
 A ``take`` that needs more returns one new array, the values still held and
 then exactly the values it was missing; a scalar draw refills ``_BLOCK``
 values at a time. No sequence depends on how callers chunk their requests,
@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BitSourceExhausted
-from .keyfile import bit_array, read_key_file
+from .keyfile import encode_key_block, packed_key_block
 
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
@@ -55,8 +56,7 @@ if hasattr(os, "register_at_fork"):  # a forked child starts a helper of its own
 
 
 class _Stream:
-    """Serves each value once, in order, from one held array: a finite
-    ``values`` array, or what is left of the last draw from ``rng``."""
+    """Serves each value once, in order, from what is left of the last draw from ``rng``."""
 
     # Even: the scalar refill size, and the most bits one raw-word read makes.
     # No served value depends on it.
@@ -64,34 +64,24 @@ class _Stream:
     _PREFETCH_MIN = 32768  # fewest values worth waking the helper: a 20k-pulse block lost 10%
     _job = _drawn = _lock = None  # a prefetch: (out, values held before it), result, lock
 
-    def __init__(self, rng: Optional[np.random.Generator] = None,
-                 values: Optional[np.ndarray] = None):
+    def __init__(self, rng: Optional[np.random.Generator]):
         self._rng = rng
-        self._held = self._EMPTY if values is None else values
+        self._held = self._EMPTY
         self._pos = 0
 
-    def remaining(self) -> Optional[int]:
-        """Values left, or None when the stream is unbounded."""
-        return None if self._rng is not None else self._held.size - self._pos
-
     def take(self, n: int) -> np.ndarray:
-        """Next ``n`` values as a new array; a finite stream refuses, serving
-        nothing, a request it cannot fill whole."""
+        """Next ``n`` values as a new array."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         left = self._held.size - self._pos
         if n <= left and self._job is None:
             self._pos += n
             return self._held[self._pos - n:self._pos].copy()
-        if self._rng is None:
-            raise BitSourceExhausted(f"requested {n} bits, {left} left")
         return self._refill(n - left)
 
     def _refill(self, count: int) -> np.ndarray:
         """The values still held and then ``count`` fresh ones, as one new
         array; the stream keeps only what the draw left over."""
-        if self._rng is None:
-            raise BitSourceExhausted("requested 1 bit, 0 left")
         left = self._held.size - self._pos
         if self._job is None:
             out = np.empty(left + count, self._EMPTY.dtype)
@@ -142,25 +132,26 @@ class _Stream:
 
 class BitSource(_Stream):
     """Random bits as uint8: unbounded from a seeded PCG64 generator
-    (``from_seed``), or finite from bits loaded from key files, served in
-    file order."""
+    (``from_seed``), or finite, from key files in file order or from given bits."""
 
     _EMPTY = np.empty(0, np.uint8)  # nothing held; also the served dtype
+    _left: Optional[int] = None  # bits left; None, unbounded, for a generator
 
     @classmethod
     def from_seed(cls, seed: int, stream: int = 0) -> "BitSource":
         return cls(derive_rng(seed, stream))
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitSource":
-        return cls(values=bit_array(bits, ValueError).copy())  # the caller's array stays theirs
+    @staticmethod
+    def from_bits(bits: Sequence[int]) -> "BitSource":
+        return _PackedBits([packed_key_block(encode_key_block(bits))])  # checked as key files are
 
-    @classmethod
-    def from_key_files(cls, paths: Sequence[str]) -> "BitSource":
-        blocks = [read_key_file(p) for p in paths]
-        if not blocks:
-            raise ValueError("at least one key file required")
-        return cls(values=np.concatenate(blocks))
+    @staticmethod
+    def from_key_files(paths: Sequence[str]) -> "BitSource":
+        return _PackedBits([packed_key_block(Path(p).read_bytes()) for p in paths])
+
+    def remaining(self) -> Optional[int]:
+        """Bits left, or None when the source is unbounded."""
+        return self._left
 
     def _draw(self, out: np.ndarray) -> np.ndarray:
         # integers(0, 2) never rejects (Lemire's threshold is 0 for two values): bit k is the
@@ -180,6 +171,51 @@ class BitSource(_Stream):
         return pair[1:]
 
     take_bit = _Stream._scalar
+
+
+class _PackedBits(BitSource):
+    """A finite source: a (payload, bit count) per key file, unpacked as served."""
+
+    def __init__(self, files: List[Tuple[np.ndarray, int]]):
+        super().__init__(None)
+        self._files = [file for file in files if file[1]]  # the cursor never rests on an empty one
+        self._left = sum(count for _, count in self._files)
+        self._file = self._bit = 0  # the next bit is bit ``_bit`` of file ``_file``
+
+    def _serve(self, n: int) -> Tuple[np.ndarray, int, int]:
+        """Serves up to ``n`` bits of one file, none if ``n`` are not left: payload, bit, count."""
+        if n > self._left:
+            raise BitSourceExhausted(f"requested {n} bits, {self._left} left")
+        payload, count = self._files[self._file]
+        bit, k = self._bit, min(count - self._bit, n)
+        self._left -= k
+        self._file, self._bit = (self._file + 1, 0) if bit + k == count else (self._file, bit + k)
+        return payload, bit, k
+
+    def take(self, n: int) -> np.ndarray:
+        """Next ``n`` bits as a new array; refuses, serving nothing, what it cannot fill whole."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        spans, moves, at, size = [], [], 0, 0
+        while at < n:  # the bytes that hold the take, per file
+            payload, bit, k = self._serve(n - at)
+            spans.append(payload[bit >> 3:(bit + k + 7) >> 3])
+            moves.append((8 * size + bit % 8, at, k))
+            size, at = size + spans[-1].size, at + k
+        # One file's bytes are read in place; those of several, or of none, are joined.
+        packed = spans[0] if len(spans) == 1 else np.concatenate([self._EMPTY, *spans])
+        out = np.unpackbits(packed, bitorder="little")
+        # A part starts at its bit offset, after the padding bits of the file before it: move
+        # each left, in order, onto no part still to move. With no view, ``out`` shrinks in place.
+        for src, dst, k in moves:
+            if src != dst:
+                out[dst:dst + k] = out[src:src + k]
+        out.resize(n, refcheck=False)
+        return out
+
+    def take_bit(self) -> int:
+        payload, bit, _ = self._serve(1)
+        return payload.item(bit >> 3) >> (bit & 7) & 1
 
 
 class UniformSampler(_Stream):

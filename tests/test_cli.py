@@ -146,6 +146,17 @@ def test_simulate_outputs_are_pinned(tmp_path, capsys):
     assert entry["role"] == "both" and entry["sifted_bits"] == 20
 
 
+def test_simulate_duration_survives_a_wall_clock_step_back(tmp_path, monkeypatch):
+    # Every time.time() reading is an hour before the last: a duration taken
+    # from two of them would be negative; time.monotonic() cannot step back.
+    wall = iter(range(2_000_000_000, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_OK
+    (entry,) = log_entries(out)
+    assert entry["duration_s"] >= 0
+
+
 def test_simulate_in_process_failure_logs_one_line(tmp_path, capsys):
     # Ten pulses leave no comparable bits, so no report can be written.
     cfg = write_config(tmp_path, BASE_CONFIG.replace("n_pulses = 20000", "n_pulses = 10"))
@@ -222,6 +233,13 @@ def test_keygen_single_block(tmp_path, capsys):
     out2 = tmp_path / "key2.qkdr"
     main(["keygen", "--out", str(out2), "--seed", "3"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_keygen_output_is_pinned(tmp_path):
+    out = tmp_path / "key.qkdr"
+    assert main(["keygen", "--out", str(out), "--bits", "65535", "--seed", "9"]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d884bbee84abb30c8223169dc1088cc9c97d92ad3cffc8c47d4ccd5150419ecb")
 
 
 def test_keygen_multiple_blocks(tmp_path):

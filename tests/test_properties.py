@@ -1,7 +1,7 @@
 """Property tests of the documented invariants.
 
 - Random streams are chunk-independent: any interleaving of scalar and
-  block requests serves the same sequence.
+  block requests serves the same sequence, across key-file boundaries too.
 - Alice's state machine answers any message sequence, block
   acknowledgements included, with replies or ``ProtocolViolationError``,
   nothing else, and rejects every window frame that overlaps, leaves a gap,
@@ -21,7 +21,9 @@
 """
 
 import functools
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -64,6 +66,7 @@ from fmqkd.framing import (
     encode_frame,
 )
 from fmqkd.interferometer import SetupConfig
+from fmqkd.keyfile import read_key_file, write_key_file
 from fmqkd.protocol import (
     OUTGOING_REFERENCE_PHOTONS,
     PHASES,
@@ -148,6 +151,37 @@ def test_key_file_bits_any_interleaving_same_stream(runs, bits):
             break
     assert served == bits[:len(served)]
     assert src.remaining() == len(bits) - len(served)
+
+
+@SETTINGS
+@given(blocks=st.lists(st.lists(BIT, min_size=1, max_size=70), min_size=1, max_size=5),
+       runs=st.lists(st.tuples(st.booleans(), st.integers(0, 80)), max_size=40))
+# An empty file is a valid key file: scalars and takes pass over it.
+@example(blocks=[[1, 0, 1], [], [0, 1]], runs=[(True, 4), (False, 1), (False, 0)])
+@example(blocks=[[1], [], [0, 1]], runs=[(False, 3)])
+def test_key_files_serve_their_bits_across_file_boundaries(blocks, runs):
+    # Files of 1-70 bits end at every offset in a byte, so takes start and cross
+    # file boundaries at every bit offset.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{k}.qkdr") for k in range(len(blocks))]
+        for path, bits in zip(paths, blocks):
+            write_key_file(path, np.array(bits, np.uint8))
+        file_bits = np.concatenate([read_key_file(path) for path in paths]).tolist()
+        src = BitSource.from_key_files(paths)
+    served = []
+    for as_scalar, count in runs:
+        left = src.remaining()
+        if as_scalar:
+            served.extend(src.take_bit() for _ in range(min(count, left)))
+        elif count <= left:
+            served.extend(taken(src.take, count))
+        if count > left:
+            # A refused take serves nothing; scalars stop at the last bit.
+            with pytest.raises(BitSourceExhausted):
+                src.take_bit() if as_scalar else src.take(count)
+            assert src.remaining() == left - (left if as_scalar else 0)
+    assert served == file_bits[:len(served)]
+    assert src.remaining() == len(file_bits) - len(served)
 
 
 class SmallSampler(UniformSampler):

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import functools
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,27 @@ def test_bit_exhaustion_is_config_error_before_start(tmp_path):
     cfg = dataclasses.replace(base, alice_key_files=(str(p),))
     with pytest.raises(ConfigError):
         AliceSession(cfg)
+
+
+def test_bob_keeps_a_symbol_per_click_not_a_byte_per_pulse():
+    # After a 4M-pulse session all that Bob still holds, clicks and their symbols
+    # included, is under 0.01 B per pulse; a bit and a basis per pulse were 2 B.
+    n = 4_000_000
+    cfg = reference_session(0.1, n, Seeds(4, 5, 6), ProtocolVariant.BB84)
+    tracemalloc.start()
+    try:
+        bob = BobSession(cfg)
+        result = bob.run(open_in_process(AliceSession(cfg).handle))
+        assert result.pulses_processed == n and result.clicks > 0
+        del result  # with Alice, who keeps a bit and a basis per pulse
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del bob
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.01 * n
 
 
 def test_config_mismatch_rejected():

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from field_inputs import REFUSED, TAKEN
 from fmqkd import randomness
 from fmqkd.errors import BitSourceExhausted
+from fmqkd.keyfile import NATIVE_BLOCK_BITS, write_key_file
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
 from sessions import traced_peak
 
@@ -94,6 +96,24 @@ def test_key_files_serve_their_bits_in_file_order(tmp_path):
     assert np.array_equal(src.take(5), [1, 0, 1, 0, 0])
     with pytest.raises(BitSourceExhausted):
         src.take_bit()
+
+
+def test_key_files_are_held_packed(tmp_path):
+    # 256 native blocks, 16.8M bits: a source holds the files' payloads, 0.125 B
+    # per bit, and unpacks none of them to open it (1 B per bit held, 2 at the peak).
+    rng = np.random.default_rng(9)
+    paths = [str(tmp_path / f"{k}.qkdr") for k in range(256)]
+    for path in paths:
+        write_key_file(path, rng.integers(0, 2, NATIVE_BLOCK_BITS, dtype=np.uint8))
+    bits = len(paths) * NATIVE_BLOCK_BITS
+    tracemalloc.start()
+    try:
+        src = BitSource.from_key_files(paths)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert src.remaining() == bits
+    assert held <= 0.15 * bits and peak <= 0.2 * bits
 
 
 def test_uniform_sampler_tracks_generator_stream():
