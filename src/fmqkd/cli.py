@@ -118,7 +118,7 @@ def parse_run_config(path: Path) -> RunSpec:
     # Deployment settings, which no session carries.
     deploy = {"channel": "in_process", "host": "127.0.0.1", "port": "9876"}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -168,7 +168,7 @@ def write_report(path: Path, cfg: SessionConfig, result: SessionResult) -> None:
         str(len(result.sifted_key_bob)),
         _fmt(result.sift_rate_per_1000),
     )
-    path.write_text(",".join(REPORT_COLUMNS) + "\n" + ",".join(row) + "\n")
+    path.write_text(",".join(REPORT_COLUMNS) + "\n" + ",".join(row) + "\n", encoding="utf-8")
 
 
 def append_session_log(path: Path, role: str, mode: str, cfg: SessionConfig, outcome,
@@ -198,7 +198,7 @@ def append_session_log(path: Path, role: str, mode: str, cfg: SessionConfig, out
         payload.update(sifted_bits=len(outcome.sifted_key), measured_er=outcome.measured_er)
     if error is not None:
         payload["error"] = f"{type(error).__name__}: {error}"
-    with path.open("a") as fh:
+    with path.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -301,7 +301,7 @@ def cmd_table1(args) -> int:
                   f"(band {_fmt(v.low * n)}..{_fmt(v.high * n)} around {key.paper}: "
                   f"{'pass' if v.ok else 'FAIL'})")
     text = ",".join(TABLE_COLUMNS) + "\n" + "\n".join(",".join(r) for r in out_rows) + "\n"
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

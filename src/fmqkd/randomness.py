@@ -16,18 +16,24 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BitSourceExhausted
-from .keyfile import encode_key_block, packed_key_block
+from .errors import BitSourceExhausted, ConfigError
+from .keyfile import encode_key_block, packed_key_block, packed_key_file
 
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream); deterministic."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+
+
+def check_key_file_paths(paths, name: str = "paths") -> None:
+    """ConfigError naming ``name`` if ``paths`` is one path, not a sequence of them:
+    read as a sequence, a path string is a path per character."""
+    if isinstance(paths, (str, bytes, os.PathLike)):
+        raise ConfigError(f"{name} must be a sequence of paths, got the one path {paths!r}")
 
 
 def _cpus() -> int:
@@ -147,7 +153,8 @@ class BitSource(_Stream):
 
     @staticmethod
     def from_key_files(paths: Sequence[str]) -> "BitSource":
-        return _PackedBits([packed_key_block(Path(p).read_bytes()) for p in paths])
+        check_key_file_paths(paths)
+        return _PackedBits([packed_key_file(p) for p in paths])
 
     def remaining(self) -> Optional[int]:
         """Bits left, or None when the source is unbounded."""

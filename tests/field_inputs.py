@@ -26,7 +26,14 @@ check in process, these escaped as ``TypeError``, ``IndexError`` or
 ``ValueError``, or were taken: an index 0.0 as 0, a NaN error rate as the
 measured one, a commitment of 31 bytes or a NaN mu_pair as a config
 mismatch.
+
+Key-file paths: ``keyfile``'s reader and writer and ``BitSource.from_key_files``
+take each form of ``PATH_FORMS``; ``SessionConfig`` and ``from_key_files``
+refuse each entry of ``ONE_PATH``, one path where a sequence of them belongs,
+which read as a sequence would open a file per character.
 """
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -141,6 +148,22 @@ DISCLOSE_REFUSED = {
     "bit 1.7": [(5, 1.7)],
     "index 5.9": [(5.9, 1)],
 }
+
+
+class FsPath:
+    """An ``os.PathLike`` that is not a ``pathlib.Path``."""
+
+    def __init__(self, path):
+        self._path = str(path)
+
+    def __fspath__(self):
+        return self._path
+
+
+PATH_FORMS = {"str": str, "Path": Path, "PathLike": FsPath}
+
+ONE_PATH = {form: make("alice.qkdr") for form, make in PATH_FORMS.items()}
+ONE_PATH["bytes"] = b"alice.qkdr"
 
 NAN = float("nan")
 

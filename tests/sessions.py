@@ -2,7 +2,8 @@
 
 The link configs, key files and started parties that tests feed a session;
 one forwarding endpoint, the in-process and loopback session runners, one
-scripted raw peer, ``free_port`` and ``traced_peak``, the memory probe. pytest
+scripted raw peer, ``free_port``, ``traced_peak``, the memory probe, and
+``child_env``, the environment of a child interpreter. pytest
 does not collect this module; tests import it like ``field_inputs``. Each
 thread started here is joined before the test that started it ends, and what
 the thread raised is raised in that test.
@@ -10,6 +11,7 @@ the thread raised is raised in that test.
 
 import contextlib
 import dataclasses
+import os
 import queue
 import socket
 import threading
@@ -18,6 +20,7 @@ import types
 
 import numpy as np
 
+import fmqkd
 from field_inputs import window_out
 from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
 from fmqkd.detector import GatedDetectorConfig
@@ -109,6 +112,14 @@ class PassThroughEndpoint:
 
     def close(self):
         self._inner.close()
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter: the package under test first on its path."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.realpath(fmqkd.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def free_port():

@@ -7,14 +7,11 @@ the verdicts are stable.
 """
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
-import fmqkd
 from fmqkd.claims import CLAIMS, REFERENCE_ROWS, judge, row_session
 from fmqkd.framing import Detections, encode_frame
 from fmqkd.interferometer import SetupConfig, detection_mean
@@ -30,19 +27,12 @@ from fmqkd.presets import reference_session
 from fmqkd.protocol import ProtocolVariant, Seeds, run_session
 from sessions import (
     PassThroughEndpoint,
+    child_env,
     free_port,
     noiseless_config,
     run_in_process,
     run_over_socket,
 )
-
-
-def _cli_env() -> dict:
-    """Environment for ``python -m fmqkd.cli`` children: the package under test first."""
-    env = dict(os.environ)
-    src = str(Path(fmqkd.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -148,16 +138,16 @@ def test_criterion_7_mode_equivalence(tmp_path):
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     alice_proc = subprocess.Popen(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(sock_cfg),
-         "--out", str(out_a), "--role", "alice"], env=_cli_env()
+         "--out", str(out_a), "--role", "alice"], env=child_env()
     )
     bob_rc = subprocess.run(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(sock_cfg),
-         "--out", str(out_b), "--role", "bob"], env=_cli_env()
+         "--out", str(out_b), "--role", "bob"], env=child_env()
     ).returncode
     alice_rc = alice_proc.wait(timeout=60)
     both_rc = subprocess.run(
         [sys.executable, "-m", "fmqkd.cli", "simulate", "--config", str(inproc_cfg),
-         "--out", str(out_c)], env=_cli_env()
+         "--out", str(out_c)], env=child_env()
     ).returncode
     ok_cli = (
         bob_rc == 0 and alice_rc == 0 and both_rc == 0
@@ -193,7 +183,7 @@ def test_criterion_9_key_file_round_trip(tmp_path):
     out = tmp_path / "block.qkdr"
     rc = subprocess.run(
         [sys.executable, "-m", "fmqkd.cli", "keygen", "--out", str(out), "--seed", "9"],
-        env=_cli_env(),
+        env=child_env(),
     ).returncode
     bits = read_key_file(out)
     from fmqkd.randomness import BitSource

@@ -37,7 +37,7 @@ from fmqkd.framing import (
 from fmqkd.keyfile import MAX_BITS, read_key_file
 from fmqkd.protocol import ProtocolVariant
 from fmqkd.randomness import BitSource
-from sessions import RawPeer, free_port, in_thread
+from sessions import RawPeer, child_env, free_port, in_thread
 
 
 BASE_CONFIG = """\
@@ -155,6 +155,18 @@ def test_simulate_duration_survives_a_wall_clock_step_back(tmp_path, monkeypatch
     assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_OK
     (entry,) = log_entries(out)
     assert entry["duration_s"] >= 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "table1"])
+def test_text_files_are_read_and_written_as_utf8(tmp_path, command):
+    # -X warn_default_encoding warns at each text file opened in the locale's
+    # encoding, and -W error::EncodingWarning turns that warning into a traceback.
+    args = {"simulate": ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")],
+            "table1": ["--seed", "27", "--out", str(tmp_path / "table.csv")]}[command]
+    run = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W",
+                          "error::EncodingWarning", "-m", "fmqkd.cli", command, *args],
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
 
 def test_simulate_in_process_failure_logs_one_line(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from field_inputs import REFUSED, TAKEN
+from field_inputs import PATH_FORMS, REFUSED, TAKEN
+from fmqkd import keyfile
 from fmqkd.errors import KeyFileError
 from fmqkd.keyfile import (
     HEADER_SIZE,
@@ -25,6 +29,34 @@ def test_native_block_round_trip(tmp_path):
     assert np.array_equal(back, bits)
     # 65535 bits need 8192 payload bytes; one padding bit stays zero.
     assert path.stat().st_size == HEADER_SIZE + 8192
+
+
+@pytest.mark.parametrize("form", list(PATH_FORMS.values()), ids=list(PATH_FORMS))
+def test_key_files_are_written_and_read_from_str_and_pathlike_paths(tmp_path, form):
+    bits = np.random.default_rng(4).integers(0, 2, 1001, dtype=np.uint8)
+    path = tmp_path / "k.qkdr"
+    write_key_file(form(path), bits)
+    assert path.read_bytes() == encode_key_block(bits)
+    for read_as in PATH_FORMS.values():
+        assert np.array_equal(read_key_file(read_as(path)), bits)
+
+
+def test_only_the_cli_imports_pathlib():
+    # On CPython 3.10, 3.11 and 3.13 a pathlib.Path interns each part of its
+    # path; one built per session churns the interned-string table, which then
+    # regrows by about 1 MB. The CLI builds its paths once per process.
+    importers = set()
+    for module in Path(keyfile.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "pathlib" for name in names):
+                importers.add(module.stem)
+    assert importers == {"cli"}
 
 
 def test_golden_block_bytes():

@@ -12,6 +12,7 @@ import pytest
 from field_inputs import (
     DISCLOSE_REFUSED,
     MALFORMED,
+    ONE_PATH,
     REFUSED,
     TO_ALICE,
     TO_BOB,
@@ -305,6 +306,16 @@ def test_key_file_driven_session(tmp_path):
     expected = bytes(int(file_bits[i]) for i in result.detected_indices)
     assert result.sifted_key_alice == expected
     assert result.measured_er == 0.0
+
+
+@pytest.mark.parametrize("field", ["alice_key_files", "bob_key_files"])
+@pytest.mark.parametrize("one_path", list(ONE_PATH.values()), ids=list(ONE_PATH))
+def test_one_key_file_path_is_refused_where_a_tuple_belongs(field, one_path):
+    # Read as a sequence, "alice.qkdr" would open "a", then "l", ...
+    base = noiseless_config(500)
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(base, **{field: one_path})
+    assert getattr(dataclasses.replace(base, **{field: [one_path]}), field) == [one_path]
 
 
 def test_bit_exhaustion_is_config_error_before_start(tmp_path):

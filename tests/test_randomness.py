@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 import time
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from field_inputs import REFUSED, TAKEN
-from fmqkd import randomness
-from fmqkd.errors import BitSourceExhausted
+from field_inputs import ONE_PATH, PATH_FORMS, REFUSED, TAKEN
+from fmqkd import keyfile, randomness
+from fmqkd.errors import BitSourceExhausted, ConfigError
 from fmqkd.keyfile import NATIVE_BLOCK_BITS, write_key_file
 from fmqkd.randomness import BitSource, UniformSampler, derive_rng
-from sessions import traced_peak
+from sessions import child_env, traced_peak
 
 
 def test_take_is_chunk_independent():
@@ -96,6 +97,55 @@ def test_key_files_serve_their_bits_in_file_order(tmp_path):
     assert np.array_equal(src.take(5), [1, 0, 1, 0, 0])
     with pytest.raises(BitSourceExhausted):
         src.take_bit()
+
+
+@pytest.mark.parametrize("form", list(PATH_FORMS.values()), ids=list(PATH_FORMS))
+def test_key_files_are_opened_from_str_and_pathlike_paths(tmp_path, form):
+    rng = np.random.default_rng(6)
+    files = [tmp_path / f"{k}.qkdr" for k in range(2)]
+    bits = [rng.integers(0, 2, n, dtype=np.uint8) for n in (13, 70)]
+    for path, b in zip(files, bits):
+        write_key_file(path, b)
+    src = BitSource.from_key_files([form(path) for path in files])
+    assert np.array_equal(src.take(83), np.concatenate(bits))
+
+
+@pytest.mark.parametrize("one_path", list(ONE_PATH.values()), ids=list(ONE_PATH))
+def test_one_key_file_path_is_refused_before_any_file_is_opened(monkeypatch, one_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no file may be opened")
+
+    monkeypatch.setattr(keyfile, "open", refuse, raising=False)
+    with pytest.raises(ConfigError, match="paths"):
+        BitSource.from_key_files(one_path)
+
+
+# Builds 10,000 two-file sources from the str paths in argv, after one to warm
+# up, and prints the most bytes tracemalloc saw held at once.
+_BUILDS = """
+import sys, tracemalloc
+from fmqkd.randomness import BitSource
+paths = sys.argv[1:]
+BitSource.from_key_files(paths)
+tracemalloc.start()
+for _ in range(10_000):
+    BitSource.from_key_files(paths)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_building_key_file_sources_does_not_grow_the_interned_string_table(tmp_path):
+    # A pathlib.Path interns each part of its path on CPython 3.10, 3.11 and
+    # 3.13. A file name interned per build and freed with its Path leaves a
+    # deleted slot in the interned-string table; when they run out the table
+    # regrows, a fresh 940 KiB. A child starts the table in a fixed state; in
+    # the test process, when the first regrowth comes depends on what is imported.
+    paths = [str(tmp_path / f"alice-{k}.qkdr") for k in range(2)]
+    for path in paths:
+        write_key_file(path, np.ones(100, np.uint8))
+    out = subprocess.run([sys.executable, "-c", _BUILDS, *paths], env=child_env(),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert int(out) < 64 * 1024
 
 
 def test_key_files_are_held_packed(tmp_path):
