@@ -254,7 +254,6 @@ class QuantumPhysics:
         self._table = click_probability(detection_mean(_PHASE_DIFFS, setup), detector)
         self._p_max = self._table.max()
         self._gates = UniformSampler(rng)
-        self.prefetch = self._gates.prefetch  # the next window's gate uniforms, by count
 
     def _check(self, index: int, mean_photons: float, pol) -> None:
         if index != self._expected_index:
@@ -366,9 +365,13 @@ class AliceSession(_Party):
         if isinstance(msg, QFrameWindowOut):
             return self._on_qframe_window(msg)
         if isinstance(msg, Detections):
-            # One window, ending at the frames reflected so far.
-            msg = check_message(DetectionsBlock(np.array([self._qframes], np.uint64),
-                                                msg.indices))
+            # One window, ending at the frames reflected so far; checked above, it can
+            # break only the block rule of no click at or past that end.
+            ends = np.array([self._qframes], np.uint64)
+            if msg.indices.size and msg.indices[-1] >= ends[0]:
+                raise ProtocolViolationError(f"DETECTIONS index at or past the {ends[0]} "
+                                             "frames reflected")
+            msg = DetectionsBlock(ends, msg.indices)
         if isinstance(msg, DetectionsBlock):
             return self._on_detections_block(msg)
         if isinstance(msg, Bases):
@@ -570,12 +573,11 @@ class BobSession(_Party):
     def _block_loop(self, endpoint) -> None:
         """Batched path: one window frame out and back per block of pulses."""
         n, window = self.cfg.n_pulses, self.cfg.ack_window
-        prefetch, observe_window = self._physics.prefetch, self._physics.observe_window
+        observe_window = self._physics.observe_window
         # Clicks of the window still open, when a window spans several blocks.
         pending = np.empty(0, np.uint64)
         for start, end in _blocks(n, window):
             count = end - start
-            prefetch(count)  # Bob's gates, drawn while both parties draw their symbols
             symbols = self._draw_symbols(count)
             endpoint.send(
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)

@@ -4,18 +4,17 @@ Every consumer gets its own derived generator so streams never interleave.
 A PRNG stream holds what is left of its last draw; a finite bit source its
 bits packed, as key files hold them, unpacking only the bytes a take reads.
 A ``take`` that needs more returns one new array, the values still held and
-then exactly the values it was missing; a scalar draw refills ``_BLOCK``
-values at a time. No sequence depends on how callers chunk their requests,
-which keeps both engines and both channel modes bit-identical. Random bits
-are the bits ``integers(0, 2)`` would draw, read two per PCG64 output word at
-a fraction of its cost; an odd draw holds its last word's second bit.
+then exactly the values it was missing, drawn on the calling thread; a
+scalar draw refills ``_BLOCK`` values at a time. No sequence depends on how
+callers chunk their requests, which keeps both engines and both channel
+modes bit-identical. Random bits are the bits ``integers(0, 2)`` would draw,
+read two per PCG64 output word at a fraction of its cost; an odd draw holds
+its last word's second bit.
 """
 
 from __future__ import annotations
 
-import functools
 import os
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,39 +35,12 @@ def check_key_file_paths(paths, name: str = "paths") -> None:
         raise ConfigError(f"{name} must be a sequence of paths, got the one path {paths!r}")
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=None)
-def _helper():
-    """The helper thread's queue of draws; the first call starts the thread."""
-    import queue  # here, not at start-up: only a process that prefetches needs it
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=_serve, args=(jobs,), name="fmqkd-draws", daemon=True).start()
-    return jobs
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child starts a helper of its own
-    os.register_at_fork(after_in_child=_helper.cache_clear)
-
-
 class _Stream:
     """Serves each value once, in order, from what is left of the last draw from ``rng``."""
 
     # Even: the scalar refill size, and the most bits one raw-word read makes.
     # No served value depends on it.
     _BLOCK = 16384
-    _PREFETCH_MIN = 32768  # fewest values worth waking the helper: a 20k-pulse block lost 10%
-    _job = _drawn = _lock = None  # a prefetch: (out, values held before it), result, lock
 
     def __init__(self, rng: Optional[np.random.Generator]):
         self._rng = rng
@@ -80,7 +52,7 @@ class _Stream:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         left = self._held.size - self._pos
-        if n <= left and self._job is None:
+        if n <= left:
             self._pos += n
             return self._held[self._pos - n:self._pos].copy()
         return self._refill(n - left)
@@ -89,43 +61,11 @@ class _Stream:
         """The values still held and then ``count`` fresh ones, as one new
         array; the stream keeps only what the draw left over."""
         left = self._held.size - self._pos
-        if self._job is None:
-            out = np.empty(left + count, self._EMPTY.dtype)
-            held = self._draw(out[left:])
-        else:
-            out, at = self._job
-            if (at, out.size) != (left, left + count):
-                raise ValueError(f"take({left + count}) after prefetch({out.size})")
-            self._run_job(wait=True)
-            held, self._job, self._drawn = self._drawn, None, None
-            if isinstance(held, BaseException):
-                raise held
+        out = np.empty(left + count, self._EMPTY.dtype)
         if left:
             out[:left] = self._held[self._pos:]
-        self._held, self._pos = held, 0
+        self._held, self._pos = self._draw(out[left:]), 0
         return out
-
-    def prefetch(self, n: int) -> None:
-        """Start the next ``take(n)``'s draw on the helper thread: a large draw, on two CPUs."""
-        if n < self._PREFETCH_MIN or self._job or self._rng is None or _cpus() < 2:
-            return
-        left = self._held.size - self._pos
-        self._lock = self._lock or threading.Lock()  # one per stream, made before any job
-        self._job = (np.empty(n, self._EMPTY.dtype), left)  # _drawn is None with no job
-        _helper().put(self._run_job)
-
-    def _run_job(self, wait: bool = False) -> None:
-        """Run the pending draw once; without ``wait``, skip it while another thread runs it."""
-        if not self._lock.acquire(wait):
-            return
-        try:
-            if self._job is not None and self._drawn is None:
-                out, left = self._job
-                self._drawn = self._draw(out[left:])
-        except BaseException as exc:  # raised by the take that collects it
-            self._drawn = exc
-        finally:
-            self._lock.release()
 
     def _scalar(self):
         """Next single value as a Python scalar; same stream as :meth:`take`."""

@@ -8,10 +8,12 @@ everything either party ends up with.
 
 import dataclasses
 import functools
+import json
 import math
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from field_inputs import pulse_out, window_back, window_out
-from fmqkd import protocol, randomness
+from fmqkd import protocol
 from fmqkd.channel import SocketEndpoint, open_in_process
 from fmqkd.detector import GatedDetectorConfig, click_probability
 from fmqkd.errors import ChannelError, ProtocolViolationError, SessionAborted
@@ -49,6 +51,7 @@ from fmqkd.protocol import (
 from fmqkd.randomness import derive_rng
 from sessions import (
     PassThroughEndpoint,
+    child_env,
     noisy_config,
     run_in_process,
     run_over_socket,
@@ -433,22 +436,14 @@ def advanced_state(seed, stream, words):
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 @pytest.mark.parametrize("ack_window", [1024, 7])
-def test_batched_session_draws_only_the_values_it_uses(monkeypatch, variant, ack_window):
+def test_batched_session_draws_only_the_values_it_uses(variant, ack_window):
     # Bits come two to a PCG64 word and gate uniforms one to a word, so each
-    # stream ends exactly where the session's own pulses leave it. Any runner
-    # counts as two CPUs: the two full blocks of the longer session have their
-    # gates drawn on the helper thread, the 20,001-pulse block is under the size rule.
-    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
-    handed = []
-    helper = randomness._helper
-    monkeypatch.setattr(randomness, "_helper", lambda: handed.append(1) or helper())
-    for n, prefetched in ((20_001, 0), (2 * protocol.BLOCK_PULSES + 1, 2)):
-        handed.clear()
+    # stream ends exactly where the session's own pulses leave it.
+    for n in (20_001, 2 * protocol.BLOCK_PULSES + 1):
         cfg = dataclasses.replace(reference_session(0.2, n, SEEDS[1], variant),
                                   ack_window=ack_window)
         alice, bob = AliceSession(cfg), BobSession(cfg)
         bob.run(open_in_process(alice.handle))
-        assert len(handed) == prefetched
         for party, seed in ((alice, cfg.seeds.alice), (bob, cfg.seeds.bob)):
             for stream, src in ((protocol.STREAM_BITS, party._bits_src),
                                 (protocol.STREAM_BASES, party._bases_src)):
@@ -458,26 +453,19 @@ def test_batched_session_draws_only_the_values_it_uses(monkeypatch, variant, ack
         assert gates == advanced_state(cfg.seeds.physics, protocol.STREAM_GATES, n)
 
 
-def helper_serves():
-    """True when a job handed to the helper thread runs within 30 s."""
-    ran = threading.Event()
-    randomness._helper().put(ran.set)
-    return ran.wait(30)
-
-
 @pytest.mark.parametrize("breach, message", [
     (lambda back: back._replace(mean_photons=0.3), "photons"),
     (lambda back: back._replace(start=1), "index"),
     (lambda back: back._replace(count=back.count - 1, symbols=back.symbols[1:]), "symbols for"),
 ], ids=["brightness", "index", "count"])
-def test_rule_breaking_window_after_a_prefetch_leaves_the_helper_serving(
-        monkeypatch, breach, message):
-    # One 40,000-pulse block: its gates are handed to the helper before the
-    # window goes out, and the window that comes back breaks a rule.
+def test_rule_breaking_window_after_a_prefetch_leaves_the_helper_serving(breach, message):
+    # The name dates from when this block's gates were drawn ahead on a helper
+    # thread. One 40,000-pulse block whose returned window breaks a rule: Bob
+    # refuses it before drawing any of its gates, no thread is started, and the
+    # next session in this process is the one a fresh process runs.
     cfg = reference_session(0.2, 40_000, SEEDS[2])
-    monkeypatch.setattr(randomness, "_cpus", lambda: 1)
     fresh = run_session(cfg)
-    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
+    threads = threading.active_count()
     alice = AliceSession(cfg)
 
     def responder(msg):
@@ -486,26 +474,27 @@ def test_rule_breaking_window_after_a_prefetch_leaves_the_helper_serving(
     bob = BobSession(cfg)
     with pytest.raises(ProtocolViolationError, match=message):
         bob.run(open_in_process(responder))
-    assert bob._physics._gates._job is not None  # handed over, never taken
-    assert helper_serves()
+    gates = bob._physics._gates._rng.bit_generator.state
+    assert gates == advanced_state(cfg.seeds.physics, protocol.STREAM_GATES, 0)
+    assert threading.active_count() == threads
     assert run_session(cfg) == fresh
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork: Linux only")
-def test_forked_child_runs_a_session_with_a_helper_of_its_own(monkeypatch):
-    monkeypatch.setattr(randomness, "_cpus", lambda: 2)
+def test_forked_child_runs_a_session_with_a_helper_of_its_own():
+    # The name dates from when each process started a draw helper of its own;
+    # a forked child now draws on its one thread, as its parent does.
     cfg = reference_session(0.1, 100_000, SEEDS[0])
-    expected = run_session(cfg)  # the helper runs in this process from here on
-    assert helper_serves()
+    expected = run_session(cfg)
     with warnings.catch_warnings():
-        # Python 3.12+ warns on fork in a process that has threads; the child
-        # calls only os._exit once its session is done.
+        # Python 3.12+ warns on fork in a process that has threads, as a test
+        # runner may; the child calls only os._exit once its session is done.
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if run_session(cfg) == expected and helper_serves() else 2
+            code = 0 if run_session(cfg) == expected else 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -519,3 +508,35 @@ def test_forked_child_runs_a_session_with_a_helper_of_its_own(monkeypatch):
             pytest.fail("the forked child's session did not end within 60 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# Runs, on every CPU the runner has, a two-block BB92 session and the BB84
+# key-file session whose key files argv holds as JSON, then prints the
+# threads left running.
+_SESSIONS = """
+import json, os, sys, threading
+try:
+    os.sched_setaffinity(0, range(os.cpu_count()))
+except (AttributeError, OSError):  # no such call, or CPUs this process may not use
+    pass
+import dataclasses
+from fmqkd import protocol
+from fmqkd.presets import reference_session
+from fmqkd.protocol import ProtocolVariant, Seeds, run_session
+n = 2 * protocol.BLOCK_PULSES + 1
+run_session(reference_session(0.1, n, Seeds(1, 2, 3)))
+cfg = reference_session(0.2, n, Seeds(4, 5, 6), ProtocolVariant.BB84)
+files = json.loads(sys.argv[1])
+run_session(dataclasses.replace(cfg, ack_window=8, disclosure_fraction=0.5, **files))
+print(threading.active_count())
+"""
+
+
+def test_no_session_starts_a_thread(tmp_path):
+    # A fresh interpreter, so no thread of the test process is counted.
+    cfg = with_key_files(reference_session(0.2, 2 * protocol.BLOCK_PULSES + 1, SEEDS[0],
+                                           ProtocolVariant.BB84), tmp_path, 11)
+    files = {party: getattr(cfg, party) for party in ("alice_key_files", "bob_key_files")}
+    out = subprocess.run([sys.executable, "-c", _SESSIONS, json.dumps(files)], env=child_env(),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert int(out) == 1

@@ -661,6 +661,28 @@ def test_alice_refuses_a_click_past_the_frames_reflected(acknowledgement):
     assert alice.detected_indices == (3,)
 
 
+def test_per_pulse_session_checks_each_received_message_once(monkeypatch):
+    # Alice reads each DETECTIONS as a one-window block; the block is not checked again.
+    received, checked = [], []
+    check = protocol.check_message
+
+    class CountingEndpoint(PassThroughEndpoint):
+        def recv(self):
+            received.append(super().recv())
+            return received[-1]
+
+    def counted_check(msg):
+        checked.append(msg)
+        return check(msg)
+
+    monkeypatch.setattr(protocol, "check_message", counted_check)
+    cfg = reference_session(0.2, 4096, Seeds(3, 4, 5), ProtocolVariant.BB84)
+    result, _, seen = run_in_process(cfg, CountingEndpoint)
+    assert not result.aborted
+    assert sum(isinstance(m, Detections) for m in seen) == 4
+    assert sorted(map(id, checked)) == sorted(map(id, seen + received))
+
+
 def test_alice_rejects_acknowledgement_of_frames_not_reflected():
     alice = started_alice(windowed_config(ProtocolVariant.BB92), 40)
     with pytest.raises(ProtocolViolationError):
