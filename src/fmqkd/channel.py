@@ -22,11 +22,10 @@ Responder = Callable[[Message], List[Message]]
 # actually arrive, whatever length its header claims.
 RECV_CHUNK = 65536
 
-# Seconds a socket waits on its peer to connect or for any one send or recv;
-# a stalled peer then ends the session with ChannelError instead of a hang.
+# Seconds a socket waits on its peer for a whole connect, its tries included, or any
+# one send or recv; a stalled peer then ends the session with ChannelError, not a hang.
 IDLE_TIMEOUT_S = 30.0
-CONNECT_ATTEMPTS = 40  # tries to reach a peer that is still starting up
-CONNECT_DELAY_S = 0.25  # seconds between tries
+CONNECT_DELAY_S = 0.25  # seconds between tries to reach a peer that is still starting up
 
 
 class InProcessEndpoint:
@@ -101,15 +100,18 @@ def open_in_process(responder: Responder) -> InProcessEndpoint:
 
 
 def connect(host: str, port: int) -> SocketEndpoint:
-    """Connect to a serving peer, retrying while it starts up."""
-    last: Optional[Exception] = None
-    for _ in range(CONNECT_ATTEMPTS):
+    """Connect to a serving peer, retrying while it starts up, until a deadline
+    IDLE_TIMEOUT_S after the call; each try waits only for the time left."""
+    deadline = time.monotonic() + IDLE_TIMEOUT_S
+    left = IDLE_TIMEOUT_S
+    while True:
         try:
-            return SocketEndpoint(socket.create_connection((host, port), timeout=IDLE_TIMEOUT_S))
+            return SocketEndpoint(socket.create_connection((host, port), timeout=left))
         except OSError as exc:
-            last = exc
-            time.sleep(CONNECT_DELAY_S)
-    raise ChannelError(f"could not connect to {host}:{port}: {last}")
+            left = deadline - time.monotonic() - CONNECT_DELAY_S
+            if left <= 0:
+                raise ChannelError(f"could not connect to {host}:{port}: {exc}") from exc
+        time.sleep(CONNECT_DELAY_S)
 
 
 def serve_once(host: str, port: int, responder: Responder,

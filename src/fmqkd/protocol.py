@@ -27,8 +27,8 @@ Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
 bases matched (four-state variant, after the BASES exchange). Error
 estimation runs over the bits Alice discloses: everything in oracle mode
 (disclosure_fraction 0, exact error rate, keys kept), or a random subset
-that is then removed from both final keys. Alice builds keys on uint64 index
-arrays into her bytes of bits and bases, Bob from the symbols of his clicks.
+that is then removed from both final keys. Each party keys from its symbols
+at the clicks; Alice also holds those of the frames not yet acknowledged.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ class ProtocolVariant(enum.Enum):
     @property
     def uses_bases(self) -> bool:
         return self is ProtocolVariant.BB84
-
-
-def _at(buffer: bytearray, indices: np.ndarray) -> np.ndarray:
-    """The bytes of ``buffer`` at ``indices``, as uint8."""
-    return np.frombuffer(buffer, np.uint8)[indices]
 
 
 def _joined(parts: List[np.ndarray]) -> np.ndarray:
@@ -296,7 +291,7 @@ class QuantumPhysics:
 
 class _Party:
     """What both parties keep: their sources, and the clicks of the
-    acknowledged windows, which both sift."""
+    acknowledged windows with the party's symbol at each, which both sift."""
 
     def __init__(self, cfg: SessionConfig, key_files: Tuple[str, ...], seed: int, who: str):
         self.cfg = cfg
@@ -307,23 +302,18 @@ class _Party:
             raise ConfigError(f"{who} bit source holds {left} bits, session needs {cfg.n_pulses}")
         self._bases_src = (BitSource.from_seed(seed, STREAM_BASES)
                            if cfg.variant.uses_bases else None)  # none in the two-state variant
-        self._bits = self._bases = None  # Alice's record of every pulse, which Bob does not keep
-        # The last acknowledged window's end, and the clicks below it, one array per ack.
+        # The last acknowledged window's end; the clicks below it and their symbols, per ack.
         self._acked = 0
         self._detected = [np.empty(0, np.uint64)]
+        self._click_symbols = [np.empty(0, np.uint8)]
 
     def _draw_symbols(self, count: int) -> np.ndarray:
-        """Next ``count`` symbols 2 * bit + basis, as uint8, with Alice's bits and bases
-        recorded; without a bases source every basis is 0 (two-state variant)."""
-        symbols = self._bits_src.take(count)  # a new array, doubled in place once recorded
-        if self._bits is not None:
-            self._bits += symbols.data
+        """Next ``count`` symbols 2 * bit + basis, as uint8; without a bases
+        source every basis is 0 (two-state variant)."""
+        symbols = self._bits_src.take(count)  # a new array, doubled in place
         symbols += symbols
         if self._bases_src is not None:
-            drawn_bases = self._bases_src.take(count)
-            if self._bases is not None:
-                self._bases += drawn_bases.data
-            symbols += drawn_bases
+            symbols += self._bases_src.take(count)
         return symbols
 
 
@@ -332,7 +322,7 @@ class AliceSession(_Party):
 
     def __init__(self, cfg: SessionConfig):
         super().__init__(cfg, cfg.alice_key_files, cfg.seeds.alice, "alice")
-        self._bits, self._bases = bytearray(), bytearray()  # a byte per pulse reflected, 0 or 1
+        self._sent = bytearray()  # the symbol of each frame reflected and not yet acknowledged
         # Oracle mode discloses every sifted bit and draws nothing.
         self._disclose_rng = (derive_rng(cfg.seeds.alice, STREAM_DISCLOSURE)
                               if cfg.disclosure_fraction != 0.0 else None)
@@ -343,8 +333,8 @@ class AliceSession(_Party):
         self._started = False
         self._qframes = 0
         self._finalized = False
-        # Sifted indices, and those of them the final key keeps.
-        self._sifted = self._final = np.empty(0, np.uint64)
+        # Sifted bits, and those of them the final key keeps.
+        self._sifted = self._final = np.empty(0, np.uint8)
         self.measured_er: Optional[float] = None
         self.done = False
         self.abort_reason: Optional[int] = None
@@ -415,16 +405,12 @@ class AliceSession(_Party):
     def _on_qframe(self, msg: QFrameOut) -> List[Message]:
         i = msg.index
         self._check_outgoing(i, 1, msg.mean_photons)
-        bit = self._bits_src.take_bit()
-        self._bits.append(bit)
+        symbol = 2 * self._bits_src.take_bit()
         if self._bases_src is not None:
-            basis = self._bases_src.take_bit()
-            self._bases.append(basis)
-            phase = PHASES[2 * bit + basis]
-        else:
-            phase = PHASES[2 * bit]
+            symbol += self._bases_src.take_bit()
+        self._sent.append(symbol)
         self._qframes += 1
-        return [QFrameBack(i, self._half_mu, phase, _reflect(msg.pol))]
+        return [QFrameBack(i, self._half_mu, PHASES[symbol], _reflect(msg.pol))]
 
     def _on_qframe_window(self, msg: QFrameWindowOut) -> List[Message]:
         if msg.count > BLOCK_PULSES:
@@ -433,6 +419,7 @@ class AliceSession(_Party):
             )
         self._check_outgoing(msg.start, msg.count, msg.mean_photons)
         symbols = self._draw_symbols(msg.count)
+        self._sent += symbols.data
         self._qframes += msg.count
         return [QFrameWindowBack(msg.start, msg.count, self._half_mu, symbols,
                                  _reflect(msg.pol))]
@@ -454,9 +441,12 @@ class AliceSession(_Party):
                 f"detection index {indices[0]} in a window acknowledged before"
             )
         self._detected.append(indices)
+        # The gather copies: a view of _sent left alive would make the del raise BufferError.
+        self._click_symbols.append(np.frombuffer(self._sent, np.uint8)[indices - self._acked])
+        del self._sent[:last - self._acked]
         self._acked = last
         if last == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
-            return [self._disclose(_joined(self._detected))]
+            return [self._disclose(_joined(self._detected), _joined(self._click_symbols) >> 1)]
         return []
 
     def _on_bases(self, msg: Bases) -> List[Message]:
@@ -464,34 +454,34 @@ class AliceSession(_Party):
             raise ProtocolViolationError("BASES message in a two-state session")
         if self._finalized or self._acked != self.cfg.n_pulses:
             raise ProtocolViolationError("BASES must follow the final acknowledgement")
-        detected = _joined(self._detected)
-        mine = _at(self._bases, detected)
-        return [Bases(mine), self._disclose(detected[_matched(mine, msg)])]
+        symbols = _joined(self._click_symbols)
+        mine = symbols & 1
+        keep = _matched(mine, msg)
+        return [Bases(mine), self._disclose(_joined(self._detected)[keep], symbols[keep] >> 1)]
 
-    def _disclose(self, sifted: np.ndarray) -> Disclose:
-        """Sifting is done: disclose every sifted bit, or a random part that
-        leaves the final key."""
-        self._sifted = self._final = sifted
+    def _disclose(self, sifted: np.ndarray, bits: np.ndarray) -> Disclose:
+        """Sifting is done on the pulses ``sifted``, which carry ``bits``:
+        disclose every sifted bit, or a random part that leaves the final key."""
+        self._sifted = self._final = bits
         self._finalized = True
-        chosen = sifted
         f = self.cfg.disclosure_fraction
         if f != 0.0:
             picks = np.sort(
                 self._disclose_rng.choice(sifted.size, size=int(f * sifted.size), replace=False)
             )
-            chosen = sifted[picks]
-            self._final = sifted[np.bincount(picks, minlength=sifted.size) == 0]  # the rest
-        records = np.empty(chosen.size, DISCLOSE_RECORD)
-        records["index"], records["bit"] = chosen, _at(self._bits, chosen)
+            self._final = bits[np.bincount(picks, minlength=sifted.size) == 0]  # the rest
+            sifted, bits = sifted[picks], bits[picks]
+        records = np.empty(sifted.size, DISCLOSE_RECORD)
+        records["index"], records["bit"] = sifted, bits
         return Disclose(records)
 
     @property
     def sifted_key(self) -> bytes:
-        return _at(self._bits, self._sifted).tobytes()
+        return self._sifted.tobytes()
 
     @property
     def final_key(self) -> bytes:
-        return _at(self._bits, self._final).tobytes()
+        return self._final.tobytes()
 
     @property
     def detected_indices(self) -> Tuple[int, ...]:
@@ -506,7 +496,6 @@ class BobSession(_Party):
         self._physics = QuantumPhysics(
             cfg.setup, cfg.detector, derive_rng(cfg.seeds.physics, STREAM_GATES)
         )
-        self._click_symbols = [np.empty(0, np.uint8)]  # his symbol at each click, in order
 
     def run(self, endpoint) -> SessionResult:
         try:

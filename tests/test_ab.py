@@ -36,6 +36,7 @@ def test_ab_runs_this_tree_against_itself(workload):
         assert report[side]["median_pulses_per_s"] > 0
     assert report["fields_agree"] is True
     assert report["median_ratio"] > 0 and len(report["interval_95"]) == 2
+    assert report["bootstrap_block"] == round(PAIRS ** (1 / 3))
     assert report["a_won"] + report["b_won"] <= PAIRS
 
 

@@ -86,10 +86,33 @@ def test_socket_peer_close_mid_frame_raises():
 
 
 def test_connect_refused_after_retries(monkeypatch):
-    monkeypatch.setattr(channel, "CONNECT_ATTEMPTS", 2)
+    monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", 0.05)
     monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.01)
     with pytest.raises(ChannelError):
         connect("127.0.0.1", free_port())
+
+
+def test_connect_gives_up_at_one_deadline(monkeypatch):
+    # A peer that refuses twice, then never answers: each try waits what is left
+    # of the deadline, and all of them end within it plus a stated 0.5 s slack.
+    timeout, slack = 0.2, 0.5
+    tries = []
+
+    def create_connection(address, timeout):
+        tries.append(timeout)
+        if len(tries) <= 2:
+            raise ConnectionRefusedError("refused")
+        time.sleep(timeout)
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", timeout)
+    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.01)
+    monkeypatch.setattr(channel.socket, "create_connection", create_connection)
+    start = time.monotonic()
+    with pytest.raises(ChannelError, match="timed out"):
+        connect("127.0.0.1", 1)
+    assert time.monotonic() - start < timeout + slack
+    assert len(tries) == 3 and tries[0] == timeout > tries[1] > tries[2] > 0
 
 
 def test_socket_session_matches_in_process():

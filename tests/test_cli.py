@@ -227,8 +227,7 @@ def test_simulate_socket_config_needs_roles(tmp_path, capsys):
 
 def test_simulate_bob_connect_failure_is_channel_error(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG + "channel = socket\nport = 1\n")
-    monkeypatch.setattr(channel, "CONNECT_ATTEMPTS", 1)
-    monkeypatch.setattr(channel, "CONNECT_DELAY_S", 0.0)
+    monkeypatch.setattr(channel, "IDLE_TIMEOUT_S", 0.05)
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--role", "bob"])
     assert code == EXIT_CHANNEL

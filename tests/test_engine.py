@@ -38,6 +38,8 @@ from fmqkd.framing import (
 from fmqkd.interferometer import SetupConfig, detection_mean
 from fmqkd.presets import reference_detector, reference_session, reference_setup
 from fmqkd.protocol import (
+    STREAM_BASES,
+    STREAM_BITS,
     AliceSession,
     BobSession,
     ProtocolVariant,
@@ -48,7 +50,7 @@ from fmqkd.protocol import (
     SessionResult,
     run_session,
 )
-from fmqkd.randomness import derive_rng
+from fmqkd.randomness import BitSource, derive_rng
 from sessions import (
     PassThroughEndpoint,
     child_env,
@@ -133,6 +135,31 @@ def test_batched_matches_per_pulse_across_blocks(monkeypatch, ack_window):
     for variant in ProtocolVariant:
         for seeds in SEEDS[:2]:
             assert_equivalent(noisy_config(1000, seeds, variant, ack_window, 0.5))
+
+
+@pytest.mark.parametrize("engine", [run_in_process, run_reference], ids=["batched", "per_pulse"])
+@pytest.mark.parametrize("disclosure", [0.0, 0.5])
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("ack_window", [1, 7, 100, 250])
+def test_alice_keys_are_her_own_stream_bits(monkeypatch, ack_window, variant, disclosure,
+                                            engine):
+    # An oracle outside Alice's record: her keys are her bit stream at the sifted
+    # pulses, with windows inside and across blocks.
+    monkeypatch.setattr(protocol, "BLOCK_PULSES", 64)
+    cfg = noisy_config(1000, SEEDS[1], variant, ack_window, disclosure)
+    result, alice, _ = engine(cfg)
+
+    def stream(seed, kind):
+        return BitSource.from_seed(seed, kind).take(cfg.n_pulses)
+
+    sifted = np.array(result.detected_indices, np.intp)
+    if variant.uses_bases:
+        bases = stream(cfg.seeds.alice, STREAM_BASES), stream(cfg.seeds.bob, STREAM_BASES)
+        sifted = sifted[bases[0][sifted] == bases[1][sifted]]
+    bits = stream(cfg.seeds.alice, STREAM_BITS)
+    assert sifted.size > 10
+    assert alice.sifted_key == bits[sifted].tobytes()
+    assert alice.final_key == bits[np.setdiff1d(sifted, result.disclosed_indices)].tobytes()
 
 
 @pytest.fixture(scope="module")

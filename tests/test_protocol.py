@@ -22,7 +22,7 @@ from field_inputs import (
 )
 from fmqkd import protocol
 from fmqkd.channel import open_in_process
-from fmqkd.claims import CLAIMS, judge
+from fmqkd.claims import CLAIMS, REFERENCE_ROWS, judge
 from fmqkd.detector import GatedDetectorConfig
 from fmqkd.errors import (
     ChannelError,
@@ -42,6 +42,7 @@ from fmqkd.framing import (
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
     PHASES,
+    STREAM_BASES,
     STREAM_BITS,
     AliceSession,
     BobSession,
@@ -59,6 +60,7 @@ from sessions import (
     noiseless_config,
     run_in_process,
     started_alice,
+    traced_peak,
 )
 
 
@@ -78,22 +80,29 @@ def alice_phases(cfg):
     return alice, phases, back.symbols
 
 
+def alice_stream(cfg, stream):
+    """The first ``cfg.n_pulses`` values of Alice's bit or basis stream."""
+    return BitSource.from_seed(cfg.seeds.alice, stream).take(cfg.n_pulses).tolist()
+
+
 def test_encode_phase_two_state():
     # Bit 0 -> phase 0, bit 1 -> phase pi; no basis is drawn.
-    alice, phases, symbols = alice_phases(noiseless_config(200))
-    assert len(alice._bits) == 200 and len(alice._bases) == 0
-    assert set(alice._bits) == {0, 1}
-    assert phases == [math.pi * bit for bit in alice._bits]
+    cfg = noiseless_config(200)
+    alice, phases, symbols = alice_phases(cfg)
+    bits = alice_stream(cfg, STREAM_BITS)
+    assert alice._bases_src is None
+    assert set(bits) == {0, 1}
+    assert phases == [math.pi * bit for bit in bits]
     assert phases == [PHASES[s] for s in symbols]
 
 
 def test_encode_phase_four_state():
     # Basis 0 carries {0, pi}, basis 1 carries {pi/2, 3pi/2}.
     cfg = noiseless_config(200, variant=ProtocolVariant.BB84)
-    alice, phases, symbols = alice_phases(cfg)
-    assert len(alice._bits) == len(alice._bases) == 200
+    _, phases, symbols = alice_phases(cfg)
     expected = [math.pi * bit + math.pi / 2.0 * basis
-                for bit, basis in zip(alice._bits, alice._bases)]
+                for bit, basis in zip(alice_stream(cfg, STREAM_BITS),
+                                      alice_stream(cfg, STREAM_BASES))]
     assert phases == expected
     assert set(phases) == {0.0, math.pi / 2.0, math.pi, 1.5 * math.pi}
     assert phases == [PHASES[s] for s in symbols]
@@ -330,25 +339,40 @@ def test_bit_exhaustion_is_config_error_before_start(tmp_path):
         AliceSession(cfg)
 
 
-def test_bob_keeps_a_symbol_per_click_not_a_byte_per_pulse():
-    # After a 4M-pulse session all that Bob still holds, clicks and their symbols
-    # included, is under 0.01 B per pulse; a bit and a basis per pulse were 2 B.
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("party", ["alice", "bob"])
+def test_each_party_keeps_a_symbol_per_click_not_a_byte_per_pulse(party, variant):
+    # After a 4M-pulse session all that one party still holds, clicks and their
+    # symbols included, is under 0.01 B per pulse; a bit and a basis per pulse would be 2 B.
     n = 4_000_000
-    cfg = reference_session(0.1, n, Seeds(4, 5, 6), ProtocolVariant.BB84)
+    cfg = reference_session(0.1, n, Seeds(4, 5, 6), variant)
     tracemalloc.start()
     try:
-        bob = BobSession(cfg)
-        result = bob.run(open_in_process(AliceSession(cfg).handle))
+        parties = {"alice": AliceSession(cfg), "bob": BobSession(cfg)}
+        result = parties["bob"].run(open_in_process(parties["alice"].handle))
         assert result.pulses_processed == n and result.clicks > 0
-        del result  # with Alice, who keeps a bit and a basis per pulse
+        del result
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        del bob
+        del parties[party]  # the other party stays
         gc.collect()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held < 0.01 * n
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_a_full_scale_session_peaks_under_a_tenth_of_a_byte_per_pulse(variant):
+    # The paper's 20 kbit key takes about 40M pulses at mu 0.1. Both parties
+    # and the result, whose tuple of clicks grows with them, peak under 0.1 B
+    # per pulse; a byte per pulse of either party's record would exceed it.
+    n = REFERENCE_ROWS[1].full_scale_pulses
+    cfg = reference_session(0.1, n, Seeds(4, 5, 6), variant)
+    with traced_peak() as traced:
+        result = run_session(cfg)
+    assert result.pulses_processed == n and result.clicks > 0
+    assert traced.peak < 0.1 * n
 
 
 def test_config_mismatch_rejected():

@@ -16,7 +16,10 @@ results must also agree field by field, since their ``SessionResult`` classes
 differ. Key files go to a temporary directory: nothing is written into either
 tree. Prints one JSON report: per tree its median pulses/s, and over the
 pairs the median ratio of B's pulses/s to A's, a 95% bootstrap interval on
-that median, and the pairs each side won. Exits 1 if any digest differs.
+that median, and the pairs each side won. Neighbouring pairs share the
+host's drift, so the interval resamples runs of L neighbouring pairs, with
+L = round(pairs ** (1/3)) (a moving-block bootstrap: H. R. Kuensch, Ann.
+Statist. 17, 1217, 1989). Exits 1 if any digest differs.
 """
 
 import argparse
@@ -36,6 +39,17 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "perfbench" / "inputs.py"
 BOOTSTRAP = 10_000  # resamples of the pair ratios
+
+
+def block_bootstrap(ratios: np.ndarray):
+    """The block length L, and a 95% interval on the median of ``ratios`` from
+    resamples built of runs of L neighbouring ratios."""
+    block = max(1, round(ratios.size ** (1 / 3)))
+    starts = np.random.default_rng(0).integers(
+        0, ratios.size - block + 1, (BOOTSTRAP, -(-ratios.size // block)))
+    picks = (starts[:, :, None] + np.arange(block)).reshape(BOOTSTRAP, -1)[:, :ratios.size]
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return block, [float(low), float(high)]
 
 
 def load_tree(tree: Path, name: str):
@@ -127,15 +141,14 @@ def compare(tree_a: Path, tree_b: Path, workload: str, seed: int, pairs: int,
             rates = {first.name: first.block(sessions), second.name: second.block(sessions)}
             ratios.append(rates[b.name] / rates[a.name])
     ratios = np.array(ratios)
-    resampled = np.random.default_rng(0).choice(ratios, (BOOTSTRAP, ratios.size))
-    low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
+    block, interval = block_bootstrap(ratios)
     fields_agree = a.fields == b.fields
     return {
         "workload": workload, "seed": seed, "pairs": pairs, "sessions_per_block": sessions,
         "a": a.report(), "b": b.report(), "fields_agree": fields_agree,
         "ratio": "pulses/s of B over A, per pair of blocks",
         "median_ratio": float(np.median(ratios)),
-        "interval_95": [float(low), float(high)],
+        "interval_95": interval, "bootstrap_block": block,
         "b_won": int(np.sum(ratios > 1.0)), "a_won": int(np.sum(ratios < 1.0)),
     }
 
