@@ -44,6 +44,7 @@ from .protocol import (
     Seeds,
     SessionConfig,
     SessionResult,
+    abort_error,
     run_session,
 )
 from .randomness import BitSource
@@ -220,7 +221,7 @@ def cmd_simulate(args) -> int:
         if args.role == "alice":
             serve_once(spec.host, spec.port, alice.handle, is_done=lambda: alice.done)
             if alice.abort_reason is not None:
-                raise ConfigError(f"peer aborted with reason {alice.abort_reason}")
+                raise abort_error(alice.abort_reason)
         else:
             endpoint = (connect(spec.host, spec.port) if args.role == "bob"
                         else open_in_process(alice.handle))

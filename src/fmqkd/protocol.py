@@ -20,7 +20,7 @@ Both parties share one core, ``_Party``, which draws every pulse's symbol
 and keeps what both sift. Each party runs ``framing.check_message``, the
 check encode and ``decode_frame`` run, once on every message it receives (a
 socket's ``recv`` leaves it to them); the handlers keep only the session's
-rules. Alice checks both acknowledgements with one rule set: a DETECTIONS is
+rules, and ``MESSAGE_ORDER`` their order. Alice reads a DETECTIONS as
 a DETECTIONS_BLOCK of one window, ending at the frames reflected so far.
 
 Sifting keeps clicked pulses (two-state variant) or clicked pulses whose
@@ -88,6 +88,19 @@ PHASES = (0.0, math.pi / 2.0, math.pi, 1.5 * math.pi)
 _SYMBOL_OF_PHASE = {phase: symbol for symbol, phase in enumerate(PHASES)}
 # Phase difference of each (Alice, Bob) symbol pair, indexed 4 * alice + bob.
 _PHASE_DIFFS = np.subtract.outer(PHASES, PHASES).ravel()
+
+# The session's phases: in each, the types Alice may receive, each to her handler
+# (which moves her on), and those Bob may receive. Other types are refused there.
+MESSAGE_ORDER = {
+    "START": ({SessionStart: "_on_start"}, ()),
+    "WINDOWS": ({QFrameOut: "_on_qframe", QFrameWindowOut: "_on_qframe_window",
+                 Detections: "_on_detections", DetectionsBlock: "_on_detections_block",
+                 Terminate: "_on_terminate"}, (QFrameBack, QFrameWindowBack)),
+    "SIFT": ({Bases: "_on_bases", Terminate: "_on_terminate"}, (Bases,)),  # four-state only
+    "REPORT": ({ErReport: "_on_er_report", Terminate: "_on_terminate"}, (Disclose,)),
+    "CLOSE": ({Terminate: "_on_terminate"}, ()),
+    "DONE": ({}, ()),
+}
 
 
 class ProtocolVariant(enum.Enum):
@@ -330,66 +343,49 @@ class AliceSession(_Party):
         # Validates that the reference level can reach mu_pair / 2 at all.
         attenuator_setting(cfg.setup, OUTGOING_REFERENCE_PHOTONS)
         self._half_mu = cfg.setup.mu_pair / 2.0
-        self._started = False
-        self._qframes = 0
-        self._finalized = False
+        self._phase = "START"
         # Sifted bits, and those of them the final key keeps.
         self._sifted = self._final = np.empty(0, np.uint8)
         self.measured_er: Optional[float] = None
-        self.done = False
         self.abort_reason: Optional[int] = None
 
+    @property
+    def done(self) -> bool:
+        return self._phase == "DONE"
+
     def handle(self, msg: Message) -> List[Message]:
-        if self.done:
-            if self.abort_reason is not None:
-                # Aborted sessions drop stragglers, like a closed socket would.
-                return []
-            raise ProtocolViolationError("message received after session end")
+        if self.abort_reason is not None:
+            return []  # aborted sessions drop stragglers, like a closed socket would
         msg = check_message(msg)
-        if isinstance(msg, SessionStart):
-            return self._on_start(msg)
-        if not self._started:
-            raise ProtocolViolationError("first message must be SESSION_START")
-        if isinstance(msg, QFrameOut):
-            return self._on_qframe(msg)
-        if isinstance(msg, QFrameWindowOut):
-            return self._on_qframe_window(msg)
-        if isinstance(msg, Detections):
-            # One window, ending at the frames reflected so far; checked above, it can
-            # break only the block rule of no click at or past that end.
-            ends = np.array([self._qframes], np.uint64)
-            if msg.indices.size and msg.indices[-1] >= ends[0]:
-                raise ProtocolViolationError(f"DETECTIONS index at or past the {ends[0]} "
-                                             "frames reflected")
-            msg = DetectionsBlock(ends, msg.indices)
-        if isinstance(msg, DetectionsBlock):
-            return self._on_detections_block(msg)
-        if isinstance(msg, Bases):
-            return self._on_bases(msg)
-        if isinstance(msg, ErReport):
-            self.measured_er = msg.error_rate
-            return []
-        if isinstance(msg, Terminate):
-            self.done = True
-            if msg.reason != TERMINATE_NORMAL:
-                self.abort_reason = msg.reason
-            return []
-        raise ProtocolViolationError(f"unexpected message {type(msg).__name__}")
+        handler = MESSAGE_ORDER[self._phase][0].get(type(msg))
+        if handler is None:
+            raise ProtocolViolationError(f"{type(msg).__name__} in phase {self._phase}")
+        return getattr(self, handler)(msg)
 
     def _on_start(self, msg: SessionStart) -> List[Message]:
-        if self._started:
-            raise ProtocolViolationError("duplicate SESSION_START")
         if msg != self._start:
-            self.done = True
+            self._phase = "DONE"
             self.abort_reason = TERMINATE_CONFIG_MISMATCH
             return [Terminate(TERMINATE_CONFIG_MISMATCH)]
-        self._started = True
+        self._phase = "WINDOWS"
+        return []
+
+    def _on_terminate(self, msg: Terminate) -> List[Message]:
+        self._phase = "DONE"
+        if msg.reason != TERMINATE_NORMAL:
+            self.abort_reason = msg.reason
+        return []
+
+    def _on_er_report(self, msg: ErReport) -> List[Message]:
+        self.measured_er = msg.error_rate
+        self._phase = "CLOSE"
         return []
 
     def _check_outgoing(self, start: int, count: int, mean_photons: float) -> None:
-        if start != self._qframes:
+        reflected = self._acked + len(self._sent)
+        if start != reflected:
             raise ProtocolViolationError(
-                f"outgoing frame index {start}, expected {self._qframes}"
+                f"outgoing frame index {start}, expected {reflected}"
             )
         if count < 1 or start + count > self.cfg.n_pulses:
             raise ProtocolViolationError(
@@ -409,7 +405,6 @@ class AliceSession(_Party):
         if self._bases_src is not None:
             symbol += self._bases_src.take_bit()
         self._sent.append(symbol)
-        self._qframes += 1
         return [QFrameBack(i, self._half_mu, PHASES[symbol], _reflect(msg.pol))]
 
     def _on_qframe_window(self, msg: QFrameWindowOut) -> List[Message]:
@@ -420,21 +415,26 @@ class AliceSession(_Party):
         self._check_outgoing(msg.start, msg.count, msg.mean_photons)
         symbols = self._draw_symbols(msg.count)
         self._sent += symbols.data
-        self._qframes += msg.count
         return [QFrameWindowBack(msg.start, msg.count, self._half_mu, symbols,
                                  _reflect(msg.pol))]
 
+    def _on_detections(self, msg: Detections) -> List[Message]:
+        # One window, ending at the frames reflected so far: no click at or past that end.
+        ends = np.array([self._acked + len(self._sent)], np.uint64)
+        if msg.indices.size and msg.indices[-1] >= ends[0]:
+            raise ProtocolViolationError(f"DETECTIONS index at or past the {ends[0]} "
+                                         "frames reflected")
+        return self._on_detections_block(DetectionsBlock(ends, msg.indices))
+
     def _on_detections_block(self, msg: DetectionsBlock) -> List[Message]:
         """Checks and records acknowledged windows; after the last, the
-        two-state variant sifts and discloses."""
-        if self._finalized:
-            raise ProtocolViolationError("acknowledgement after sifting finished")
+        two-state variant sifts and discloses, and the four-state one waits for BASES."""
         ends, indices = msg
         first, last = int(ends[0]), int(ends[-1])
-        if first <= self._acked or last > self._qframes:
+        if first <= self._acked or last - self._acked > len(self._sent):
             raise ProtocolViolationError(
                 f"DETECTIONS_BLOCK ends {first}..{last} out of order, acknowledged "
-                f"{self._acked}, reflected {self._qframes}"
+                f"{self._acked}, reflected {self._acked + len(self._sent)}"
             )
         if indices.size and indices[0] < self._acked:
             raise ProtocolViolationError(
@@ -445,15 +445,13 @@ class AliceSession(_Party):
         self._click_symbols.append(np.frombuffer(self._sent, np.uint8)[indices - self._acked])
         del self._sent[:last - self._acked]
         self._acked = last
-        if last == self.cfg.n_pulses and not self.cfg.variant.uses_bases:
-            return [self._disclose(_joined(self._detected), _joined(self._click_symbols) >> 1)]
+        if last == self.cfg.n_pulses:
+            if not self.cfg.variant.uses_bases:
+                return [self._disclose(_joined(self._detected), _joined(self._click_symbols) >> 1)]
+            self._phase = "SIFT"
         return []
 
     def _on_bases(self, msg: Bases) -> List[Message]:
-        if not self.cfg.variant.uses_bases:
-            raise ProtocolViolationError("BASES message in a two-state session")
-        if self._finalized or self._acked != self.cfg.n_pulses:
-            raise ProtocolViolationError("BASES must follow the final acknowledgement")
         symbols = _joined(self._click_symbols)
         mine = symbols & 1
         keep = _matched(mine, msg)
@@ -463,7 +461,6 @@ class AliceSession(_Party):
         """Sifting is done on the pulses ``sifted``, which carry ``bits``:
         disclose every sifted bit, or a random part that leaves the final key."""
         self._sifted = self._final = bits
-        self._finalized = True
         f = self.cfg.disclosure_fraction
         if f != 0.0:
             picks = np.sort(
@@ -471,6 +468,7 @@ class AliceSession(_Party):
             )
             self._final = bits[np.bincount(picks, minlength=sifted.size) == 0]  # the rest
             sifted, bits = sifted[picks], bits[picks]
+        self._phase = "REPORT" if sifted.size else "CLOSE"  # ER_REPORT only of bits disclosed
         records = np.empty(sifted.size, DISCLOSE_RECORD)
         records["index"], records["bit"] = sifted, bits
         return Disclose(records)
@@ -486,6 +484,12 @@ class AliceSession(_Party):
     @property
     def detected_indices(self) -> Tuple[int, ...]:
         return tuple(_joined(self._detected).tolist())
+
+
+def abort_error(reason: int) -> Exception:
+    """The error of a session that its peer ended with TERMINATE ``reason``."""
+    kind = ConfigError if reason == TERMINATE_CONFIG_MISMATCH else ProtocolViolationError
+    return kind(f"peer aborted with reason {reason}")
 
 
 class BobSession(_Party):
@@ -519,16 +523,13 @@ class BobSession(_Party):
             **outcome,
         )
 
-    def _expect(self, endpoint, kind):
+    def _expect(self, endpoint, phase, kind=None):
+        """The next message: of ``kind`` if given, else of a type Bob may receive in ``phase``."""
         msg = check_message(endpoint.recv())
         if isinstance(msg, Terminate):
-            if msg.reason == TERMINATE_CONFIG_MISMATCH:
-                raise ConfigError("peer rejected the session parameters")
-            raise ProtocolViolationError(f"peer terminated with reason {msg.reason}")
-        if not isinstance(msg, kind):
-            raise ProtocolViolationError(
-                f"expected {kind.__name__}, got {type(msg).__name__}"
-            )
+            raise abort_error(msg.reason)
+        if type(msg) not in ((kind,) if kind else MESSAGE_ORDER[phase][1]):
+            raise ProtocolViolationError(f"{type(msg).__name__} in phase {phase}")
         return msg
 
     def _run(self, endpoint) -> SessionResult:
@@ -548,7 +549,8 @@ class BobSession(_Party):
             symbols = self._draw_symbols(end - start)
             for i, symbol in enumerate(symbols.tolist(), start):
                 endpoint.send(QFrameOut(i, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL))
-                if self._physics.observe(self._expect(endpoint, QFrameBack), PHASES[symbol]):
+                if self._physics.observe(self._expect(endpoint, "WINDOWS", QFrameBack),
+                                         PHASES[symbol]):
                     window_clicks.append(i)
                     clicked.append(symbol)
                 if (i + 1) % window == 0 or i + 1 == n:
@@ -571,7 +573,7 @@ class BobSession(_Party):
             endpoint.send(
                 QFrameWindowOut(start, count, OUTGOING_REFERENCE_PHOTONS, POL_HORIZONTAL)
             )
-            back = self._expect(endpoint, QFrameWindowBack)
+            back = self._expect(endpoint, "WINDOWS", QFrameWindowBack)
             at = observe_window(back, symbols)
             self._click_symbols.append(symbols[at])
             clicks = at.astype(np.uint64)
@@ -600,9 +602,9 @@ class BobSession(_Party):
         if cfg.variant.uses_bases:
             bob_bases = symbols & 1
             endpoint.send(Bases(bob_bases))
-            keep = _matched(bob_bases, self._expect(endpoint, Bases))
+            keep = _matched(bob_bases, self._expect(endpoint, "SIFT"))
             matched, sifted_bob = detected[keep], sifted_bob[keep]
-        records = self._expect(endpoint, Disclose).items
+        records = self._expect(endpoint, "REPORT").items
         disclosed, alice_bits = records["index"], records["bit"]
         if cfg.disclosure_fraction == 0.0:
             if not np.array_equal(disclosed, matched):
@@ -624,10 +626,8 @@ class BobSession(_Party):
             removed = tuple(disclosed.tolist())
         compared = disclosed.size
         mismatches = int(np.count_nonzero(alice_bits != bob_disclosed))
-        measured: Optional[float] = (
-            mismatches / compared if compared else None
-        )
-        if measured is not None:
+        measured = mismatches / compared if compared else None
+        if compared:  # ER_REPORT only of bits disclosed
             endpoint.send(ErReport(measured))
         endpoint.send(Terminate(TERMINATE_NORMAL))
         return self._result(

@@ -19,7 +19,8 @@ message they receive (a socket's ``recv`` leaves it to them), so
 ``encode_frame`` and the in-process receiver of each entry must both refuse
 it with ``ProtocolViolationError``. ``MALFORMED`` holds whole messages. Each
 entry of ``TO_ALICE`` is a message kind Alice receives and the fields that
-replace those of the honest message of that kind (``honest_message``); each
+replace those of the honest message of that kind (``honest_message``;
+``honest_of_type`` builds one of every wire type for a session's state); each
 entry of ``TO_BOB`` replaces fields of the frames Alice returns
 (``honest_returns``), on whichever engine has those fields. Without the
 check in process, these escaped as ``TypeError``, ``IndexError`` or
@@ -41,6 +42,7 @@ from hypothesis import strategies as st
 from fmqkd.framing import (
     DISCLOSE_RECORD,
     HEADER,
+    WIRE_TYPES,
     Bases,
     Detections,
     DetectionsBlock,
@@ -92,6 +94,8 @@ def same_message(a, b):
         for x, y in zip(a, b)
     )
 
+
+WIRE_CLASSES = [wire.cls for wire in WIRE_TYPES.values()]
 
 # The wire type and payload length of each message of fixed size.
 FIXED_SIZES = {"SESSION_START": (0x01, 49), "QFRAME_OUT": (0x02, 48),
@@ -233,6 +237,27 @@ def honest_message(kind, cfg, sent=0):
         "er_report": ErReport(0.0),
         "terminate": Terminate(0),
     }[kind]
+
+
+def honest_of_type(cls, cfg, sent=0, acked=0, clicks=(), detected=0):
+    """A well-formed message of type ``cls``, as an honest party sends it when
+    ``sent`` frames are out, the first ``acked`` acknowledged with ``detected``
+    clicks; an acknowledgement carries ``clicks`` and ends at the frames sent."""
+    left = max(cfg.n_pulses - sent, 1)
+    half = cfg.setup.mu_pair / 2.0
+    return {
+        SessionStart: lambda: session_start(cfg),
+        QFrameOut: lambda: pulse_out(sent),
+        QFrameBack: lambda: QFrameBack(sent, half, 0.0, (0.0, 0.0, 1.0, 0.0)),
+        Detections: lambda: Detections(np.array(clicks, np.uint64)),
+        Bases: lambda: Bases(np.zeros(detected, np.uint8)),
+        Disclose: lambda: disclose((), ()),
+        ErReport: lambda: ErReport(0.0),
+        Terminate: lambda: Terminate(0),
+        QFrameWindowOut: lambda: window_out(sent, left),
+        QFrameWindowBack: lambda: window_back(np.zeros(left), start=sent, mean_photons=half),
+        DetectionsBlock: lambda: detections_block([max(sent, acked + 1)], clicks),
+    }[cls]()
 
 
 def honest_returns(cfg):

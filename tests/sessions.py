@@ -1,9 +1,9 @@
 """The session harness of the test suite.
 
-The link configs, key files and started parties that tests feed a session;
-one forwarding endpoint, the in-process and loopback session runners, one
-scripted raw peer, ``free_port``, ``traced_peak``, the memory probe, and
-``child_env``, the environment of a child interpreter. pytest
+The link configs, key files and started or reporting parties that tests
+feed a session; one forwarding endpoint, the in-process and loopback session
+runners, one scripted raw peer, ``free_port``, ``traced_peak``, the memory
+probe, and ``child_env``, the environment of a child interpreter. pytest
 does not collect this module; tests import it like ``field_inputs``. Each
 thread started here is joined before the test that started it ends, and what
 the thread raised is raised in that test.
@@ -24,6 +24,7 @@ import fmqkd
 from field_inputs import window_out
 from fmqkd.channel import SocketEndpoint, connect, open_in_process, serve_once
 from fmqkd.detector import GatedDetectorConfig
+from fmqkd.framing import ErReport
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
@@ -93,6 +94,17 @@ def started_alice(cfg, reflected=0):
     assert alice.handle(session_start(cfg)) == []
     if reflected:
         alice.handle(window_out(0, reflected))
+    return alice
+
+
+def reporting_alice(cfg):
+    """Alice of ``cfg`` after an honest session up to her DISCLOSE, which must
+    disclose a bit: she waits for Bob's ER_REPORT."""
+    _, _, seen = run_in_process(cfg)
+    alice = AliceSession(cfg)
+    for msg in seen[:-2]:  # all but the ER_REPORT and the TERMINATE
+        alice.handle(msg)
+    assert isinstance(seen[-2], ErReport) and alice._phase == "REPORT"
     return alice
 
 

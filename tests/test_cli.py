@@ -29,13 +29,14 @@ from fmqkd.cli import (
 from fmqkd.errors import ConfigError
 from fmqkd.framing import (
     TERMINATE_CONFIG_MISMATCH,
+    TERMINATE_PROTOCOL_VIOLATION,
     QFrameWindowOut,
     SessionStart,
     Terminate,
     encode_frame,
 )
 from fmqkd.keyfile import MAX_BITS, read_key_file
-from fmqkd.protocol import ProtocolVariant
+from fmqkd.protocol import ProtocolVariant, session_start
 from fmqkd.randomness import BitSource
 from sessions import RawPeer, child_env, free_port, in_thread
 
@@ -431,6 +432,22 @@ def test_simulate_alice_config_mismatch_exits_2_and_logs(tmp_path, capsys, monke
     (entry,) = log_entries(out)
     assert entry["role"] == "alice"
     assert entry["error"].startswith("ConfigError: peer aborted")
+    assert not (out / "alice_key.qkdr").exists()
+
+
+def test_simulate_alice_peer_violation_exits_5_and_logs_the_reason(tmp_path, capsys,
+                                                                    monkeypatch):
+    # Alice reads Bob's TERMINATE as Bob reads hers: only reason 1 is a config error.
+    out = tmp_path / "alice"
+    cfg = parse_run_config(write_config(tmp_path, name="expected.cfg")).session
+    with cli_alice(tmp_path, out, monkeypatch) as (endpoint, codes):
+        endpoint.send(session_start(cfg))
+        endpoint.send(Terminate(TERMINATE_PROTOCOL_VIOLATION))
+    assert codes == [EXIT_PROTOCOL]
+    assert "protocol error: peer aborted with reason 2" in capsys.readouterr().err
+    (entry,) = log_entries(out)
+    assert entry["role"] == "alice"
+    assert entry["error"] == "ProtocolViolationError: peer aborted with reason 2"
     assert not (out / "alice_key.qkdr").exists()
 
 

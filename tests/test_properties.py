@@ -7,6 +7,11 @@
   nothing else, and rejects every window frame that overlaps, leaves a gap,
   is empty or runs past the session, and every message with a fixed field
   that does not fit its wire type.
+- Driven by ``protocol.MESSAGE_ORDER`` (``AliceMachine``), Alice hands a type
+  her phase lists to its handler and refuses any other without moving on;
+  her phases only move forward, each reply is of a type Bob may receive in a
+  phase she passed through, and once done she refuses every message after a
+  normal TERMINATE and drops every message after an abort.
 - Framing is canonical: any byte string either fails to decode with
   ``ProtocolViolationError`` or decodes to a message that encodes back to
   exactly those bytes, and any message with one malformed field either
@@ -27,8 +32,9 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from field_inputs import (
     BIT,
@@ -36,8 +42,10 @@ from field_inputs import (
     MESSAGES,
     POLS,
     TO_ALICE,
+    WIRE_CLASSES,
     detections_block,
     honest_message,
+    honest_of_type,
     pulse_out,
     same_message,
     window_out,
@@ -58,8 +66,10 @@ from fmqkd.framing import (
     Detections,
     DetectionsBlock,
     Disclose,
+    ErReport,
     QFrameBack,
     QFrameOut,
+    SessionStart,
     Terminate,
     check_message,
     decode_frame,
@@ -68,6 +78,7 @@ from fmqkd.framing import (
 from fmqkd.interferometer import SetupConfig
 from fmqkd.keyfile import read_key_file, write_key_file
 from fmqkd.protocol import (
+    MESSAGE_ORDER,
     OUTGOING_REFERENCE_PHOTONS,
     PHASES,
     STREAM_BASES,
@@ -360,6 +371,93 @@ def test_alice_answers_any_sequence_with_replies_or_violation(data, variant, dis
     if variant.uses_bases:
         expected += BitSource.from_seed(cfg.seeds.alice, STREAM_BASES).take(sent)
     assert symbols == expected.tolist()
+
+
+PHASE_ORDER = list(MESSAGE_ORDER)
+
+
+class AliceMachine(RuleBasedStateMachine):
+    """Drives Alice, on either variant, with next messages drawn from the phase
+    table: of a type her phase lists, built as an honest Bob sends it, or of one
+    it does not list."""
+
+    @initialize(variant=st.sampled_from(list(ProtocolVariant)),
+                disclosure=st.sampled_from([0.0, 0.5]))
+    def start(self, variant, disclosure):
+        self.alice = AliceSession(session_config(variant, disclosure))
+
+    def next_message(self, data, cls):
+        alice = self.alice
+        acked = alice._acked
+        sent = acked + len(alice._sent)
+        clicks = (sorted(data.draw(st.sets(st.integers(acked, sent - 1), max_size=4)))
+                  if sent > acked else ())
+        # Now and then one basis too many, which the handler refuses.
+        extra = cls is Bases and data.draw(st.integers(0, 3)) == 0
+        detected = len(alice.detected_indices) + extra
+        msg = honest_of_type(cls, alice.cfg, sent, acked, clicks, detected)
+        if cls is QFrameWindowOut and sent < N_PULSES:
+            return msg._replace(count=data.draw(st.integers(1, N_PULSES - sent)))
+        if cls is Terminate:
+            return msg._replace(reason=data.draw(st.integers(0, 3)))
+        if cls is SessionStart and data.draw(st.integers(0, 4)) == 0:
+            return msg._replace(n_pulses=N_PULSES + 1)  # another session's: Alice aborts
+        return msg
+
+    @rule(data=st.data())
+    def listed(self, data):
+        handlers = MESSAGE_ORDER[self.alice._phase][0]
+        assume(handlers)
+        self.send(self.next_message(data, data.draw(st.sampled_from(list(handlers)))))
+
+    @rule(data=st.data())
+    def honest(self, data):
+        # The type an honest Bob sends next, so that sessions reach every phase.
+        alice = self.alice
+        cls = {"START": SessionStart, "SIFT": Bases, "REPORT": ErReport,
+               "CLOSE": Terminate}.get(alice._phase)
+        if alice._phase == "WINDOWS":
+            sent = alice._acked + len(alice._sent)
+            cls = QFrameWindowOut if sent < N_PULSES else DetectionsBlock
+        assume(cls is not None)
+        self.send(self.next_message(data, cls))
+
+    def send(self, msg):
+        before = self.alice._phase
+        try:
+            replies = self.alice.handle(msg)
+        except ProtocolViolationError:
+            assert self.alice._phase == before
+            return
+        # Phases only move on, and each reply is of a type Bob may receive in a
+        # phase passed through; a TERMINATE he may receive in any.
+        span = PHASE_ORDER[PHASE_ORDER.index(before):PHASE_ORDER.index(self.alice._phase) + 1]
+        assert span
+        allowed = {Terminate}.union(*(MESSAGE_ORDER[phase][1] for phase in span))
+        assert {type(reply) for reply in replies} <= allowed
+
+    @rule(data=st.data())
+    def unlisted(self, data):
+        phase = self.alice._phase
+        cls = data.draw(st.sampled_from([cls for cls in WIRE_CLASSES
+                                         if cls not in MESSAGE_ORDER[phase][0]]))
+        msg = self.next_message(data, cls)
+        if self.alice.abort_reason is not None:
+            assert self.alice.handle(msg) == []  # an aborted session drops stragglers
+        else:  # refused, a normal TERMINATE's DONE included
+            with pytest.raises(ProtocolViolationError, match=f"in phase {phase}"):
+                self.alice.handle(msg)
+        assert self.alice._phase == phase
+
+    @invariant()
+    def done_is_the_last_phase(self):
+        assert self.alice.done == (self.alice._phase == "DONE")
+        assert self.alice.abort_reason is None or self.alice.done
+
+
+TestAliceMachine = AliceMachine.TestCase
+TestAliceMachine.settings = settings(max_examples=60, stateful_step_count=25,
+                                     deadline=None, database=None)
 
 
 @st.composite

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import gc
 import math
+import re
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,12 @@ from field_inputs import (
     REFUSED,
     TO_ALICE,
     TO_BOB,
+    WIRE_CLASSES,
     detections_block,
     honest_message,
+    honest_of_type,
     pulse_out,
+    same_message,
 )
 from fmqkd import protocol
 from fmqkd.channel import open_in_process
@@ -31,16 +36,20 @@ from fmqkd.errors import (
     SessionAborted,
 )
 from fmqkd.framing import (
+    WIRE_TYPES,
     Bases,
     Detections,
     DetectionsBlock,
     Disclose,
+    ErReport,
     QFrameBack,
     QFrameWindowBack,
     SessionStart,
+    Terminate,
 )
 from fmqkd.keyfile import write_key_file
 from fmqkd.protocol import (
+    MESSAGE_ORDER,
     PHASES,
     STREAM_BASES,
     STREAM_BITS,
@@ -58,6 +67,7 @@ from sessions import (
     PassThroughEndpoint,
     dark_count_config,
     noiseless_config,
+    reporting_alice,
     run_in_process,
     started_alice,
     traced_peak,
@@ -458,7 +468,7 @@ def test_in_process_disclose_is_checked_before_it_is_read(what):
 def test_alice_refuses_fields_that_do_not_fit(what):
     cfg = noiseless_config(100)
     kind, fields = TO_ALICE[what]
-    alice = AliceSession(cfg) if kind == "start" else started_alice(cfg)
+    alice = {"start": AliceSession, "er_report": reporting_alice}.get(kind, started_alice)(cfg)
     with pytest.raises(ProtocolViolationError, match="does not fit"):
         alice.handle(honest_message(kind, cfg)._replace(**fields))
     # The refused message changed nothing: the valid one is still taken.
@@ -505,6 +515,102 @@ def test_in_process_receiver_refuses_every_malformed_message(what):
     with pytest.raises(ProtocolViolationError):
         alice.handle(msg)
     assert not alice.done
+
+
+def alice_in(cfg, phase, received):
+    """Alice of ``cfg``, led into ``phase`` by the messages an honest Bob sent, ``received``."""
+    alice = AliceSession(cfg)
+    for msg in received:
+        if alice._phase == phase:
+            break
+        alice.handle(msg)
+    assert alice._phase == phase
+    return alice
+
+
+def phases_of(variant):
+    return [phase for phase in MESSAGE_ORDER if phase != "SIFT" or variant.uses_bases]
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_alice_hands_each_type_to_its_handler_only_in_the_phases_that_list_it(variant):
+    # Every (phase, wire type) pair: a listed type reaches its handler, which may
+    # still refuse it; any other is refused by the lookup. A refusal keeps the phase.
+    cfg = noiseless_config(100, variant=variant)
+    _, _, received = run_in_process(cfg)
+    for phase in phases_of(variant):
+        handlers = MESSAGE_ORDER[phase][0]
+        for cls in WIRE_CLASSES:
+            alice = alice_in(cfg, phase, received)
+            called = []
+            for name in set(handlers.values()):
+                handler = getattr(alice, name)
+                setattr(alice, name, lambda m, name=name, handler=handler:
+                        called.append(name) or handler(m))
+            msg = honest_of_type(cls, cfg, alice._acked + len(alice._sent), alice._acked,
+                                 detected=len(alice.detected_indices))
+            try:
+                alice.handle(msg)
+            except ProtocolViolationError as exc:
+                assert alice._phase == phase
+                assert cls in handlers or f"{cls.__name__} in phase {phase}" in str(exc)
+            assert called[:1] == ([handlers[cls]] if cls in handlers else []), (phase, cls)
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_bob_takes_only_the_types_his_phase_lists(variant):
+    cfg = noiseless_config(100, variant=variant)
+    bob = BobSession(cfg)
+    for phase in phases_of(variant):
+        kinds = MESSAGE_ORDER[phase][1]
+        # Each engine names the returned frame it waits for; elsewhere the phase does.
+        for kind in kinds if len(kinds) > 1 else [None]:
+            for cls in WIRE_CLASSES:
+                msg = honest_of_type(cls, cfg)
+                endpoint = types.SimpleNamespace(recv=lambda: msg)
+                if cls in ((kind,) if kind else kinds):
+                    assert same_message(bob._expect(endpoint, phase, kind), msg)
+                    continue
+                refusal = f"{cls.__name__} in phase {phase}"
+                with pytest.raises(ProtocolViolationError,
+                                   match="peer aborted" if cls is Terminate else refusal):
+                    bob._expect(endpoint, phase, kind)
+
+
+def test_readme_message_order_table_matches_the_protocol():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Message order", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([A-Z]+) +\| ([^|]+)\| ([^|]+)\|", section, re.MULTILINE)
+    names = {wire.cls: wire.name for wire in WIRE_TYPES.values()}
+
+    def listed(cell):
+        return set() if cell.strip() == "-" else set(cell.strip().split(", "))
+
+    assert [phase for phase, _, _ in rows] == list(MESSAGE_ORDER)
+    for phase, alice, bob in rows:
+        handlers, kinds = MESSAGE_ORDER[phase]
+        assert listed(alice) == {names[cls] for cls in handlers}, phase
+        assert listed(bob) == {names[cls] for cls in kinds}, phase
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_alice_takes_one_er_report_and_only_after_disclosing_a_bit(variant):
+    cfg = noiseless_config(100, variant=variant)
+    alice = started_alice(cfg, reflected=100)
+    with pytest.raises(ProtocolViolationError, match="ErReport in phase WINDOWS"):
+        alice.handle(ErReport(0.5))
+    alice = reporting_alice(cfg)
+    assert alice.handle(ErReport(0.0)) == []
+    with pytest.raises(ProtocolViolationError, match="ErReport in phase CLOSE"):
+        alice.handle(ErReport(0.25))
+    assert alice.measured_er == 0.0
+    assert alice.handle(Terminate(0)) == [] and alice.done
+    # A session that disclosed no bit has no error rate to report.
+    dark = dataclasses.replace(cfg, detector=GatedDetectorConfig(efficiency=0.0,
+                                                                 dark_prob_per_gate=0.0))
+    result, alice, received = run_in_process(dark)
+    assert result.compared_bits == 0 and not any(isinstance(m, ErReport) for m in received)
+    assert alice.done and alice.abort_reason is None
 
 
 def test_protocol_leaves_message_rules_to_check_message():
